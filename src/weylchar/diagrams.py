@@ -509,37 +509,52 @@ def render_pattern(p: PatternGrid) -> str:
     return "\n".join([header] + ["".join(c.value for c in row) for row in p.cells])
 
 
-def _matches_at(d: Diagram, cells, rowsel, colsel) -> bool:
-    for a, i in enumerate(rowsel):
-        for b, j in enumerate(colsel):
-            cell = cells[a][b]
-            if cell is Cell.FREE:
-                continue
-            present = d.contains_box(i, j)
-            if present != (cell is Cell.REQUIRED):
-                return False
-    return True
+@lru_cache(maxsize=None)
+def _pattern_masks(p: PatternGrid, n: int) -> tuple:
+    """The distinct placements of ``p`` on the rows of an n-row grid, as row masks.
+
+    A placement fixes a row selection and an allowed order of the
+    pattern's columns.  Row i is bit i - 1, and each pattern column
+    becomes a pair ``(required, care)``: a diagram column with row mask
+    ``m`` matches it when ``m & care == required``.
+    """
+    if p.column_swap_allowed:
+        orders = list(itertools.permutations(range(p.cols)))
+    else:
+        orders = [tuple(range(p.cols))]
+    variants = set()
+    for rowsel in itertools.combinations(range(n), p.rows):
+        columns = []
+        for b in range(p.cols):
+            required = care = 0
+            for row, bit in zip(p.cells, rowsel):
+                if row[b] is not Cell.FREE:
+                    care |= 1 << bit
+                    if row[b] is Cell.REQUIRED:
+                        required |= 1 << bit
+            columns.append((required, care))
+        variants.update(tuple(columns[k] for k in order) for order in orders)
+    return tuple(variants)
 
 
 def contains_pattern(d: Diagram, p: PatternGrid) -> bool:
     """Whether some selection of rows r1<..<rp and columns c1<..<cq matches ``p``.
 
     When the pattern allows it, matching is attempted against every
-    reordering of the pattern's columns.
+    reordering of the pattern's columns.  For a fixed row selection the
+    pattern columns are matched left to right, each against the first
+    unused diagram column that fits; taking the earliest fit never rules
+    out a match.
     """
     if p.rows > d.n or p.cols > d.n:
         return False
-    if p.column_swap_allowed:
-        variants = {
-            tuple(tuple(row[k] for k in perm) for row in p.cells)
-            for perm in itertools.permutations(range(p.cols))
-        }
-    else:
-        variants = {p.cells}
-    indices = range(1, d.n + 1)
-    for colsel in itertools.combinations(indices, p.cols):
-        for rowsel in itertools.combinations(indices, p.rows):
-            for cells in variants:
-                if _matches_at(d, cells, rowsel, colsel):
+    masks = [sum(1 << (i - 1) for i in col) for col in d.columns]
+    for variant in _pattern_masks(p, d.n):
+        b = 0
+        for m in masks:
+            required, care = variant[b]
+            if m & care == required:
+                b += 1
+                if b == len(variant):
                     return True
     return False

@@ -457,10 +457,25 @@ def _run_shard(args):
     return checked, findings, truncated
 
 
-def _write_checkpoint(path, check_name, family, cursor, checked, findings):
+def _fingerprint(ctx) -> dict:
+    """Every ctx field except the cap, in JSON form; patterns are rendered."""
+
+    def canonical(value):
+        if isinstance(value, PatternGrid):
+            return render_pattern(value)
+        if isinstance(value, (tuple, list)):
+            return [canonical(v) for v in value]
+        return value
+
+    return {name: canonical(value) for name, value in sorted(ctx.items()) if name != "cap"}
+
+
+def _write_checkpoint(path, check_name, family, ctx, cursor, checked, findings):
     payload = {
         "check": check_name,
         "family": family.describe(),
+        "ctx": _fingerprint(ctx),
+        "cap": ctx["cap"],
         "shard_cursor": cursor,
         "checked": checked,
         "findings": [
@@ -479,12 +494,25 @@ def _write_checkpoint(path, check_name, family, cursor, checked, findings):
         raise
 
 
-def _load_checkpoint(path, check_name, family):
+def _load_checkpoint(path, check_name, family, ctx):
+    """Cursor, count and findings of a checkpoint written by this same run.
+
+    A checkpoint from a run with a different check, family or ctx field
+    is refused.  So is a resume with a smaller cap than the checkpoint's,
+    under which instances before the cursor might truncate; a larger cap
+    is fine, since no instance before the cursor truncated.
+    """
     if not path or not os.path.exists(path):
         return 0, 0, []
     with open(path) as handle:
         payload = json.load(handle)
-    if payload.get("check") != check_name or payload.get("family") != family.describe():
+    if (
+        payload.get("check") != check_name
+        or payload.get("family") != family.describe()
+        or payload.get("ctx") != _fingerprint(ctx)
+        or "cap" not in payload
+        or payload["cap"] > ctx["cap"]
+    ):
         raise ValueError(f"checkpoint {path} belongs to a different run")
     findings = [
         _finding_from_json(f, f.get("severity", "violation"))
@@ -494,23 +522,29 @@ def _load_checkpoint(path, check_name, family):
 
 
 def _run_serial(check_name, family, ctx, checkpoint_path, checkpoint_every):
+    """Walk the family in one process, resuming from and writing checkpoints.
+
+    The checkpoint is removed only once the family has been walked to
+    the end; a run cut short by the cap keeps it, with the cursor at the
+    instance that truncated, so a rerun with a larger cap resumes there.
+    """
     check = _CHECKS[check_name]
-    start, checked, findings = _load_checkpoint(checkpoint_path, check_name, family)
-    truncated = False
+    start, checked, findings = _load_checkpoint(checkpoint_path, check_name, family, ctx)
     for idx, payload in family.instances():
         if idx < start:
             continue
         try:
             findings.extend(check(idx, payload, ctx))
         except CapExceeded:
-            truncated = True
-            break
+            if checkpoint_path:
+                _write_checkpoint(checkpoint_path, check_name, family, ctx, idx, checked, findings)
+            return checked, findings, True
         checked += 1
         if checkpoint_path and (idx + 1) % checkpoint_every == 0:
-            _write_checkpoint(checkpoint_path, check_name, family, idx + 1, checked, findings)
+            _write_checkpoint(checkpoint_path, check_name, family, ctx, idx + 1, checked, findings)
     if checkpoint_path and os.path.exists(checkpoint_path):
         os.unlink(checkpoint_path)
-    return checked, findings, truncated
+    return checked, findings, False
 
 
 def run_check(

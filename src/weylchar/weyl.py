@@ -184,13 +184,19 @@ def dual_character(d: Diagram, cap: int = DEFAULT_CAP) -> Polynomial:
     """Character polynomial of the diagram ``d``.
 
     Exact integer coefficients in variables x_1..x_n; the empty diagram
-    gives the constant 1.  Results are memoized per (diagram, cap).
+    gives the constant 1.  Results are memoized per (column multiset, n,
+    cap): the character is a product over the columns of ``d``, so
+    reordering columns only reorders the factors of each product of
+    minors and leaves every weight class's span unchanged, while an
+    empty column contributes the factor 1.  The cap check is order-free
+    too, since the member count is the product of the column-ideal sizes.
     """
-    key = (d.columns, d.n, cap)
+    columns = tuple(sorted(c for c in d.columns if c))
+    key = (columns, d.n, cap)
     hit = _CHARACTER_CACHE.get(key)
     if hit is not None:
         return hit
-    result = _character_uncached(d.columns, d.n, cap)
+    result = _character_uncached(columns, d.n, cap)
     if len(_CHARACTER_CACHE) >= _CHARACTER_CACHE_LIMIT:
         _CHARACTER_CACHE.clear()
     _CHARACTER_CACHE[key] = result

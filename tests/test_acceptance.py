@@ -252,10 +252,11 @@ def test_zero_one_proved_direction_4_grid():
         report.ok
         and report.checked == 65536
         and not report.violations
+        and len(report.candidates) == 24173
         and all(f.severity == "candidate" for f in report.candidates)
     )
     gate(
         "flagged configuration forces repeated coefficients (4-grid)",
         600.0, report.elapsed_s, passed,
-        f"{len(report.violations)} violations",
+        f"{len(report.violations)} violations, {len(report.candidates)} candidates",
     )

@@ -1,4 +1,8 @@
 """Cell-pattern parsing and the row/column selection matcher."""
+import itertools
+import random
+from pathlib import Path
+
 import pytest
 
 from weylchar.diagrams import (
@@ -9,6 +13,7 @@ from weylchar.diagrams import (
     pattern_grid,
     render_pattern,
 )
+from weylchar.verify import all_diagrams
 
 WORKED = diagram([(1, 3), (2, 3), ()])
 
@@ -89,3 +94,74 @@ def test_adding_free_border_keeps_matches_when_grid_is_big_enough():
     big = diagram([(1, 3), (2, 3), (), ()])  # same boxes on a 4x4 grid
     assert contains_pattern(big, p)
     assert contains_pattern(big, padded)
+
+
+# ---------------------------------------------------------------------------
+# The bitmask matcher against the cell-by-cell definition
+# ---------------------------------------------------------------------------
+
+WITNESS_FILE = Path(__file__).resolve().parent.parent / "patterns" / "multiplicity-witness.txt"
+
+
+def reference_matches_at(d, cells, rowsel, colsel):
+    for a, i in enumerate(rowsel):
+        for b, j in enumerate(colsel):
+            cell = cells[a][b]
+            if cell is Cell.FREE:
+                continue
+            if d.contains_box(i, j) != (cell is Cell.REQUIRED):
+                return False
+    return True
+
+
+def reference_contains_pattern(d, p):
+    """The matcher by definition: every column and row selection, cell by cell."""
+    if p.rows > d.n or p.cols > d.n:
+        return False
+    if p.column_swap_allowed:
+        variants = {
+            tuple(tuple(row[k] for k in perm) for row in p.cells)
+            for perm in itertools.permutations(range(p.cols))
+        }
+    else:
+        variants = {p.cells}
+    indices = range(1, d.n + 1)
+    for colsel in itertools.combinations(indices, p.cols):
+        for rowsel in itertools.combinations(indices, p.rows):
+            for cells in variants:
+                if reference_matches_at(d, cells, rowsel, colsel):
+                    return True
+    return False
+
+
+def random_patterns(seed, count):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        lines = ["".join(rng.choice("#x.") for _ in range(cols)) for _ in range(rows)]
+        out.append(lines)
+    return out
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_bitmask_matcher_agrees_with_reference_on_3_grid(swap):
+    patterns = [pattern_grid(lines, swap) for lines in random_patterns(2021, 12)]
+    patterns.append(pattern_grid(WITNESS_LINES, swap))
+    hits = 0
+    for _, d in all_diagrams(3).instances():
+        for p in patterns:
+            expected = reference_contains_pattern(d, p)
+            assert contains_pattern(d, p) == expected, (d, render_pattern(p))
+            hits += expected
+    assert 0 < hits < 512 * len(patterns)  # both answers occur
+
+
+def test_bitmask_matcher_agrees_with_reference_on_4_grid_witness():
+    p = parse_pattern(WITNESS_FILE.read_text())
+    hits = 0
+    for _, d in all_diagrams(4).instances():
+        expected = reference_contains_pattern(d, p)
+        assert contains_pattern(d, p) == expected, d
+        hits += expected
+    assert 0 < hits < 1 << 16

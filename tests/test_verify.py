@@ -10,7 +10,9 @@ import json
 
 import pytest
 
+from weylchar import verify
 from weylchar.diagrams import (
+    DEFAULT_CAP,
     Diagram,
     contains_pattern,
     count_below,
@@ -19,6 +21,7 @@ from weylchar.diagrams import (
     is_northwest,
     pattern_grid,
     rank,
+    render_pattern,
     rothe,
 )
 from weylchar.polynomials import principal_specialization, zero_one_witness
@@ -382,6 +385,8 @@ def test_checkpoint_resume_matches_full_run(tmp_path):
     path.write_text(json.dumps({
         "check": "zero_one_characterization",
         "family": fam.describe(),
+        "ctx": {"patterns": [render_pattern(ALL_FREE_2)]},
+        "cap": DEFAULT_CAP,
         "shard_cursor": cursor,
         "checked": cursor,
         "findings": [dict(f.to_json_obj(), severity=f.severity) for f in prefix],
@@ -414,6 +419,50 @@ def test_checkpoint_for_other_run_rejected(tmp_path):
     }))
     with pytest.raises(ValueError):
         verify_lower_bound(fam, checkpoint_path=str(path))
+
+
+def test_checkpoint_from_other_parameters_rejected(tmp_path):
+    fam = all_diagrams(3)
+    path = tmp_path / "params.json"
+    ctx = {"cap": DEFAULT_CAP, "support_only": True}  # as verify_lower_bound builds it
+    verify._write_checkpoint(str(path), "lower_bound", fam, ctx, 64, 64, [])
+    with pytest.raises(ValueError):
+        verify_lower_bound(fam, support_only=False, checkpoint_path=str(path))
+    with pytest.raises(ValueError):
+        verify_lower_bound(fam, support_only=True, cap=DEFAULT_CAP - 1, checkpoint_path=str(path))
+    assert path.exists()
+    resumed = verify_lower_bound(
+        fam, support_only=True, cap=DEFAULT_CAP + 1, checkpoint_path=str(path)
+    )
+    assert stable_json(resumed) == stable_json(verify_lower_bound(fam, support_only=True))
+    assert not path.exists()
+
+
+def test_checkpoint_fingerprint_covers_patterns(tmp_path):
+    fam = all_diagrams(2)
+    path = tmp_path / "patterns.json"
+    full = verify_zero_one_characterization(fam, [ALL_FREE_2])
+    # the first instance's character exceeds cap 0, so the run truncates at once
+    verify_zero_one_characterization(fam, [ALL_FREE_2], cap=0, checkpoint_path=str(path))
+    assert json.loads(path.read_text())["ctx"] == {"patterns": [render_pattern(ALL_FREE_2)]}
+    with pytest.raises(ValueError):
+        verify_zero_one_characterization(fam, [WITNESS], checkpoint_path=str(path))
+    resumed = verify_zero_one_characterization(fam, [ALL_FREE_2], checkpoint_path=str(path))
+    assert stable_json(resumed) == stable_json(full)
+
+
+def test_truncated_run_keeps_its_checkpoint(tmp_path):
+    fam = all_diagrams(3)
+    path = tmp_path / "truncated.json"
+    full = verify_lower_bound(fam)
+    # instance 36, boxes (3, 1) and (3, 2), is the first with more than 6 diagrams below
+    cut = verify_lower_bound(fam, cap=6, checkpoint_path=str(path), checkpoint_every=5)
+    assert cut.truncated and cut.checked == 36
+    saved = json.loads(path.read_text())
+    assert saved["shard_cursor"] == 36 and saved["cap"] == 6
+    resumed = verify_lower_bound(fam, checkpoint_path=str(path), checkpoint_every=5)
+    assert not path.exists()
+    assert stable_json(resumed) == stable_json(full)
 
 
 def test_checkpoint_requires_serial_run(tmp_path):

@@ -1,10 +1,20 @@
 """Character engine: determinants, ranks of spans, and full characters."""
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylchar.diagrams import CapExceeded, diagram, enumerate_below, weight_monomial
+from weylchar import weyl
+from weylchar.diagrams import (
+    DEFAULT_CAP,
+    CapExceeded,
+    diagram,
+    enumerate_below,
+    weight_monomial,
+)
 from weylchar.polynomials import Polynomial, principal_specialization, render
+from weylchar.verify import all_diagrams
 from weylchar.weyl import (
     YPolynomial,
     character_support,
@@ -120,3 +130,39 @@ def test_character_coefficients_count_weight_classes(cols):
     assert set(chi.terms) == set(classes)
     for m, coeff in chi.terms.items():
         assert 1 <= coeff <= classes[m]
+
+
+def test_character_is_invariant_under_column_permutations():
+    """Computed afresh in every column order, each 3-grid character agrees."""
+    for _, d in all_diagrams(3).instances():
+        chi = dual_character(d)
+        for columns in set(itertools.permutations(d.columns)):
+            assert weyl._character_uncached(columns, d.n, DEFAULT_CAP) == chi, columns
+
+
+def test_column_orders_share_one_computation(monkeypatch):
+    monkeypatch.setattr(weyl, "_CHARACTER_CACHE", {})
+    calls = []
+    group = weyl._kernels.group_by_weight
+
+    def counting(columns, n, cap):
+        calls.append(columns)
+        return group(columns, n, cap)
+
+    monkeypatch.setattr(weyl._kernels, "group_by_weight", counting)
+    d = diagram([(1, 3), (2, 3), (), (2,)])
+    chi = dual_character(d)
+    assert dual_character(diagram([(2,), (), (2, 3), (1, 3)])) == chi
+    assert dual_character(diagram([(), (2, 3), (2,), (1, 3)])) == chi
+    assert len(calls) == 1
+    # the grid size and the cap stay part of the key
+    dual_character(diagram(d.columns, n=5))
+    dual_character(d, cap=DEFAULT_CAP - 1)
+    assert len(calls) == 3
+
+
+def test_cap_is_checked_in_every_column_order():
+    for columns in itertools.permutations([(1, 3), (2, 3), ()]):
+        with pytest.raises(CapExceeded):
+            dual_character(diagram(columns), cap=5)
+        assert principal_specialization(dual_character(diagram(columns), cap=6)) == 6
