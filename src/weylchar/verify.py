@@ -15,7 +15,8 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 from weylchar.diagrams import (
     CapExceeded,
@@ -25,11 +26,9 @@ from weylchar.diagrams import (
     contains_pattern,
     count_132,
     count_below,
-    diagram,
     diagram_to_json_obj,
     has_unstable_pair,
     is_northwest,
-    parse_pattern,
     rank,
     render_pattern,
     rinv_weight,
@@ -83,46 +82,26 @@ class DiagramFamily:
     max_len: int = 0
     members: tuple = ()
 
+    def _kind(self):
+        try:
+            return _KINDS[self.kind]
+        except KeyError:
+            raise ValueError(f"unknown family kind {self.kind!r}") from None
+
     def describe(self) -> str:
-        if self.kind == "all_diagrams":
-            return f"AllDiagrams(n={self.n}, max_boxes={self.max_boxes})"
-        if self.kind == "all_rothe":
-            return f"AllRothe(n={self.n})"
-        if self.kind == "all_skyline":
-            return f"AllSkyline(max_part={self.max_part}, max_len={self.max_len})"
-        if self.kind == "explicit":
-            return f"ExplicitList({len(self.members)} diagrams)"
-        if self.kind == "permutations":
-            return f"Permutations(n={self.n})"
-        if self.kind == "compositions":
-            return f"Compositions(max_part={self.max_part}, max_len={self.max_len})"
-        raise ValueError(f"unknown family kind {self.kind!r}")
+        label, _ = self._kind()
+        return label.format(f=self, size=len(self.members))
 
     def instances(self):
-        """Yield (index, payload) pairs in the family's canonical order."""
-        if self.kind == "all_diagrams":
-            yield from enumerate(_iter_all_diagrams(self.n, self.max_boxes))
-        elif self.kind == "all_rothe":
-            perms = itertools.permutations(range(1, self.n + 1))
-            yield from enumerate(rothe(w) for w in perms)
-        elif self.kind == "all_skyline":
-            comps = itertools.product(range(self.max_part + 1), repeat=self.max_len)
-            yield from enumerate(skyline(alpha) for alpha in comps)
-        elif self.kind == "explicit":
-            yield from enumerate(Diagram(cols, n) for cols, n in self.members)
-        elif self.kind == "permutations":
-            yield from enumerate(itertools.permutations(range(1, self.n + 1)))
-        elif self.kind == "compositions":
-            yield from enumerate(
-                itertools.product(range(self.max_part + 1), repeat=self.max_len)
-            )
-        else:
-            raise ValueError(f"unknown family kind {self.kind!r}")
+        """Iterate (index, payload) pairs in the family's canonical order."""
+        _, payloads = self._kind()
+        return enumerate(payloads(self))
 
 
-def _iter_all_diagrams(n, max_boxes):
+def _grid_subsets(family):
     """Subsets of the n x n grid by ascending bitmask; bit (j-1)*n+(i-1) is box (i, j)."""
-    limit = n * n if max_boxes is None else max_boxes
+    n = family.n
+    limit = n * n if family.max_boxes is None else family.max_boxes
     for mask in range(1 << (n * n)):
         if mask.bit_count() > limit:
             continue
@@ -131,6 +110,26 @@ def _iter_all_diagrams(n, max_boxes):
             for j in range(1, n + 1)
         )
         yield Diagram(cols, n)
+
+
+def _permutations(family):
+    return itertools.permutations(range(1, family.n + 1))
+
+
+def _compositions(family):
+    return itertools.product(range(family.max_part + 1), repeat=family.max_len)
+
+
+# kind -> (label, enumerator of payloads); a label is formatted with the
+# family as ``f`` and its member count as ``size``.
+_KINDS = {
+    "all_diagrams": ("AllDiagrams(n={f.n}, max_boxes={f.max_boxes})", _grid_subsets),
+    "all_rothe": ("AllRothe(n={f.n})", lambda f: map(rothe, _permutations(f))),
+    "all_skyline": ("AllSkyline(max_part={f.max_part}, max_len={f.max_len})", lambda f: map(skyline, _compositions(f))),
+    "explicit": ("ExplicitList({size} diagrams)", lambda f: itertools.starmap(Diagram, f.members)),
+    "permutations": ("Permutations(n={f.n})", _permutations),
+    "compositions": ("Compositions(max_part={f.max_part}, max_len={f.max_len})", _compositions),
+}
 
 
 def all_diagrams(n: int, max_boxes: int | None = None) -> DiagramFamily:
@@ -210,15 +209,10 @@ class VerificationReport:
             f"truncated: {str(self.truncated).lower()}",
             f"elapsed_s: {self.elapsed_s:.3f}",
         ]
-        for f in self.violations:
-            lines.append(
-                f"  violation #{f.instance_index} {f.instance}: "
-                f"{f.lhs} vs {f.rhs} ({f.witness})"
-            )
-        for f in self.candidates:
-            lines.append(
-                f"  candidate #{f.instance_index} {f.instance}: "
-                f"{f.lhs} vs {f.rhs} ({f.witness})"
+        for severity, findings in (("violation", self.violations), ("candidate", self.candidates)):
+            lines.extend(
+                f"  {severity} #{f.instance_index} {f.instance}: {f.lhs} vs {f.rhs} ({f.witness})"
+                for f in findings
             )
         return "\n".join(lines)
 
@@ -246,6 +240,26 @@ def report_from_json_obj(obj) -> VerificationReport:
     )
 
 
+def _report(check, family, checked, findings, truncated, elapsed_s) -> VerificationReport:
+    """A report whose findings are split by severity and sorted by (index, witness)."""
+
+    def sorted_by_severity(severity):
+        return sorted(
+            (f for f in findings if f.severity == severity),
+            key=lambda f: (f.instance_index, f.witness),
+        )
+
+    return VerificationReport(
+        check=check,
+        family=family,
+        checked=checked,
+        violations=sorted_by_severity("violation"),
+        candidates=sorted_by_severity("candidate"),
+        truncated=truncated,
+        elapsed_s=elapsed_s,
+    )
+
+
 def merge_reports(reports) -> VerificationReport:
     """Combine shard reports for one (check, family) run.
 
@@ -258,22 +272,13 @@ def merge_reports(reports) -> VerificationReport:
     first = reports[0]
     if any(r.check != first.check or r.family != first.family for r in reports):
         raise ValueError("cannot merge reports from different runs")
-    violations = sorted(
-        (f for r in reports for f in r.violations),
-        key=lambda f: (f.instance_index, f.witness),
-    )
-    candidates = sorted(
-        (f for r in reports for f in r.candidates),
-        key=lambda f: (f.instance_index, f.witness),
-    )
-    return VerificationReport(
-        check=first.check,
-        family=first.family,
-        checked=sum(r.checked for r in reports),
-        violations=violations,
-        candidates=candidates,
-        truncated=any(r.truncated for r in reports),
-        elapsed_s=sum(r.elapsed_s for r in reports),
+    return _report(
+        first.check,
+        first.family,
+        sum(r.checked for r in reports),
+        [f for r in reports for f in r.violations + r.candidates],
+        any(r.truncated for r in reports),
+        sum(r.elapsed_s for r in reports),
     )
 
 
@@ -439,24 +444,6 @@ _CHECKS = {
 # Engine
 # ---------------------------------------------------------------------------
 
-def _run_shard(args):
-    check_name, family, ctx, shard, nshards, start_index = args
-    check = _CHECKS[check_name]
-    findings = []
-    checked = 0
-    truncated = False
-    for idx, payload in family.instances():
-        if idx % nshards != shard or idx < start_index:
-            continue
-        try:
-            findings.extend(check(idx, payload, ctx))
-        except CapExceeded:
-            truncated = True
-            break
-        checked += 1
-    return checked, findings, truncated
-
-
 def _fingerprint(ctx) -> dict:
     """Every ctx field except the cap, in JSON form; patterns are rendered."""
 
@@ -470,7 +457,7 @@ def _fingerprint(ctx) -> dict:
     return {name: canonical(value) for name, value in sorted(ctx.items()) if name != "cap"}
 
 
-def _write_checkpoint(path, check_name, family, ctx, cursor, checked, findings):
+def _write_checkpoint(path, check_name, family, ctx, cursor, checked, findings, elapsed_s=0.0):
     payload = {
         "check": check_name,
         "family": family.describe(),
@@ -478,9 +465,8 @@ def _write_checkpoint(path, check_name, family, ctx, cursor, checked, findings):
         "cap": ctx["cap"],
         "shard_cursor": cursor,
         "checked": checked,
-        "findings": [
-            dict(f.to_json_obj(), severity=f.severity) for f in findings
-        ],
+        "elapsed_s": elapsed_s,
+        "findings": [dict(f.to_json_obj(), severity=f.severity) for f in findings],
     }
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".checkpoint-")
@@ -495,15 +481,16 @@ def _write_checkpoint(path, check_name, family, ctx, cursor, checked, findings):
 
 
 def _load_checkpoint(path, check_name, family, ctx):
-    """Cursor, count and findings of a checkpoint written by this same run.
+    """Cursor, count, findings and seconds so far of a checkpoint written by this same run.
 
     A checkpoint from a run with a different check, family or ctx field
     is refused.  So is a resume with a smaller cap than the checkpoint's,
     under which instances before the cursor might truncate; a larger cap
-    is fine, since no instance before the cursor truncated.
+    is fine, since no instance before the cursor truncated.  A checkpoint
+    without a time reads as 0 seconds.
     """
     if not path or not os.path.exists(path):
-        return 0, 0, []
+        return 0, 0, [], 0.0
     with open(path) as handle:
         payload = json.load(handle)
     if (
@@ -518,33 +505,43 @@ def _load_checkpoint(path, check_name, family, ctx):
         _finding_from_json(f, f.get("severity", "violation"))
         for f in payload["findings"]
     ]
-    return payload["shard_cursor"], payload["checked"], findings
+    return payload["shard_cursor"], payload["checked"], findings, payload.get("elapsed_s", 0.0)
 
 
-def _run_serial(check_name, family, ctx, checkpoint_path, checkpoint_every):
-    """Walk the family in one process, resuming from and writing checkpoints.
+def _walk(check_name, family, ctx, shard, nshards, checkpoint_path, checkpoint_every):
+    """Check every ``nshards``-th instance from index ``shard`` on.
 
-    The checkpoint is removed only once the family has been walked to
-    the end; a run cut short by the cap keeps it, with the cursor at the
-    instance that truncated, so a rerun with a larger cap resumes there.
+    Returns (checked, findings, truncated, seconds spent before this
+    walk).  Only a serial run, shard 0 of 1, passes a checkpoint path: it
+    resumes from that checkpoint and rewrites it every
+    ``checkpoint_every`` instances.  The checkpoint is removed only once
+    the family has been walked to the end; a run cut short by the cap
+    keeps it, with the cursor at the instance that truncated, so a rerun
+    with a larger cap resumes there.
     """
     check = _CHECKS[check_name]
-    start, checked, findings = _load_checkpoint(checkpoint_path, check_name, family, ctx)
+    start, checked, findings, resumed_s = _load_checkpoint(checkpoint_path, check_name, family, ctx)
+    began = time.perf_counter() - resumed_s
+
+    def save(cursor):
+        if checkpoint_path:
+            elapsed_s = time.perf_counter() - began
+            _write_checkpoint(checkpoint_path, check_name, family, ctx, cursor, checked, findings, elapsed_s)
+
     for idx, payload in family.instances():
-        if idx < start:
+        if idx < start or idx % nshards != shard:
             continue
         try:
             findings.extend(check(idx, payload, ctx))
         except CapExceeded:
-            if checkpoint_path:
-                _write_checkpoint(checkpoint_path, check_name, family, ctx, idx, checked, findings)
-            return checked, findings, True
+            save(idx)
+            return checked, findings, True, resumed_s
         checked += 1
-        if checkpoint_path and (idx + 1) % checkpoint_every == 0:
-            _write_checkpoint(checkpoint_path, check_name, family, ctx, idx + 1, checked, findings)
+        if (idx + 1) % checkpoint_every == 0:
+            save(idx + 1)
     if checkpoint_path and os.path.exists(checkpoint_path):
         os.unlink(checkpoint_path)
-    return checked, findings, False
+    return checked, findings, False, resumed_s
 
 
 def run_check(
@@ -556,45 +553,39 @@ def run_check(
     checkpoint_path: str | None = None,
     checkpoint_every: int = 64,
 ) -> VerificationReport:
-    """Run one named check over a family and assemble the report."""
+    """Run one named check over a family and assemble the report.
+
+    ``workers`` processes each walk an interleaved shard of the family.
+    A serial run given ``checkpoint_path`` resumes from that file and
+    rewrites it every ``checkpoint_every`` instances; its ``elapsed_s``
+    spans every resumed segment.
+    """
     if check_name not in _CHECKS:
         raise ValueError(f"unknown check {check_name!r}")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be at least 1")
     if workers > 1 and checkpoint_path:
         raise ValueError("checkpointing requires a serial run")
-    start_time = time.perf_counter()
+    began = time.perf_counter()
+    walk = partial(
+        _walk, check_name, family, ctx,
+        nshards=workers, checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
+    )
     if workers == 1:
-        checked, findings, truncated = _run_serial(
-            check_name, family, ctx, checkpoint_path, checkpoint_every
-        )
+        parts = [walk(0)]
     else:
-        jobs = [
-            (check_name, family, ctx, shard, workers, 0) for shard in range(workers)
-        ]
-        checked, findings, truncated = 0, [], False
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for shard_checked, shard_findings, shard_truncated in pool.map(_run_shard, jobs):
-                checked += shard_checked
-                findings.extend(shard_findings)
-                truncated = truncated or shard_truncated
-    elapsed = time.perf_counter() - start_time
-    violations = sorted(
-        (f for f in findings if f.severity == "violation"),
-        key=lambda f: (f.instance_index, f.witness),
-    )
-    candidates = sorted(
-        (f for f in findings if f.severity == "candidate"),
-        key=lambda f: (f.instance_index, f.witness),
-    )
-    return VerificationReport(
-        check=check_name,
-        family=family.describe(),
-        checked=checked,
-        violations=violations,
-        candidates=candidates,
-        truncated=truncated,
-        elapsed_s=elapsed,
+            parts = list(pool.map(walk, range(workers)))
+    checked, findings, truncated, resumed_s = zip(*parts)
+    return _report(
+        check_name,
+        family.describe(),
+        sum(checked),
+        [f for part in findings for f in part],
+        any(truncated),
+        sum(resumed_s) + time.perf_counter() - began,
     )
 
 
@@ -607,9 +598,7 @@ def verify_lower_bound(
     *,
     support_only: bool = False,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
-    checkpoint_path: str | None = None,
-    checkpoint_every: int = 64,
+    **run,
 ) -> VerificationReport:
     """All-ones value and distinct-weight count both reach rank + 1.
 
@@ -618,42 +607,27 @@ def verify_lower_bound(
     argument actually needs.
     """
     ctx = {"cap": cap, "support_only": support_only}
-    return run_check(
-        "lower_bound", family, ctx,
-        workers=workers, checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
-    )
+    return run_check("lower_bound", family, ctx, **run)
 
 
 def verify_equality_iff_unstable(
     family: DiagramFamily,
     *,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
-    checkpoint_path: str | None = None,
-    checkpoint_every: int = 64,
+    **run,
 ) -> VerificationReport:
     """Equality at rank + 1 holds exactly when no unstable pair exists."""
-    ctx = {"cap": cap}
-    return run_check(
-        "equality_iff_unstable", family, ctx,
-        workers=workers, checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
-    )
+    return run_check("equality_iff_unstable", family, {"cap": cap}, **run)
 
 
 def verify_zero_one_implication(
     family: DiagramFamily,
     *,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
-    checkpoint_path: str | None = None,
-    checkpoint_every: int = 64,
+    **run,
 ) -> VerificationReport:
     """Equality at rank + 1 forces every coefficient to be 0 or 1."""
-    ctx = {"cap": cap}
-    return run_check(
-        "zero_one_implication", family, ctx,
-        workers=workers, checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
-    )
+    return run_check("zero_one_implication", family, {"cap": cap}, **run)
 
 
 def verify_zero_one_characterization(
@@ -661,9 +635,7 @@ def verify_zero_one_characterization(
     patterns,
     *,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
-    checkpoint_path: str | None = None,
-    checkpoint_every: int = 64,
+    **run,
 ) -> VerificationReport:
     """Pattern hits against zero-one characters, in both directions.
 
@@ -674,10 +646,7 @@ def verify_zero_one_characterization(
     if not patterns:
         raise ValueError("at least one pattern is required")
     ctx = {"cap": cap, "patterns": patterns}
-    return run_check(
-        "zero_one_characterization", family, ctx,
-        workers=workers, checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
-    )
+    return run_check("zero_one_characterization", family, ctx, **run)
 
 
 def verify_upper_bound(
@@ -686,9 +655,7 @@ def verify_upper_bound(
     general_pattern: PatternGrid | None = None,
     *,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
-    checkpoint_path: str | None = None,
-    checkpoint_every: int = 64,
+    **run,
 ) -> VerificationReport:
     """All-ones value never exceeds the ideal size; equality criteria optional.
 
@@ -696,15 +663,8 @@ def verify_upper_bound(
     when its pattern is supplied; the general biconditional (open) runs
     everywhere when its pattern is supplied, reporting candidates.
     """
-    ctx = {
-        "cap": cap,
-        "northwest_pattern": northwest_pattern,
-        "general_pattern": general_pattern,
-    }
-    return run_check(
-        "upper_bound", family, ctx,
-        workers=workers, checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
-    )
+    ctx = {"cap": cap, "northwest_pattern": northwest_pattern, "general_pattern": general_pattern}
+    return run_check("upper_bound", family, ctx, **run)
 
 
 def verify_schubert_identities(
@@ -712,19 +672,14 @@ def verify_schubert_identities(
     *,
     full_character_max_n: int = 5,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
-    checkpoint_path: str | None = None,
-    checkpoint_every: int = 64,
+    **run,
 ) -> VerificationReport:
     """Per permutation of [n]: rank/132 identity, the all-ones lower bound,
     and (up to ``full_character_max_n``) full agreement of the Schubert
     polynomial with the Rothe-diagram character."""
     family = DiagramFamily(kind="permutations", n=n)
     ctx = {"cap": cap, "full_character_max_n": full_character_max_n}
-    return run_check(
-        "schubert_identities", family, ctx,
-        workers=workers, checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
-    )
+    return run_check("schubert_identities", family, ctx, **run)
 
 
 def verify_key_identities(
@@ -732,15 +687,9 @@ def verify_key_identities(
     max_len: int,
     *,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
-    checkpoint_path: str | None = None,
-    checkpoint_every: int = 64,
+    **run,
 ) -> VerificationReport:
     """Per composition with bounded parts: the key polynomial matches the
     skyline character and its all-ones value meets the inversion bound."""
     family = DiagramFamily(kind="compositions", max_part=max_part, max_len=max_len)
-    ctx = {"cap": cap}
-    return run_check(
-        "key_identities", family, ctx,
-        workers=workers, checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
-    )
+    return run_check("key_identities", family, {"cap": cap}, **run)

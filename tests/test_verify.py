@@ -352,6 +352,8 @@ def test_run_check_validation():
         run_check("nonsense", all_diagrams(2), {})
     with pytest.raises(ValueError):
         run_check("lower_bound", all_diagrams(2), {"cap": 10}, workers=0)
+    with pytest.raises(ValueError):
+        run_check("lower_bound", all_diagrams(2), {"cap": 10}, checkpoint_every=0)
 
 
 def test_serial_runs_are_deterministic():
@@ -460,9 +462,61 @@ def test_truncated_run_keeps_its_checkpoint(tmp_path):
     assert cut.truncated and cut.checked == 36
     saved = json.loads(path.read_text())
     assert saved["shard_cursor"] == 36 and saved["cap"] == 6
+    assert saved["elapsed_s"] > 0
     resumed = verify_lower_bound(fam, checkpoint_path=str(path), checkpoint_every=5)
     assert not path.exists()
     assert stable_json(resumed) == stable_json(full)
+    assert resumed.elapsed_s > saved["elapsed_s"]
+
+
+def test_resumed_report_counts_earlier_segments(tmp_path):
+    fam = all_diagrams(2)
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps({
+        "check": "lower_bound",
+        "family": fam.describe(),
+        "ctx": {"support_only": False},
+        "cap": DEFAULT_CAP,
+        "shard_cursor": 8,
+        "checked": 8,
+        "elapsed_s": 1000.0,
+        "findings": [],
+    }))
+    resumed = verify_lower_bound(fam, checkpoint_path=str(path))
+    assert resumed.checked == 16
+    assert resumed.elapsed_s >= 1000.0
+
+
+# One small family per check, with ctx that turns up findings where a
+# pattern makes that possible.  A cap of CUT truncates each of them partway.
+CUT = 10
+SWEEPS = {
+    "lower_bound": lambda **run: verify_lower_bound(all_diagrams(3), **run),
+    "equality_iff_unstable": lambda **run: verify_equality_iff_unstable(all_diagrams(3), **run),
+    "zero_one_implication": lambda **run: verify_zero_one_implication(all_diagrams(3), **run),
+    "zero_one_characterization": (
+        lambda **run: verify_zero_one_characterization(all_diagrams(3), [WITNESS], **run)
+    ),
+    "upper_bound": (
+        lambda **run: verify_upper_bound(all_diagrams(3), MATCH_ANYTHING, MATCH_ANYTHING, **run)
+    ),
+    "schubert_identities": lambda **run: verify_schubert_identities(5, **run),
+    "key_identities": lambda **run: verify_key_identities(2, 4, **run),
+}
+
+
+@pytest.mark.parametrize("check", sorted(verify._CHECKS))
+def test_serial_sharded_and_resumed_runs_agree(check, tmp_path):
+    sweep = SWEEPS[check]
+    path = tmp_path / "cut.json"
+    serial = sweep()
+    sharded = sweep(workers=2)
+    cut = sweep(cap=CUT, checkpoint_path=str(path), checkpoint_every=7)
+    assert cut.truncated and 0 < cut.checked < serial.checked
+    assert path.exists()
+    resumed = sweep(checkpoint_path=str(path), checkpoint_every=7)
+    assert not path.exists()
+    assert stable_json(serial) == stable_json(sharded) == stable_json(resumed)
 
 
 def test_checkpoint_requires_serial_run(tmp_path):
@@ -487,3 +541,6 @@ def test_cap_exhaustion_truncates_report():
     assert report.truncated
     assert not report.ok
     assert report.checked == 0
+    # only the second shard meets the wide diagram
+    sharded = verify_lower_bound(explicit_list([diagram([(1,)]), wide]), cap=5, workers=2)
+    assert sharded.truncated and sharded.checked == 1
