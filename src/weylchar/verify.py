@@ -41,7 +41,7 @@ from weylchar.polynomials import (
     zero_one_witness,
 )
 from weylchar.schubert import key, macdonald_specialization, schubert
-from weylchar.weyl import character_support, dual_character
+from weylchar.weyl import _CHARACTER_CACHE_LIMIT, character_support, dual_character
 
 __all__ = [
     "DiagramFamily",
@@ -102,14 +102,14 @@ def _grid_subsets(family):
     """Subsets of the n x n grid by ascending bitmask; bit (j-1)*n+(i-1) is box (i, j)."""
     n = family.n
     limit = n * n if family.max_boxes is None else family.max_boxes
+    low = (1 << n) - 1
+    # column bits -> column tuple, built once; column j is mask bits (j-1)*n onward
+    column = [tuple(i for i in range(1, n + 1) if bits >> (i - 1) & 1) for bits in range(1 << n)]
+    shifts = range(0, n * n, n)
     for mask in range(1 << (n * n)):
         if mask.bit_count() > limit:
             continue
-        cols = tuple(
-            tuple(i for i in range(1, n + 1) if mask >> ((j - 1) * n + (i - 1)) & 1)
-            for j in range(1, n + 1)
-        )
-        yield Diagram(cols, n)
+        yield Diagram(tuple(column[mask >> s & low] for s in shifts), n)
 
 
 def _permutations(family):
@@ -296,34 +296,55 @@ def _show_instance(payload) -> str:
 # Per-instance checks
 # ---------------------------------------------------------------------------
 
+_SUPPORT_COUNTS: dict = {}
+
+
+def _support_count(d, cap) -> int:
+    """``len(character_support(d, cap))``, memoized per column multiset.
+
+    The weight set is a Minkowski sum over the columns, so it does not
+    depend on their order and an empty column adds nothing.  The cap
+    check is order-free too: every column ideal is non-empty, so the
+    partial sums never shrink, and the support raises exactly when the
+    diagram has a box and the final set exceeds the cap.  Only the count
+    is kept, never the set, and a miss that raises ``CapExceeded`` is not
+    stored.
+    """
+    key = (tuple(sorted(c for c in d.columns if c)), d.n, cap)
+    count = _SUPPORT_COUNTS.get(key)
+    if count is None:
+        count = len(character_support(d, cap))
+        if len(_SUPPORT_COUNTS) >= _CHARACTER_CACHE_LIMIT:
+            _SUPPORT_COUNTS.clear()
+        _SUPPORT_COUNTS[key] = count
+    return count
+
+
 def _check_lower_bound(idx, d, ctx):
     findings = []
-    shown = _show_instance(d)
     bound = rank(d) + 1
-    support = len(character_support(d, ctx["cap"]))
+    support = _support_count(d, ctx["cap"])
     if support < bound:
-        findings.append(Finding(idx, shown, str(support), str(bound), "distinct weights below the bound"))
+        findings.append(Finding(idx, _show_instance(d), str(support), str(bound), "distinct weights below the bound"))
     if not ctx.get("support_only"):
         total = principal_specialization(dual_character(d, ctx["cap"]))
         if total < bound:
-            findings.append(Finding(idx, shown, str(total), str(bound), "all-ones value below the bound"))
+            findings.append(Finding(idx, _show_instance(d), str(total), str(bound), "all-ones value below the bound"))
     return findings
 
 
 def _check_equality_iff_unstable(idx, d, ctx):
-    shown = _show_instance(d)
     bound = rank(d) + 1
     total = principal_specialization(dual_character(d, ctx["cap"]))
     pair = has_unstable_pair(d)
     if total == bound and pair is not None:
-        return [Finding(idx, shown, str(total), str(bound), f"equality despite unstable pair {pair}")]
+        return [Finding(idx, _show_instance(d), str(total), str(bound), f"equality despite unstable pair {pair}")]
     if total != bound and pair is None:
-        return [Finding(idx, shown, str(total), str(bound), "strict inequality without an unstable pair")]
+        return [Finding(idx, _show_instance(d), str(total), str(bound), "strict inequality without an unstable pair")]
     return []
 
 
 def _check_zero_one_implication(idx, d, ctx):
-    shown = _show_instance(d)
     bound = rank(d) + 1
     chi = dual_character(d, ctx["cap"])
     total = principal_specialization(chi)
@@ -332,7 +353,7 @@ def _check_zero_one_implication(idx, d, ctx):
         if offender is not None:
             m, c = offender
             return [
-                Finding(idx, shown, str(total), str(bound),
+                Finding(idx, _show_instance(d), str(total), str(bound),
                         f"coefficient {c} at {render_monomial(m)} despite equality")
             ]
     return []
@@ -340,19 +361,18 @@ def _check_zero_one_implication(idx, d, ctx):
 
 def _check_zero_one_characterization(idx, d, ctx):
     findings = []
-    shown = _show_instance(d)
     chi = dual_character(d, ctx["cap"])
     offender = zero_one_witness(chi)
     hits = [p for p in ctx["patterns"] if contains_pattern(d, p)]
     if hits and offender is None:
         findings.append(
-            Finding(idx, shown, "zero-one", "pattern hit",
+            Finding(idx, _show_instance(d), "zero-one", "pattern hit",
                     "contains a flagged configuration yet has zero-one character")
         )
     if offender is not None and not hits:
         m, c = offender
         findings.append(
-            Finding(idx, shown, f"coefficient {c} at {render_monomial(m)}", "no pattern hit",
+            Finding(idx, _show_instance(d), f"coefficient {c} at {render_monomial(m)}", "no pattern hit",
                     "not zero-one yet matches no supplied configuration",
                     severity="candidate")
         )
@@ -361,18 +381,17 @@ def _check_zero_one_characterization(idx, d, ctx):
 
 def _check_upper_bound(idx, d, ctx):
     findings = []
-    shown = _show_instance(d)
     total = principal_specialization(dual_character(d, ctx["cap"]))
     below = count_below(d)
     if total > below:
-        findings.append(Finding(idx, shown, str(total), str(below), "all-ones value above the ideal size"))
+        findings.append(Finding(idx, _show_instance(d), str(total), str(below), "all-ones value above the ideal size"))
     equal = total == below
     nw_pattern = ctx.get("northwest_pattern")
     if nw_pattern is not None and is_northwest(d):
         hit = contains_pattern(d, nw_pattern)
         if equal == hit:
             findings.append(
-                Finding(idx, shown, str(total), str(below),
+                Finding(idx, _show_instance(d), str(total), str(below),
                         "northwest equality criterion failed: "
                         + ("equality with a pattern hit" if hit else "strict without a pattern hit"))
             )
@@ -381,7 +400,7 @@ def _check_upper_bound(idx, d, ctx):
         hit = contains_pattern(d, general)
         if equal == hit:
             findings.append(
-                Finding(idx, shown, str(total), str(below),
+                Finding(idx, _show_instance(d), str(total), str(below),
                         "general equality criterion failed: "
                         + ("equality with a pattern hit" if hit else "strict without a pattern hit"),
                         severity="candidate")
@@ -391,24 +410,25 @@ def _check_upper_bound(idx, d, ctx):
 
 def _check_schubert(idx, w, ctx):
     findings = []
-    shown = _show_instance(w)
     p132 = count_132(w)
     dw = rothe(w)
     r = rank(dw)
     if p132 != r:
-        findings.append(Finding(idx, shown, str(p132), str(r), "132-count differs from diagram rank"))
+        findings.append(Finding(idx, _show_instance(w), str(p132), str(r), "132-count differs from diagram rank"))
     total = macdonald_specialization(w)
     if total < 1 + p132:
-        findings.append(Finding(idx, shown, str(total), str(1 + p132), "all-ones value below the 132 bound"))
+        findings.append(
+            Finding(idx, _show_instance(w), str(total), str(1 + p132), "all-ones value below the 132 bound")
+        )
     if len(w) <= ctx["full_character_max_n"]:
         s = schubert(w)
         if s != dual_character(dw, ctx["cap"]):
             findings.append(
-                Finding(idx, shown, "schubert(w)", "dual_character(rothe(w))", "polynomials differ")
+                Finding(idx, _show_instance(w), "schubert(w)", "dual_character(rothe(w))", "polynomials differ")
             )
         if principal_specialization(s) != total:
             findings.append(
-                Finding(idx, shown, str(principal_specialization(s)), str(total),
+                Finding(idx, _show_instance(w), str(principal_specialization(s)), str(total),
                         "reduced-word evaluation differs from the polynomial value")
             )
     return findings
@@ -416,16 +436,17 @@ def _check_schubert(idx, w, ctx):
 
 def _check_key(idx, alpha, ctx):
     findings = []
-    shown = _show_instance(alpha)
     k = key(alpha)
     if k != dual_character(skyline(alpha), ctx["cap"]):
         findings.append(
-            Finding(idx, shown, "key(alpha)", "dual_character(skyline(alpha))", "polynomials differ")
+            Finding(idx, _show_instance(alpha), "key(alpha)", "dual_character(skyline(alpha))", "polynomials differ")
         )
     bound = 1 + rinv_weight(alpha)
     total = principal_specialization(k)
     if total < bound:
-        findings.append(Finding(idx, shown, str(total), str(bound), "all-ones value below the inversion bound"))
+        findings.append(
+            Finding(idx, _show_instance(alpha), str(total), str(bound), "all-ones value below the inversion bound")
+        )
     return findings
 
 

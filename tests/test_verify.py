@@ -10,13 +10,15 @@ import json
 
 import pytest
 
-from weylchar import verify
+from weylchar import verify, weyl
 from weylchar.diagrams import (
     DEFAULT_CAP,
+    CapExceeded,
     Diagram,
     contains_pattern,
     count_below,
     diagram,
+    diagram_to_json_obj,
     has_unstable_pair,
     is_northwest,
     pattern_grid,
@@ -86,6 +88,28 @@ def test_all_diagrams_box_limit():
     members = [d for _, d in fam.instances()]
     assert len(members) == 5
     assert all(d.box_count <= 1 for d in members)
+
+
+def _grid_subsets_bit_by_bit(n, max_boxes=None):
+    """The grid enumeration as first written: one bit test per cell."""
+    limit = n * n if max_boxes is None else max_boxes
+    for mask in range(1 << (n * n)):
+        if mask.bit_count() > limit:
+            continue
+        cols = tuple(
+            tuple(i for i in range(1, n + 1) if mask >> ((j - 1) * n + (i - 1)) & 1)
+            for j in range(1, n + 1)
+        )
+        yield Diagram(cols, n)
+
+
+@pytest.mark.parametrize(
+    "n, max_boxes",
+    [(1, None), (1, 0), (2, None), (2, 1), (2, 3), (3, None), (3, 0), (3, 4), (4, None)],
+)
+def test_grid_subsets_match_bit_by_bit_construction(n, max_boxes):
+    fam = all_diagrams(n, max_boxes=max_boxes)
+    assert [d for _, d in fam.instances()] == list(_grid_subsets_bit_by_bit(n, max_boxes))
 
 
 def test_rothe_family_matches_permutation_order():
@@ -232,6 +256,86 @@ def test_lower_bound_engine_matches_loop():
             expected += 1
     assert report.checked == 16
     assert len(report.violations) == expected == 0
+
+
+def _column_orders(d):
+    return [Diagram(columns, d.n) for columns in sorted(set(itertools.permutations(d.columns)))]
+
+
+def test_support_count_matches_uncached_count_in_every_column_order(monkeypatch):
+    monkeypatch.setattr(verify, "_SUPPORT_COUNTS", {})
+    for _, d in all_diagrams(3).instances():
+        for e in _column_orders(d):
+            assert verify._support_count(e, DEFAULT_CAP) == len(character_support(e, DEFAULT_CAP)), e
+
+
+def test_support_count_raises_exactly_when_the_uncached_call_does(monkeypatch):
+    monkeypatch.setattr(verify, "_SUPPORT_COUNTS", {})
+    for _, d in all_diagrams(3).instances():
+        size = len(character_support(d))
+        for cap in range(size + 2):
+            for e in _column_orders(d):
+                try:
+                    expected = len(character_support(e, cap))
+                except CapExceeded:
+                    with pytest.raises(CapExceeded):
+                        verify._support_count(e, cap)
+                else:
+                    assert verify._support_count(e, cap) == expected, (e, cap)
+
+
+def test_column_orders_share_one_support_computation(monkeypatch):
+    monkeypatch.setattr(verify, "_SUPPORT_COUNTS", {})
+    calls = []
+    support = weyl._kernels.weight_support
+
+    def counting(columns, n, cap):
+        calls.append(columns)
+        return support(columns, n, cap)
+
+    monkeypatch.setattr(weyl._kernels, "weight_support", counting)
+    d = diagram([(1, 3), (2, 3), (), (2,)])
+    count = verify._support_count(d, DEFAULT_CAP)
+    assert verify._support_count(diagram([(2,), (), (2, 3), (1, 3)]), DEFAULT_CAP) == count
+    assert verify._support_count(diagram([(), (2, 3), (2,), (1, 3)]), DEFAULT_CAP) == count
+    assert len(calls) == 1
+    # the grid size and the cap stay part of the key
+    verify._support_count(diagram(d.columns, n=5), DEFAULT_CAP)
+    assert len(calls) == 2
+    verify._support_count(d, DEFAULT_CAP - 1)
+    assert len(calls) == 3
+    # a miss that raises is not stored, so it is computed again
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            verify._support_count(d, 1)
+    assert len(calls) == 5
+
+
+def test_clean_sweep_renders_no_instance(monkeypatch):
+    rendered = []
+    show = verify._show_instance
+
+    def counting(payload):
+        rendered.append(payload)
+        return show(payload)
+
+    monkeypatch.setattr(verify, "_show_instance", counting)
+    report = verify_lower_bound(all_diagrams(3), support_only=True)
+    assert report.checked == 512
+    assert report.ok
+    assert rendered == []
+
+
+@pytest.mark.parametrize("support_only", [True, False])
+def test_findings_render_their_instance(monkeypatch, support_only):
+    monkeypatch.setattr(verify, "rank", lambda d: 10 ** 6)
+    fam = all_diagrams(2)
+    report = verify_lower_bound(fam, support_only=support_only)
+    diagrams = dict(fam.instances())
+    assert len(report.violations) == (1 if support_only else 2) * len(diagrams)
+    for f in report.violations:
+        d = diagrams[f.instance_index]
+        assert f.instance == json.dumps(diagram_to_json_obj(d), separators=(",", ":"))
 
 
 def test_zero_one_implication_engine_matches_loop():
