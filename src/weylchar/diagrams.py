@@ -120,6 +120,15 @@ def diagram(columns, n: int | None = None) -> Diagram:
     return Diagram(cols, size)
 
 
+def column_multiset(d: Diagram) -> tuple:
+    """The sorted non-empty columns of ``d``, on which its character and support are memoized.
+
+    >>> column_multiset(diagram([(2, 3), (), (1, 3)]))
+    ((1, 3), (2, 3))
+    """
+    return tuple(sorted(c for c in d.columns if c))
+
+
 def diagram_leq(c: Diagram, d: Diagram) -> bool:
     """Columnwise componentwise comparison; grids are padded to match."""
     ncols = max(c.n, d.n)

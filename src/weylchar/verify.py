@@ -16,13 +16,14 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 from weylchar.diagrams import (
     CapExceeded,
     DEFAULT_CAP,
     Diagram,
     PatternGrid,
+    column_multiset,
     contains_pattern,
     count_132,
     count_below,
@@ -41,7 +42,7 @@ from weylchar.polynomials import (
     zero_one_witness,
 )
 from weylchar.schubert import key, macdonald_specialization, schubert
-from weylchar.weyl import _CHARACTER_CACHE_LIMIT, character_support, dual_character
+from weylchar.weyl import character_support, dual_character
 
 __all__ = [
     "DiagramFamily",
@@ -92,6 +93,12 @@ class DiagramFamily:
         label, _ = self._kind()
         return label.format(f=self, size=len(self.members))
 
+    def __post_init__(self):
+        for name in ("n", "max_boxes", "max_part", "max_len"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be at least 0, got {value}")
+
     def instances(self):
         """Iterate (index, payload) pairs in the family's canonical order."""
         _, payloads = self._kind()
@@ -105,7 +112,7 @@ def _grid_subsets(family):
     low = (1 << n) - 1
     # column bits -> column tuple, built once; column j is mask bits (j-1)*n onward
     column = [tuple(i for i in range(1, n + 1) if bits >> (i - 1) & 1) for bits in range(1 << n)]
-    shifts = range(0, n * n, n)
+    shifts = [n * j for j in range(n)]
     for mask in range(1 << (n * n)):
         if mask.bit_count() > limit:
             continue
@@ -296,34 +303,25 @@ def _show_instance(payload) -> str:
 # Per-instance checks
 # ---------------------------------------------------------------------------
 
-_SUPPORT_COUNTS: dict = {}
-
-
-def _support_count(d, cap) -> int:
-    """``len(character_support(d, cap))``, memoized per column multiset.
+@lru_cache(maxsize=4096)
+def _support_count(columns, n, cap) -> int:
+    """``len(character_support(d, cap))`` for any ``d`` with this column multiset.
 
     The weight set is a Minkowski sum over the columns, so it does not
     depend on their order and an empty column adds nothing.  The cap
     check is order-free too: every column ideal is non-empty, so the
     partial sums never shrink, and the support raises exactly when the
     diagram has a box and the final set exceeds the cap.  Only the count
-    is kept, never the set, and a miss that raises ``CapExceeded`` is not
+    is kept, never the set, and a call that raises ``CapExceeded`` is not
     stored.
     """
-    key = (tuple(sorted(c for c in d.columns if c)), d.n, cap)
-    count = _SUPPORT_COUNTS.get(key)
-    if count is None:
-        count = len(character_support(d, cap))
-        if len(_SUPPORT_COUNTS) >= _CHARACTER_CACHE_LIMIT:
-            _SUPPORT_COUNTS.clear()
-        _SUPPORT_COUNTS[key] = count
-    return count
+    return len(character_support(Diagram(columns, n), cap))
 
 
 def _check_lower_bound(idx, d, ctx):
     findings = []
     bound = rank(d) + 1
-    support = _support_count(d, ctx["cap"])
+    support = _support_count(column_multiset(d), d.n, ctx["cap"])
     if support < bound:
         findings.append(Finding(idx, _show_instance(d), str(support), str(bound), "distinct weights below the bound"))
     if not ctx.get("support_only"):

@@ -7,8 +7,10 @@ of indeterminates, one product per diagram of weight w below D.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 from weylchar import _kernels
-from weylchar.diagrams import CapExceeded, DEFAULT_CAP, Diagram
+from weylchar.diagrams import CapExceeded, DEFAULT_CAP, Diagram, column_multiset
 from weylchar.polynomials import Polynomial, monomial
 
 __all__ = [
@@ -104,12 +106,23 @@ def determinant_product(d: Diagram, c: Diagram) -> YPolynomial:
     """Product over columns j of the minor pairing column j of ``d`` and of ``c``."""
     if c.n != d.n:
         raise ValueError("diagrams must live on the same grid")
+    return YPolynomial(_product(d.columns, c.columns))
+
+
+# one memo for the whole process; the dict it returns is shared, so never mutate it
+@lru_cache(maxsize=4096)
+def _minor(dcol, ccol) -> dict:
+    return _kernels.column_det(dcol, ccol)
+
+
+def _product(columns, member) -> dict:
+    """Terms of the product over j of the minor pairing ``columns[j]`` with ``member[j]``."""
     acc = {(): 1}
-    for dcol, ccol in zip(d.columns, c.columns):
-        acc = _kernels.ymul(acc, _kernels.column_det(dcol, ccol))
+    for dcol, ccol in zip(columns, member):
+        acc = _kernels.ymul(acc, _minor(dcol, ccol))
         if not acc:
             break
-    return YPolynomial(acc)
+    return acc
 
 
 def coefficient_rank(polys) -> int:
@@ -141,43 +154,24 @@ def character_support(d: Diagram, cap: int = DEFAULT_CAP) -> frozenset:
     return frozenset(monomial(w) for w in raw)
 
 
-def _character_uncached(columns, n: int, cap: int) -> Polynomial:
+@lru_cache(maxsize=4096)
+def _character(columns, n: int, cap: int) -> Polynomial:
     try:
         classes = _kernels.group_by_weight(columns, n, cap)
     except ValueError:
         raise CapExceeded(
             f"enumeration below the diagram exceeds cap {cap}", cap
         ) from None
-    det_cache = {}
-
-    def det(dcol, ccol):
-        key = (dcol, ccol)
-        if key not in det_cache:
-            det_cache[key] = _kernels.column_det(dcol, ccol)
-        return det_cache[key]
-
     terms = {}
     for weight, members in classes.items():
         if len(members) == 1:
             coeff = 1
         else:
-            spans = []
-            for member in members:
-                acc = {(): 1}
-                for dcol, ccol in zip(columns, member):
-                    acc = _kernels.ymul(acc, det(dcol, ccol))
-                    if not acc:
-                        break
-                spans.append(YPolynomial(acc))
-            coeff = coefficient_rank(spans)
+            coeff = coefficient_rank([YPolynomial(_product(columns, m)) for m in members])
         if coeff < 1:
             raise AssertionError(f"weight {weight} produced rank {coeff}")
-        terms[monomial(weight)] = coeff
+        terms[weight] = coeff
     return Polynomial.from_terms(terms.items())
-
-
-_CHARACTER_CACHE: dict = {}
-_CHARACTER_CACHE_LIMIT = 4096
 
 
 def dual_character(d: Diagram, cap: int = DEFAULT_CAP) -> Polynomial:
@@ -191,13 +185,4 @@ def dual_character(d: Diagram, cap: int = DEFAULT_CAP) -> Polynomial:
     empty column contributes the factor 1.  The cap check is order-free
     too, since the member count is the product of the column-ideal sizes.
     """
-    columns = tuple(sorted(c for c in d.columns if c))
-    key = (columns, d.n, cap)
-    hit = _CHARACTER_CACHE.get(key)
-    if hit is not None:
-        return hit
-    result = _character_uncached(columns, d.n, cap)
-    if len(_CHARACTER_CACHE) >= _CHARACTER_CACHE_LIMIT:
-        _CHARACTER_CACHE.clear()
-    _CHARACTER_CACHE[key] = result
-    return result
+    return _character(column_multiset(d), d.n, cap)

@@ -133,6 +133,21 @@ def test_sweep_clean_run(capsys):
     assert "checked: 16" in out
 
 
+def test_sweep_empty_grid(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "lower-bound", "--family", "all-diagrams", "--n", "0"
+    )
+    assert code == 0
+    assert "checked: 1" in out
+
+
+def test_sweep_negative_n_exits_2(capsys):
+    code, _, err = run_cli(
+        capsys, "sweep", "lower-bound", "--family", "all-diagrams", "--n", "-1"
+    )
+    assert code == 2 and "n must be at least 0" in err
+
+
 def test_sweep_json_output(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "lower-bound", "--family", "all-diagrams", "--n", "2",

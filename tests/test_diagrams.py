@@ -1,5 +1,4 @@
 """Diagram construction, orders, statistics, and serialization."""
-import doctest
 import itertools
 import json
 
@@ -7,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import weylchar.diagrams as diamod
 from weylchar.diagrams import (
     CapExceeded,
     Diagram,
@@ -40,11 +38,6 @@ small_columns = st.lists(st.integers(1, 5), max_size=3, unique=True).map(
     lambda xs: tuple(sorted(xs))
 )
 small_diagrams = st.lists(small_columns, max_size=4).map(diagram)
-
-
-def test_module_doctests():
-    failures, _ = doctest.testmod(diamod)
-    assert failures == 0
 
 
 def test_diagram_factory_normalizes():

@@ -1,12 +1,10 @@
 """Polynomial arithmetic, the invlex order, and divided differences."""
-import doctest
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import weylchar.polynomials as polymod
 from weylchar.polynomials import (
     Polynomial,
     demazure,
@@ -26,11 +24,6 @@ from weylchar.polynomials import (
 monomials = st.lists(st.integers(0, 4), max_size=5).map(tuple)
 coeffs = st.integers(-9, 9)
 polys = st.lists(st.tuples(monomials, coeffs), max_size=8).map(Polynomial.from_terms)
-
-
-def test_module_doctests():
-    failures, _ = doctest.testmod(polymod)
-    assert failures == 0
 
 
 def test_monomial_canonical_form():

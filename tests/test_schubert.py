@@ -1,12 +1,9 @@
 """Schubert and key polynomials, reduced words, and the all-ones evaluator."""
-import doctest
-import importlib
 import itertools
 from functools import reduce
 
 import pytest
 
-schumod = importlib.import_module("weylchar.schubert")
 from weylchar.diagrams import rothe, skyline
 from weylchar.polynomials import (
     Polynomial,
@@ -22,11 +19,6 @@ from weylchar.schubert import (
     schubert,
 )
 from weylchar.weyl import dual_character
-
-
-def test_module_doctests():
-    failures, _ = doctest.testmod(schumod)
-    assert failures == 0
 
 
 def test_schubert_base_cases():

@@ -15,6 +15,7 @@ from weylchar.diagrams import (
     DEFAULT_CAP,
     CapExceeded,
     Diagram,
+    column_multiset,
     contains_pattern,
     count_below,
     diagram,
@@ -105,11 +106,29 @@ def _grid_subsets_bit_by_bit(n, max_boxes=None):
 
 @pytest.mark.parametrize(
     "n, max_boxes",
-    [(1, None), (1, 0), (2, None), (2, 1), (2, 3), (3, None), (3, 0), (3, 4), (4, None)],
+    [(0, None), (1, None), (1, 0), (2, None), (2, 1), (2, 3), (3, None), (3, 0), (3, 4), (4, None)],
 )
 def test_grid_subsets_match_bit_by_bit_construction(n, max_boxes):
     fam = all_diagrams(n, max_boxes=max_boxes)
     assert [d for _, d in fam.instances()] == list(_grid_subsets_bit_by_bit(n, max_boxes))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: all_diagrams(-1),
+        lambda: all_diagrams(2, max_boxes=-1),
+        lambda: all_rothe(-1),
+        lambda: all_skyline(-1, 2),
+        lambda: all_skyline(2, -1),
+        lambda: verify_schubert_identities(-2),
+        lambda: verify_key_identities(2, -1),
+    ],
+    ids=["n", "max_boxes", "rothe", "max_part", "max_len", "schubert", "key"],
+)
+def test_negative_family_parameters_are_refused(make):
+    with pytest.raises(ValueError, match="must be at least 0"):
+        make()
 
 
 def test_rothe_family_matches_permutation_order():
@@ -262,15 +281,19 @@ def _column_orders(d):
     return [Diagram(columns, d.n) for columns in sorted(set(itertools.permutations(d.columns)))]
 
 
-def test_support_count_matches_uncached_count_in_every_column_order(monkeypatch):
-    monkeypatch.setattr(verify, "_SUPPORT_COUNTS", {})
+def _support_count(d, cap):
+    return verify._support_count(column_multiset(d), d.n, cap)
+
+
+def test_support_count_matches_uncached_count_in_every_column_order():
+    verify._support_count.cache_clear()
     for _, d in all_diagrams(3).instances():
         for e in _column_orders(d):
-            assert verify._support_count(e, DEFAULT_CAP) == len(character_support(e, DEFAULT_CAP)), e
+            assert _support_count(e, DEFAULT_CAP) == len(character_support(e, DEFAULT_CAP)), e
 
 
-def test_support_count_raises_exactly_when_the_uncached_call_does(monkeypatch):
-    monkeypatch.setattr(verify, "_SUPPORT_COUNTS", {})
+def test_support_count_raises_exactly_when_the_uncached_call_does():
+    verify._support_count.cache_clear()
     for _, d in all_diagrams(3).instances():
         size = len(character_support(d))
         for cap in range(size + 2):
@@ -279,13 +302,13 @@ def test_support_count_raises_exactly_when_the_uncached_call_does(monkeypatch):
                     expected = len(character_support(e, cap))
                 except CapExceeded:
                     with pytest.raises(CapExceeded):
-                        verify._support_count(e, cap)
+                        _support_count(e, cap)
                 else:
-                    assert verify._support_count(e, cap) == expected, (e, cap)
+                    assert _support_count(e, cap) == expected, (e, cap)
 
 
 def test_column_orders_share_one_support_computation(monkeypatch):
-    monkeypatch.setattr(verify, "_SUPPORT_COUNTS", {})
+    verify._support_count.cache_clear()
     calls = []
     support = weyl._kernels.weight_support
 
@@ -295,20 +318,25 @@ def test_column_orders_share_one_support_computation(monkeypatch):
 
     monkeypatch.setattr(weyl._kernels, "weight_support", counting)
     d = diagram([(1, 3), (2, 3), (), (2,)])
-    count = verify._support_count(d, DEFAULT_CAP)
-    assert verify._support_count(diagram([(2,), (), (2, 3), (1, 3)]), DEFAULT_CAP) == count
-    assert verify._support_count(diagram([(), (2, 3), (2,), (1, 3)]), DEFAULT_CAP) == count
+    count = _support_count(d, DEFAULT_CAP)
+    assert _support_count(diagram([(2,), (), (2, 3), (1, 3)]), DEFAULT_CAP) == count
+    assert _support_count(diagram([(), (2, 3), (2,), (1, 3)]), DEFAULT_CAP) == count
     assert len(calls) == 1
     # the grid size and the cap stay part of the key
-    verify._support_count(diagram(d.columns, n=5), DEFAULT_CAP)
+    _support_count(diagram(d.columns, n=5), DEFAULT_CAP)
     assert len(calls) == 2
-    verify._support_count(d, DEFAULT_CAP - 1)
+    _support_count(d, DEFAULT_CAP - 1)
     assert len(calls) == 3
     # a miss that raises is not stored, so it is computed again
     for _ in range(2):
         with pytest.raises(CapExceeded):
-            verify._support_count(d, 1)
+            _support_count(d, 1)
     assert len(calls) == 5
+    # a support-only sweep keys every column order the same way
+    verify._support_count.cache_clear()
+    report = verify_lower_bound(explicit_list(_column_orders(d)), support_only=True)
+    assert report.checked == 24
+    assert len(calls) == 6
 
 
 def test_clean_sweep_renders_no_instance(monkeypatch):

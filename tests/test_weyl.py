@@ -9,6 +9,8 @@ from weylchar import weyl
 from weylchar.diagrams import (
     DEFAULT_CAP,
     CapExceeded,
+    column_multiset,
+    count_below,
     diagram,
     enumerate_below,
     weight_monomial,
@@ -137,11 +139,11 @@ def test_character_is_invariant_under_column_permutations():
     for _, d in all_diagrams(3).instances():
         chi = dual_character(d)
         for columns in set(itertools.permutations(d.columns)):
-            assert weyl._character_uncached(columns, d.n, DEFAULT_CAP) == chi, columns
+            assert weyl._character.__wrapped__(columns, d.n, DEFAULT_CAP) == chi, columns
 
 
 def test_column_orders_share_one_computation(monkeypatch):
-    monkeypatch.setattr(weyl, "_CHARACTER_CACHE", {})
+    weyl._character.cache_clear()
     calls = []
     group = weyl._kernels.group_by_weight
 
@@ -159,6 +161,50 @@ def test_column_orders_share_one_computation(monkeypatch):
     dual_character(diagram(d.columns, n=5))
     dual_character(d, cap=DEFAULT_CAP - 1)
     assert len(calls) == 3
+
+
+def test_characters_share_minors(monkeypatch):
+    """A minor is expanded once per process, not once per character that reads it."""
+    calls = []
+    det = weyl._kernels.column_det
+
+    def counting(dcol, ccol):
+        calls.append((dcol, ccol))
+        return det(dcol, ccol)
+
+    def cold():
+        weyl._character.cache_clear()
+        weyl._minor.cache_clear()
+        calls.clear()
+
+    monkeypatch.setattr(weyl._kernels, "column_det", counting)
+    first, second = WORKED, diagram([(1, 3), (2, 3), (2, 3)])
+    needed = []
+    for d in (first, second):
+        cold()
+        dual_character(d)
+        needed.append(set(calls))
+    assert needed[0] & needed[1]
+    cold()
+    dual_character(first)
+    dual_character(second)
+    assert sorted(calls) == sorted(needed[0] | needed[1])
+
+
+def test_determinant_product_is_the_engine_product():
+    """Every pair (WORKED, c), c below WORKED, as the engine enumerates and multiplies it."""
+    columns = column_multiset(WORKED)
+    assert columns + ((),) == WORKED.columns
+    pairs = 0
+    for members in weyl._kernels.group_by_weight(columns, WORKED.n, DEFAULT_CAP).values():
+        for member in members:
+            c = diagram(member + ((),), n=WORKED.n)
+            expected = YPolynomial({(): 1})
+            for dcol, ccol in zip(WORKED.columns, c.columns):
+                expected = expected * column_determinant(dcol, ccol)
+            assert determinant_product(WORKED, c) == YPolynomial(weyl._product(columns, member)) == expected
+            pairs += 1
+    assert pairs == count_below(WORKED)
 
 
 def test_cap_is_checked_in_every_column_order():
