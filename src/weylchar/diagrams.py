@@ -28,6 +28,12 @@ class CapExceeded(RuntimeError):
         self.cap = cap
 
 
+def check_cap(cap: int) -> None:
+    """Refuse a negative enumeration cap: it is a usage error, not an overflow."""
+    if cap < 0:
+        raise ValueError(f"cap must be at least 0, got {cap}")
+
+
 # ---------------------------------------------------------------------------
 # Columns and the componentwise order
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from weylchar.diagrams import (
     DEFAULT_CAP,
     Diagram,
     PatternGrid,
+    check_cap,
     column_multiset,
     contains_pattern,
     count_132,
@@ -581,6 +582,7 @@ def run_check(
     """
     if check_name not in _CHECKS:
         raise ValueError(f"unknown check {check_name!r}")
+    check_cap(ctx["cap"])
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if checkpoint_every < 1:

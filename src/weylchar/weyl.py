@@ -8,9 +8,10 @@ of indeterminates, one product per diagram of weight w below D.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from weylchar import _kernels
-from weylchar.diagrams import CapExceeded, DEFAULT_CAP, Diagram, column_multiset
+from weylchar.diagrams import CapExceeded, DEFAULT_CAP, Diagram, check_cap, column_multiset
 from weylchar.polynomials import Polynomial, monomial
 
 __all__ = [
@@ -24,11 +25,12 @@ __all__ = [
 
 
 class YPolynomial:
-    """Integer combination of squarefree monomials in indeterminates y_ij, i <= j.
+    """Integer combination of monomials in indeterminates y_ij, i <= j.
 
     Terms map a sorted tuple of encoded (i, j) positions to a nonzero
-    integer coefficient.  Only used inside the character computation and
-    in tests, so the surface is minimal.
+    integer coefficient.  This is the public form of a product of
+    minors; the character engine itself multiplies packed monomials
+    (see ``_packed_product``), so the surface is minimal.
     """
 
     __slots__ = ("terms",)
@@ -115,38 +117,129 @@ def _minor(dcol, ccol) -> dict:
     return _kernels.column_det(dcol, ccol)
 
 
-def _product(columns, member) -> dict:
-    """Terms of the product over j of the minor pairing ``columns[j]`` with ``member[j]``."""
-    acc = {(): 1}
-    for dcol, ccol in zip(columns, member):
-        acc = _kernels.ymul(acc, _minor(dcol, ccol))
-        if not acc:
-            break
+# Packed y-monomials.  Inside a product of m minors a monomial in the
+# y_ij, 1 <= i <= j <= n, is one int: position (i, j) owns a field of
+# ``width`` bits holding the exponent of y_ij, so multiplying two
+# monomials adds their ints.  Each term of a minor is squarefree, so no
+# exponent of the product exceeds m, and ``width = m.bit_length()``
+# never carries into the next field.
+
+def _field(i, j, n) -> int:
+    """Index of (i, j) among the upper-triangular positions of an n x n grid, row by row."""
+    return (i - 1) * (2 * n - i + 2) // 2 + j - i
+
+
+# one memo for the whole process, shared like ``_minor``'s dicts; the
+# layout of a key depends on ``width`` and ``n``, so both are in the memo key
+@lru_cache(maxsize=4096)
+def _packed_minor(dcol, ccol, width, n) -> dict:
+    terms = {}
+    for key, coeff in _minor(dcol, ccol).items():
+        packed = 0
+        for p in key:
+            packed += 1 << width * _field(*_kernels.decode_pair(p), n)
+        terms[packed] = coeff
+    return terms
+
+
+def _unpack(packed, width, n) -> tuple:
+    """The ``YPolynomial`` key of a packed monomial: sorted encoded positions, repeated."""
+    mask = (1 << width) - 1
+    key = []
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            e = packed >> width * _field(i, j, n) & mask
+            key += [_kernels.encode_pair(i, j)] * e
+    return tuple(key)
+
+
+def _ymul(a, b) -> dict:
+    """Product of two packed polynomials."""
+    if len(b) == 1:
+        ((kb, vb),) = b.items()
+        return {ka + kb: va * vb for ka, va in a.items()}
+    out = {}
+    get = out.get
+    for kb, vb in b.items():
+        for ka, va in a.items():
+            k = ka + kb
+            out[k] = get(k, 0) + va * vb
+    return {k: v for k, v in out.items() if v}
+
+
+def _packed_product(columns, member, width, n, prefixes) -> dict:
+    """Packed terms of the product over j of the minor pairing ``columns[j]`` with ``member[j]``.
+
+    ``prefixes`` maps proper prefixes of members to their products; the
+    longest one already there is extended, and the new ones are added.
+    """
+    k = len(member)
+    assert k < 1 << width, f"{width}-bit exponent fields overflow at {k} factors"
+    if not k:
+        return {0: 1}
+    j = k - 1
+    while j > 1 and member[:j] not in prefixes:
+        j -= 1
+    if j > 1:
+        acc = prefixes[member[:j]]
+    else:
+        acc, j = _packed_minor(columns[0], member[0], width, n), 1
+    for t in range(j, k):
+        if t > j:
+            prefixes[member[:t]] = acc
+        acc = _ymul(acc, _packed_minor(columns[t], member[t], width, n))
     return acc
+
+
+def _product(columns, member) -> dict:
+    """``_packed_product`` with its keys unpacked to those of ``YPolynomial``."""
+    n = max((dcol[-1] for dcol in columns if dcol), default=0)
+    width = len(columns).bit_length()
+    packed = _packed_product(columns, member, width, n, {})
+    return {_unpack(key, width, n): coeff for key, coeff in packed.items()}
 
 
 def coefficient_rank(polys) -> int:
     """Rank of the integer span of the given y-polynomials.
 
-    Builds the coefficient matrix over the union of their monomials and
-    runs fraction-free elimination over exact integers.
+    Each is a ``YPolynomial`` or a dict of terms whose monomial keys are
+    totally ordered.  A sparse fraction-free echelon: shortest first,
+    each polynomial is reduced against a basis keyed by least monomial,
+    each step an integer combination that cancels the least monomial,
+    divided by the gcd of its coefficients.  The rank is the size of
+    the basis.
     """
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return 0
-    support = sorted({key for p in polys for key in p.terms})
-    index = {key: k for k, key in enumerate(support)}
-    rows = []
-    for p in polys:
-        row = [0] * len(support)
-        for key, coeff in p.terms.items():
-            row[index[key]] = coeff
-        rows.append(row)
-    return _kernels.bareiss_rank(rows)
+    basis = {}
+    for p in sorted((getattr(p, "terms", p) for p in polys), key=len):
+        if not p:
+            continue
+        lead = min(p)
+        while lead in basis:
+            b = basis[lead]
+            a, c = b[lead], p[lead]
+            if a == 1 or a == -1:
+                q, c = dict(p), c * a
+            else:
+                q = {k: a * v for k, v in p.items()}
+            for k, v in b.items():
+                w = q.get(k, 0) - c * v
+                if w:
+                    q[k] = w
+                else:
+                    del q[k]
+            if not q:
+                break
+            g = gcd(*q.values())
+            p = {k: v // g for k, v in q.items()} if g > 1 else q
+            lead = min(p)
+        else:
+            basis[lead] = p
+    return len(basis)
 
 
 def character_support(d: Diagram, cap: int = DEFAULT_CAP) -> frozenset:
     """Set of weight monomials of the diagrams below ``d``, without ranks."""
+    check_cap(cap)
     try:
         raw = _kernels.weight_support(d.columns, d.n, cap)
     except ValueError:
@@ -162,12 +255,16 @@ def _character(columns, n: int, cap: int) -> Polynomial:
         raise CapExceeded(
             f"enumeration below the diagram exceeds cap {cap}", cap
         ) from None
+    width = len(columns).bit_length()
+    prefixes = {}  # products of proper prefixes of members, for this character only
     terms = {}
     for weight, members in classes.items():
         if len(members) == 1:
             coeff = 1
         else:
-            coeff = coefficient_rank([YPolynomial(_product(columns, m)) for m in members])
+            coeff = coefficient_rank(
+                [_packed_product(columns, m, width, n, prefixes) for m in members]
+            )
         if coeff < 1:
             raise AssertionError(f"weight {weight} produced rank {coeff}")
         terms[weight] = coeff
@@ -185,4 +282,5 @@ def dual_character(d: Diagram, cap: int = DEFAULT_CAP) -> Polynomial:
     empty column contributes the factor 1.  The cap check is order-free
     too, since the member count is the product of the column-ideal sizes.
     """
+    check_cap(cap)
     return _character(column_multiset(d), d.n, cap)

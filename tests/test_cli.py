@@ -124,6 +124,20 @@ def test_cap_exceeded_exit_3(capsys):
     assert "cap exceeded" in err
 
 
+def test_negative_cap_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "chi", WORKED_INLINE, "--cap", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: cap must be at least 0, got -1\n"
+    code, out, err = run_cli(
+        capsys, "sweep", "lower-bound", "--family", "all-diagrams", "--n", "2", "--cap", "-5"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: cap must be at least 0, got -5\n"
+    # a zero cap is legal, and every diagram exceeds it
+    code, _, err = run_cli(capsys, "chi", WORKED_INLINE, "--cap", "0")
+    assert code == 3 and "cap exceeded" in err
+
+
 def test_sweep_clean_run(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "lower-bound", "--family", "all-diagrams", "--n", "2"

@@ -29,6 +29,7 @@ from weylchar.diagrams import (
 )
 from weylchar.polynomials import principal_specialization, zero_one_witness
 from weylchar.verify import (
+    DiagramFamily,
     Finding,
     VerificationReport,
     all_diagrams,
@@ -129,6 +130,15 @@ def test_grid_subsets_match_bit_by_bit_construction(n, max_boxes):
 def test_negative_family_parameters_are_refused(make):
     with pytest.raises(ValueError, match="must be at least 0"):
         make()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_negative_cap_is_refused_before_the_walk(workers):
+    with pytest.raises(ValueError, match="cap must be at least 0, got -1"):
+        verify_lower_bound(all_diagrams(2), cap=-1, workers=workers)
+    with pytest.raises(ValueError, match="cap must be at least 0, got -3"):
+        run_check("schubert_identities", DiagramFamily(kind="permutations", n=2),
+                  {"cap": -3, "full_character_max_n": 2}, workers=workers)
 
 
 def test_rothe_family_matches_permutation_order():

@@ -1,11 +1,14 @@
 """Character engine: determinants, ranks of spans, and full characters."""
+import importlib.util
 import itertools
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylchar import weyl
+from weylchar import _kernels, weyl
 from weylchar.diagrams import (
     DEFAULT_CAP,
     CapExceeded,
@@ -13,10 +16,11 @@ from weylchar.diagrams import (
     count_below,
     diagram,
     enumerate_below,
+    rothe,
     weight_monomial,
 )
 from weylchar.polynomials import Polynomial, principal_specialization, render
-from weylchar.verify import all_diagrams
+from weylchar.verify import all_diagrams, all_skyline
 from weylchar.weyl import (
     YPolynomial,
     character_support,
@@ -175,6 +179,7 @@ def test_characters_share_minors(monkeypatch):
     def cold():
         weyl._character.cache_clear()
         weyl._minor.cache_clear()
+        weyl._packed_minor.cache_clear()
         calls.clear()
 
     monkeypatch.setattr(weyl._kernels, "column_det", counting)
@@ -207,8 +212,134 @@ def test_determinant_product_is_the_engine_product():
     assert pairs == count_below(WORKED)
 
 
+def test_negative_cap_is_a_usage_error():
+    with pytest.raises(ValueError, match="cap must be at least 0, got -1"):
+        dual_character(WORKED, cap=-1)
+    with pytest.raises(ValueError, match="cap must be at least 0, got -1"):
+        character_support(WORKED, cap=-1)
+
+
 def test_cap_is_checked_in_every_column_order():
     for columns in itertools.permutations([(1, 3), (2, 3), ()]):
         with pytest.raises(CapExceeded):
             dual_character(diagram(columns), cap=5)
         assert principal_specialization(dual_character(diagram(columns), cap=6)) == 6
+
+
+# The engine before packed keys and the sparse echelon, kept as the
+# reference: products keyed by sorted tuples of encoded positions and
+# multiplied by ``_kernels.ymul``, ranks of the dense coefficient matrix
+# over the union of their monomials by ``_kernels.bareiss_rank``.
+
+@lru_cache(maxsize=None)
+def reference_minor(dcol, ccol):
+    return _kernels.column_det(dcol, ccol)
+
+
+def reference_product(columns, member):
+    acc = {(): 1}
+    for dcol, ccol in zip(columns, member):
+        acc = _kernels.ymul(acc, reference_minor(dcol, ccol))
+    return acc
+
+
+def reference_rank(polys):
+    support = sorted({key for p in polys for key in p})
+    index = {key: k for k, key in enumerate(support)}
+    rows = []
+    for p in polys:
+        row = [0] * len(support)
+        for key, coeff in p.items():
+            row[index[key]] = coeff
+        rows.append(row)
+    return _kernels.bareiss_rank(rows)
+
+
+def reference_character(columns, n):
+    terms = {}
+    for weight, members in _kernels.group_by_weight(columns, n, DEFAULT_CAP).items():
+        if len(members) == 1:
+            terms[weight] = 1
+        else:
+            terms[weight] = reference_rank([reference_product(columns, m) for m in members])
+    return Polynomial.from_terms(terms.items())
+
+
+def grid_multisets(n):
+    """Every multiset of n non-empty columns of the n-grid, empty columns dropped."""
+    columns = [tuple(i for i in range(1, n + 1) if mask >> (i - 1) & 1) for mask in range(2 ** n)]
+    for combo in itertools.combinations_with_replacement(columns, n):
+        yield tuple(sorted(c for c in combo if c))
+
+
+def test_characters_match_the_dense_bareiss_reference():
+    """3- and 4-grid column multisets, Rothe diagrams up to n = 6, skylines of keys (2, 4)."""
+    cases = {(columns, n) for n in (3, 4) for columns in grid_multisets(n)}
+    for n in range(1, 7):
+        cases |= {(column_multiset(rothe(w)), n) for w in itertools.permutations(range(1, n + 1))}
+    cases |= {(column_multiset(d), d.n) for _, d in all_skyline(2, 4).instances()}
+    assert len(cases) > 3876 + 873
+    for columns, n in sorted(cases):
+        assert weyl._character.__wrapped__(columns, n, DEFAULT_CAP) == reference_character(columns, n), (columns, n)
+
+
+def load_benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_dense_sample_ranks_match_the_dense_bareiss_reference():
+    """Every multi-member weight class of the benchmark's dense 5-grid sample, seed 1, part 0."""
+    workloads = load_benchmark_workloads()
+    classes = 0
+    for d in workloads.dense_sample_5grid(1, 0, workloads.SMOKE_DENSE_QUOTA):
+        columns = column_multiset(d)
+        width = len(columns).bit_length()
+        prefixes = {}
+        for members in _kernels.group_by_weight(columns, d.n, DEFAULT_CAP).values():
+            if len(members) > 1:
+                packed = [weyl._packed_product(columns, m, width, d.n, prefixes) for m in members]
+                expected = reference_rank([reference_product(columns, m) for m in members])
+                assert coefficient_rank(packed) == expected, (columns, members)
+                classes += 1
+    assert classes > 1000
+
+
+def unpacked_products(columns, n):
+    """Every member's product below ``columns`` as the engine packs it, unpacked."""
+    width = len(columns).bit_length()
+    prefixes = {}
+    out = {}
+    for members in _kernels.group_by_weight(columns, n, DEFAULT_CAP).values():
+        for m in members:
+            packed = weyl._packed_product(columns, m, width, n, prefixes)
+            out[m] = {weyl._unpack(key, width, n): coeff for key, coeff in packed.items()}
+    return out
+
+
+def test_an_exponent_may_reach_the_column_count():
+    """m equal columns (1,) multiply y11 m times, filling the exponent field exactly."""
+    for m in range(1, 9):
+        d = diagram([(1,)] * m)
+        assert render(dual_character(d)) == ("x1" if m == 1 else f"x1^{m}")
+        assert determinant_product(d, d).render() == ("y11" if m == 1 else f"y11^{m}")
+    # every product of minors below three columns (1, 3) has the factor y11^3
+    columns = ((1, 3),) * 3
+    assert weyl._character.__wrapped__(columns, 3, DEFAULT_CAP) == reference_character(columns, 3)
+    for member, product in unpacked_products(columns, 3).items():
+        assert product == reference_product(columns, member)
+
+
+def test_packed_minors_are_not_reused_across_grid_sizes_or_widths():
+    """The same minors read again at another n, or with another column count, pack afresh."""
+    weyl._packed_minor.cache_clear()
+    columns = ((1, 3), (2, 3))
+    for n in (3, 5, 4, 3):
+        for member, product in unpacked_products(columns, n).items():
+            assert product == reference_product(columns, member), (n, member)
+    for more in (columns, columns + ((2, 3), (3,)), columns + ((3,),), columns * 4):
+        for member, product in unpacked_products(more, 3).items():
+            assert product == reference_product(more, member), (more, member)
