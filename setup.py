@@ -1,32 +1,3 @@
-"""Build script: compiles the optional Cython kernel extension.
+from setuptools import setup
 
-The package is fully functional without the extension (a pure-Python
-twin of every kernel is selected at import time); the extension only
-speeds up the hot inner loops.  Build it in place with:
-
-    python3 setup.py build_ext --inplace
-"""
-import os
-
-from setuptools import Extension, setup
-
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-if cythonize is None or not os.path.exists("src/weylchar/_core.pyx"):
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "weylchar._core",
-                ["src/weylchar/_core.pyx"],
-                optional=True,
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+setup()

@@ -6,7 +6,6 @@ polynomials through Rothe and skyline diagrams, and sweeps enumerated
 families to verify bounds and equality criteria, reporting witnesses
 for anything that fails.
 """
-from weylchar._kernels import BACKEND
 from weylchar.diagrams import (
     CapExceeded,
     Diagram,

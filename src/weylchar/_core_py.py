@@ -1,8 +1,7 @@
-"""Pure-Python kernels for the hot inner loops.
+"""Kernels for the hot inner loops of the character engine.
 
-This module is the reference implementation; ``weylchar._core`` is a
-compiled twin with identical behaviour, selected by ``weylchar._kernels``
-at import time.  Everything here works on primitive encodings:
+Callers reach them through ``weylchar._kernels``.  Everything here works
+on primitive encodings:
 
 * a column is a strictly increasing tuple of 1-based row indices;
 * a weight is a tuple of ``n`` nonnegative exponents;
@@ -11,6 +10,7 @@ at import time.  Everything here works on primitive encodings:
 
 Kernels raise ``ValueError`` on cap overflow; callers translate.
 """
+from functools import lru_cache
 
 STRIDE = 1024
 
@@ -23,12 +23,14 @@ def decode_pair(p):
     return divmod(p, STRIDE)
 
 
+@lru_cache(maxsize=4096)
 def column_ideal(col):
     """All columns below ``col``: strictly increasing ``s`` with ``s[t] <= col[t]``.
 
     Returned sorted so that the weights are increasing in inverse
     lexicographic order (for 0/1 weights this is lexicographic order on
-    the reversed tuples).
+    the reversed tuples).  Memoized per column; the result is a tuple of
+    tuples, so callers may share it.
     """
     k = len(col)
     if k == 0:

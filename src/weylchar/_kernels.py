@@ -1,35 +1,24 @@
-"""Selects the kernel implementation at import time.
+"""The names the rest of the package looks its kernels up by.
 
-The compiled extension ``weylchar._core`` is preferred when present;
-otherwise the pure-Python twin ``weylchar._core_py`` is used.  Setting
-the environment variable ``WEYLCHAR_PURE=1`` forces the pure twin (used
-by the benchmark to time both sides).
+Every kernel lives in ``weylchar._core_py``.  Callers write
+``_kernels.<name>(...)`` rather than importing the functions, so that a
+caller's lookup can be replaced at one place: a layer tracer wraps these
+attributes, and tests monkeypatch them to count calls.  ``BACKEND``
+names the one implementation; benchmark reports record it.
 """
-import os
+from weylchar._core_py import (
+    STRIDE,
+    bareiss_rank,
+    column_det,
+    column_ideal,
+    count_column_ideal,
+    decode_pair,
+    encode_pair,
+    group_by_weight,
+    rank_columns,
+    weight_of_columns,
+    weight_support,
+    ymul,
+)
 
-if os.environ.get("WEYLCHAR_PURE"):
-    from weylchar import _core_py as _impl
-
-    BACKEND = "pure"
-else:
-    try:
-        from weylchar import _core as _impl  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from weylchar import _core_py as _impl
-
-        BACKEND = "pure"
-
-STRIDE = _impl.STRIDE
-encode_pair = _impl.encode_pair
-decode_pair = _impl.decode_pair
-column_ideal = _impl.column_ideal
-count_column_ideal = _impl.count_column_ideal
-rank_columns = _impl.rank_columns
-weight_of_columns = _impl.weight_of_columns
-weight_support = _impl.weight_support
-group_by_weight = _impl.group_by_weight
-column_det = _impl.column_det
-ymul = _impl.ymul
-bareiss_rank = _impl.bareiss_rank
+BACKEND = "pure"

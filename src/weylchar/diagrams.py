@@ -64,11 +64,6 @@ def column_leq(left, right) -> bool:
     return all(a <= b for a, b in zip(left, right))
 
 
-@lru_cache(maxsize=None)
-def _column_ideal(col):
-    return _kernels.column_ideal(col)
-
-
 # ---------------------------------------------------------------------------
 # Diagram type
 # ---------------------------------------------------------------------------
@@ -223,7 +218,7 @@ def enumerate_below(d: Diagram, cap: int = DEFAULT_CAP):
     yielded is ``d`` itself.  Raises :class:`CapExceeded` after ``cap``
     diagrams.
     """
-    ideals = [_column_ideal(c) for c in d.columns]
+    ideals = [_kernels.column_ideal(c) for c in d.columns]
     seen = 0
     for combo in itertools.product(*ideals):
         seen += 1

@@ -1,9 +1,8 @@
 """Acceptance gate: one timed pass/fail line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
-complete.  Every equality here is integer-exact; the time limits hold
-for the pure-Python backend, so the compiled extension is never needed
-to pass.
+complete.  Every equality here is integer-exact, and every time limit
+holds for the plain-Python kernels.
 """
 import itertools
 import math

@@ -286,13 +286,9 @@ def test_console_script_installed(tmp_path):
     setuptools = pytest.importorskip("setuptools")
     root = Path(__file__).resolve().parent.parent
     project = tmp_path / "project"
-    # _core.pyx is left out so the install never compiles the optional
-    # extension; the pure kernels are picked at import time.
     shutil.copytree(
         root / "src", project / "src",
-        ignore=shutil.ignore_patterns(
-            "__pycache__", "*.egg-info", "build", "_core.pyx"
-        ),
+        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info", "build"),
     )
     for name in ("setup.py", "pyproject.toml"):
         shutil.copy2(root / name, project / name)

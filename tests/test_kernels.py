@@ -1,4 +1,4 @@
-"""Pure kernels against the compiled twin and independent oracles."""
+"""Kernels against independent oracles."""
 import itertools
 import random
 from fractions import Fraction
@@ -8,13 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weylchar import _core_py
-
-try:
-    from weylchar import _core
-except ImportError:
-    _core = None
-
-needs_compiled = pytest.mark.skipif(_core is None, reason="compiled kernels not built")
+from weylchar.diagrams import Diagram, enumerate_below
 
 columns = st.lists(st.integers(1, 6), max_size=4, unique=True).map(
     lambda xs: tuple(sorted(xs))
@@ -24,6 +18,12 @@ matrices = st.integers(0, 4).flatmap(
         st.lists(st.integers(-6, 6), min_size=nc, max_size=nc),
         max_size=5,
     )
+)
+# diagrams of at most 4 rows: n columns, each a subset of rows 1..n
+diagrams = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        *[st.sets(st.integers(1, n)).map(lambda rows: tuple(sorted(rows)))] * n
+    ).map(lambda cols: Diagram(cols, n))
 )
 
 
@@ -124,42 +124,11 @@ def test_bareiss_big_integers():
     assert _core_py.bareiss_rank(rows) == fraction_rank(rows)
 
 
-@needs_compiled
-@given(columns)
-def test_compiled_column_kernels_match(col):
-    assert _core.column_ideal(col) == _core_py.column_ideal(col)
-    assert _core.count_column_ideal(col) == _core_py.count_column_ideal(col)
-
-
-@needs_compiled
-@given(columns, columns)
-def test_compiled_det_matches(dcol, ccol):
-    if len(dcol) != len(ccol):
-        with pytest.raises(ValueError):
-            _core.column_det(dcol, ccol)
-        return
-    assert _core.column_det(dcol, ccol) == _core_py.column_det(dcol, ccol)
-
-
-@needs_compiled
-@given(matrices)
-def test_compiled_bareiss_matches(rows):
-    assert _core.bareiss_rank(rows) == _core_py.bareiss_rank(rows)
-
-
-@needs_compiled
-def test_compiled_grouping_matches():
-    for cols in [((1, 3), (2, 3), ()), ((2, 4), (1, 2), (3,), ()), ((), (), ())]:
-        n = len(cols)
-        assert _core.group_by_weight(cols, n, 10**6) == _core_py.group_by_weight(cols, n, 10**6)
-        assert _core.weight_support(cols, n, 10**6) == _core_py.weight_support(cols, n, 10**6)
-        assert _core.rank_columns(cols) == _core_py.rank_columns(cols)
-        assert _core.weight_of_columns(cols, n) == _core_py.weight_of_columns(cols, n)
-
-
-@needs_compiled
-def test_compiled_ymul_matches():
-    y = _core_py.encode_pair
-    a = {(y(1, 1),): 2, (y(1, 2),): -1}
-    b = {(y(2, 2),): 3, (): 1}
-    assert _core.ymul(a, b) == _core_py.ymul(a, b)
+@given(diagrams)
+def test_grouping_matches_enumerated_weights(d):
+    expected = {}
+    for below in enumerate_below(d):
+        weight = _core_py.weight_of_columns(below.columns, d.n)
+        expected.setdefault(weight, []).append(below.columns)
+    # list values, so each class's member order is compared too
+    assert _core_py.group_by_weight(d.columns, d.n, 10**6) == expected
