@@ -156,11 +156,14 @@ def column_det(dcol, ccol):
 
     Expanded as a signed sum over permutations, skipping structurally
     zero entries (row index above column index).  Keys are sorted tuples
-    of encoded positions; values are the signs.
+    of encoded positions; values are the signs.  An index of ``STRIDE``
+    or more would alias another position, so it is an error.
     """
     k = len(dcol)
     if len(ccol) != k:
         raise ValueError(f"submatrix is not square: {len(ccol)} rows, {k} columns")
+    if max(dcol + ccol, default=0) >= STRIDE:
+        raise ValueError(f"row and column indices must be below {STRIDE}")
     if k == 0:
         return {(): 1}
     terms = {}

@@ -121,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--checkpoint", metavar="FILE",
                    help="resume file for serial sweeps")
-    p.add_argument("--checkpoint-every", type=int, default=64)
     p.add_argument("-o", "--output", metavar="FILE",
                    help="also write the JSON report here")
 
@@ -152,7 +151,6 @@ def _cmd_sweep(args) -> int:
     run = {
         "workers": args.workers,
         "checkpoint_path": args.checkpoint,
-        "checkpoint_every": args.checkpoint_every,
         "cap": args.cap,
     }
     if args.check in _DIAGRAM_CHECKS:

@@ -11,6 +11,14 @@ from __future__ import annotations
 Monomial = tuple  # exponent tuple in canonical form (no trailing zeros)
 
 
+def _trim(t: tuple) -> Monomial:
+    """``t`` without its trailing zeros; the exponents are not checked."""
+    end = len(t)
+    while end and t[end - 1] == 0:
+        end -= 1
+    return t[:end]
+
+
 def monomial(exponents) -> Monomial:
     """Canonicalize an exponent sequence.
 
@@ -22,9 +30,7 @@ def monomial(exponents) -> Monomial:
     t = tuple(exponents)
     if any(e < 0 or not isinstance(e, int) for e in t):
         raise ValueError(f"exponents must be nonnegative integers, got {t!r}")
-    while t and t[-1] == 0:
-        t = t[:-1]
-    return t
+    return _trim(t)
 
 
 def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
@@ -253,13 +259,18 @@ def is_zero_one(f: Polynomial) -> bool:
 def zero_one_witness(f: Polynomial):
     """Largest term (invlex) whose coefficient is not 1, or None.
 
+    Found in one pass, without sorting: a canonical monomial has no
+    trailing zeros, so a longer one is the larger in invlex, and two of
+    equal length compare as their reversed tuples.
+
     >>> zero_one_witness(Polynomial.from_terms([((1,), 1), ((0, 2), 3)]))
     ((0, 2), 3)
     """
-    for m, c in f.descending_terms():
-        if c != 1:
-            return (m, c)
-    return None
+    return max(
+        ((m, c) for m, c in f.terms.items() if c != 1),
+        key=lambda mc: (len(mc[0]), mc[0][::-1]),
+        default=None,
+    )
 
 
 def render_monomial(m: Monomial) -> str:

@@ -464,6 +464,14 @@ _CHECKS = {
 # Engine
 # ---------------------------------------------------------------------------
 
+# A checkpointed walk rewrites its checkpoint once this many seconds of
+# sweep time have passed since it began or last wrote one.  Each write
+# serializes every finding so far, so its cost grows with the sweep; a
+# fixed interval makes the number of writes follow the sweep's time, not
+# its instance count, and a sweep shorter than the interval writes none.
+CHECKPOINT_INTERVAL_S = 5.0
+
+
 def _fingerprint(ctx) -> dict:
     """Every ctx field except the cap, in JSON form; patterns are rendered."""
 
@@ -528,25 +536,29 @@ def _load_checkpoint(path, check_name, family, ctx):
     return payload["shard_cursor"], payload["checked"], findings, payload.get("elapsed_s", 0.0)
 
 
-def _walk(check_name, family, ctx, shard, nshards, checkpoint_path, checkpoint_every):
+def _walk(check_name, family, ctx, shard, nshards, checkpoint_path):
     """Check every ``nshards``-th instance from index ``shard`` on.
 
     Returns (checked, findings, truncated, seconds spent before this
     walk).  Only a serial run, shard 0 of 1, passes a checkpoint path: it
-    resumes from that checkpoint and rewrites it every
-    ``checkpoint_every`` instances.  The checkpoint is removed only once
-    the family has been walked to the end; a run cut short by the cap
-    keeps it, with the cursor at the instance that truncated, so a rerun
-    with a larger cap resumes there.
+    resumes from that checkpoint and rewrites it after each instance
+    that ends ``CHECKPOINT_INTERVAL_S`` or more seconds after the walk
+    began or the checkpoint was last written.  The checkpoint is removed
+    only once the family has been walked to the end; a run cut short by
+    the cap keeps it, with the cursor at the instance that truncated, so
+    a rerun with a larger cap resumes there.
     """
     check = _CHECKS[check_name]
     start, checked, findings, resumed_s = _load_checkpoint(checkpoint_path, check_name, family, ctx)
-    began = time.perf_counter() - resumed_s
+    saved = time.perf_counter()
+    began = saved - resumed_s
 
     def save(cursor):
+        nonlocal saved
         if checkpoint_path:
             elapsed_s = time.perf_counter() - began
             _write_checkpoint(checkpoint_path, check_name, family, ctx, cursor, checked, findings, elapsed_s)
+            saved = time.perf_counter()
 
     for idx, payload in family.instances():
         if idx < start or idx % nshards != shard:
@@ -557,7 +569,7 @@ def _walk(check_name, family, ctx, shard, nshards, checkpoint_path, checkpoint_e
             save(idx)
             return checked, findings, True, resumed_s
         checked += 1
-        if (idx + 1) % checkpoint_every == 0:
+        if checkpoint_path and time.perf_counter() - saved >= CHECKPOINT_INTERVAL_S:
             save(idx + 1)
     if checkpoint_path and os.path.exists(checkpoint_path):
         os.unlink(checkpoint_path)
@@ -571,29 +583,23 @@ def run_check(
     *,
     workers: int = 1,
     checkpoint_path: str | None = None,
-    checkpoint_every: int = 64,
 ) -> VerificationReport:
     """Run one named check over a family and assemble the report.
 
     ``workers`` processes each walk an interleaved shard of the family.
     A serial run given ``checkpoint_path`` resumes from that file and
-    rewrites it every ``checkpoint_every`` instances; its ``elapsed_s``
-    spans every resumed segment.
+    rewrites it about every ``CHECKPOINT_INTERVAL_S`` seconds; its
+    ``elapsed_s`` spans every resumed segment.
     """
     if check_name not in _CHECKS:
         raise ValueError(f"unknown check {check_name!r}")
     check_cap(ctx["cap"])
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be at least 1")
     if workers > 1 and checkpoint_path:
         raise ValueError("checkpointing requires a serial run")
     began = time.perf_counter()
-    walk = partial(
-        _walk, check_name, family, ctx,
-        nshards=workers, checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
-    )
+    walk = partial(_walk, check_name, family, ctx, nshards=workers, checkpoint_path=checkpoint_path)
     if workers == 1:
         parts = [walk(0)]
     else:

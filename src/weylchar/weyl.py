@@ -12,7 +12,7 @@ from math import gcd
 
 from weylchar import _kernels
 from weylchar.diagrams import CapExceeded, DEFAULT_CAP, Diagram, check_cap, column_multiset
-from weylchar.polynomials import Polynomial, monomial
+from weylchar.polynomials import Polynomial, _trim, monomial
 
 __all__ = [
     "YPolynomial",
@@ -267,8 +267,9 @@ def _character(columns, n: int, cap: int) -> Polynomial:
             )
         if coeff < 1:
             raise AssertionError(f"weight {weight} produced rank {coeff}")
-        terms[weight] = coeff
-    return Polynomial.from_terms(terms.items())
+        # weights are distinct nonnegative length-n tuples, so their trims are too
+        terms[_trim(weight)] = coeff
+    return Polynomial(terms)
 
 
 def dual_character(d: Diagram, cap: int = DEFAULT_CAP) -> Polynomial:

@@ -242,16 +242,6 @@ def test_sweep_missing_family_arguments(capsys):
     assert code == 2 and "--n" in err
 
 
-def test_sweep_checkpoint_every_below_one_exits_2(capsys, tmp_path):
-    path = tmp_path / "ck.json"
-    code, _, err = run_cli(
-        capsys, "sweep", "lower-bound", "--family", "all-diagrams", "--n", "2",
-        "--checkpoint", str(path), "--checkpoint-every", "0",
-    )
-    assert code == 2 and "checkpoint_every" in err
-    assert not path.exists()
-
-
 def test_sweep_truncation_exits_3(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "lower-bound", "--family", "explicit",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from weylchar import _core_py
 from weylchar.diagrams import Diagram, enumerate_below
+from weylchar.weyl import column_determinant
 
 columns = st.lists(st.integers(1, 6), max_size=4, unique=True).map(
     lambda xs: tuple(sorted(xs))
@@ -111,6 +112,18 @@ def test_column_det_full_antidiagonal_sign():
 def test_column_det_mismatch_is_error():
     with pytest.raises(ValueError):
         _core_py.column_det((1, 2), (1,))
+
+
+def test_column_det_rejects_indices_that_would_alias():
+    # (i, j) is encoded as i * STRIDE + j, so index STRIDE would read as another position
+    assert _core_py.STRIDE == 1024
+    with pytest.raises(ValueError):
+        _core_py.column_det((1024,), (1,))
+    with pytest.raises(ValueError):
+        _core_py.column_det((1024,), (1024,))
+    assert column_determinant((1023,), (1,)).render() == "y11023"
+    with pytest.raises(ValueError):
+        column_determinant((1024,), (1,))
 
 
 @given(matrices)

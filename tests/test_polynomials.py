@@ -120,6 +120,13 @@ def test_zero_one_predicates():
 
 
 @given(polys)
+def test_zero_one_witness_is_first_non_one_descending_term(f):
+    # the definition, by a full invlex sort
+    reference = next(((m, c) for m, c in f.descending_terms() if c != 1), None)
+    assert zero_one_witness(f) == reference
+
+
+@given(polys)
 def test_json_round_trip(f):
     blob = json.dumps(to_json_obj(f))
     assert from_json_obj(json.loads(blob)) == f

@@ -494,8 +494,6 @@ def test_run_check_validation():
         run_check("nonsense", all_diagrams(2), {})
     with pytest.raises(ValueError):
         run_check("lower_bound", all_diagrams(2), {"cap": 10}, workers=0)
-    with pytest.raises(ValueError):
-        run_check("lower_bound", all_diagrams(2), {"cap": 10}, checkpoint_every=0)
 
 
 def test_serial_runs_are_deterministic():
@@ -600,12 +598,12 @@ def test_truncated_run_keeps_its_checkpoint(tmp_path):
     path = tmp_path / "truncated.json"
     full = verify_lower_bound(fam)
     # instance 36, boxes (3, 1) and (3, 2), is the first with more than 6 diagrams below
-    cut = verify_lower_bound(fam, cap=6, checkpoint_path=str(path), checkpoint_every=5)
+    cut = verify_lower_bound(fam, cap=6, checkpoint_path=str(path))
     assert cut.truncated and cut.checked == 36
     saved = json.loads(path.read_text())
     assert saved["shard_cursor"] == 36 and saved["cap"] == 6
     assert saved["elapsed_s"] > 0
-    resumed = verify_lower_bound(fam, checkpoint_path=str(path), checkpoint_every=5)
+    resumed = verify_lower_bound(fam, checkpoint_path=str(path))
     assert not path.exists()
     assert stable_json(resumed) == stable_json(full)
     assert resumed.elapsed_s > saved["elapsed_s"]
@@ -653,10 +651,10 @@ def test_serial_sharded_and_resumed_runs_agree(check, tmp_path):
     path = tmp_path / "cut.json"
     serial = sweep()
     sharded = sweep(workers=2)
-    cut = sweep(cap=CUT, checkpoint_path=str(path), checkpoint_every=7)
+    cut = sweep(cap=CUT, checkpoint_path=str(path))
     assert cut.truncated and 0 < cut.checked < serial.checked
     assert path.exists()
-    resumed = sweep(checkpoint_path=str(path), checkpoint_every=7)
+    resumed = sweep(checkpoint_path=str(path))
     assert not path.exists()
     assert stable_json(serial) == stable_json(sharded) == stable_json(resumed)
 
@@ -668,13 +666,66 @@ def test_checkpoint_requires_serial_run(tmp_path):
         )
 
 
-def test_checkpoint_written_and_cleared(tmp_path):
+def spy_on_checkpoint_writes(monkeypatch):
+    """Record the cursor of every checkpoint write, and still write it."""
+    cursors = []
+    write = verify._write_checkpoint
+
+    def spy(path, check_name, family, ctx, cursor, *rest):
+        cursors.append(cursor)
+        write(path, check_name, family, ctx, cursor, *rest)
+
+    monkeypatch.setattr(verify, "_write_checkpoint", spy)
+    return cursors
+
+
+def test_checkpoint_written_and_cleared(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify, "CHECKPOINT_INTERVAL_S", 0)
+    cursors = spy_on_checkpoint_writes(monkeypatch)
     path = tmp_path / "steps.json"
-    report = verify_lower_bound(
-        all_diagrams(2), checkpoint_path=str(path), checkpoint_every=4
-    )
+    report = verify_lower_bound(all_diagrams(2), checkpoint_path=str(path))
     assert report.checked == 16
+    assert cursors == list(range(1, 17))
     assert not path.exists()
+
+
+def test_interrupted_run_resumes_from_its_last_instance(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify, "CHECKPOINT_INTERVAL_S", 0)
+    fam = all_diagrams(2)
+    full = verify_zero_one_characterization(fam, [ALL_FREE_2])
+    path = tmp_path / "interrupted.json"
+    k = 9
+    check = verify._CHECKS["zero_one_characterization"]
+
+    def crash_at_k(idx, d, ctx):
+        if idx == k:
+            raise RuntimeError("interrupted")
+        return check(idx, d, ctx)
+
+    with monkeypatch.context() as patched:
+        patched.setitem(verify._CHECKS, "zero_one_characterization", crash_at_k)
+        with pytest.raises(RuntimeError):
+            verify_zero_one_characterization(fam, [ALL_FREE_2], checkpoint_path=str(path))
+    saved = json.loads(path.read_text())
+    assert saved["shard_cursor"] == saved["checked"] == k
+    assert saved["findings"]
+    resumed = verify_zero_one_characterization(fam, [ALL_FREE_2], checkpoint_path=str(path))
+    assert not path.exists()
+    assert stable_json(resumed) == stable_json(full)
+
+
+def test_checkpoint_interval_bounds_the_writes(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify, "CHECKPOINT_INTERVAL_S", float("inf"))
+    cursors = spy_on_checkpoint_writes(monkeypatch)
+    path = tmp_path / "rare.json"
+    fam = all_diagrams(3)
+    complete = verify_lower_bound(fam, checkpoint_path=str(path))
+    assert complete.checked == 512 and cursors == []
+    assert not path.exists()
+    # instance 36 is the first with more than 6 diagrams below
+    cut = verify_lower_bound(fam, cap=6, checkpoint_path=str(path))
+    assert cut.truncated and cursors == [36]
+    assert path.exists()
 
 
 def test_cap_exhaustion_truncates_report():
