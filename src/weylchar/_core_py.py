@@ -1,26 +1,24 @@
 """Kernels for the hot inner loops of the character engine.
 
 Callers reach them through ``weylchar._kernels``.  Everything here works
-on primitive encodings:
+on plain tuples:
 
 * a column is a strictly increasing tuple of 1-based row indices;
 * a weight is a tuple of ``n`` nonnegative exponents;
-* a product of matrix indeterminates is a sorted tuple of encoded
-  positions, with the position ``(i, j)`` encoded as ``i * STRIDE + j``.
+* a product of matrix indeterminates y_ij is a sorted tuple of their
+  positions ``(i, j)``, one entry per factor.
 
-Kernels raise ``ValueError`` on cap overflow; callers translate.
+Kernels raise ``CapExceeded`` when an enumeration grows past its cap.
 """
 from functools import lru_cache
 
-STRIDE = 1024
 
+class CapExceeded(RuntimeError):
+    """An enumeration or support sweep grew past its configured cap."""
 
-def encode_pair(i, j):
-    return i * STRIDE + j
-
-
-def decode_pair(p):
-    return divmod(p, STRIDE)
+    def __init__(self, message, cap):
+        super().__init__(message)
+        self.cap = cap
 
 
 @lru_cache(maxsize=4096)
@@ -108,7 +106,7 @@ def weight_support(columns, n, cap):
                     w2[i - 1] += 1
                 new.add(tuple(w2))
             if len(new) > cap:
-                raise ValueError(f"weight support exceeds cap={cap}")
+                raise CapExceeded(f"weight support exceeds cap {cap}", cap)
         acc = new
     return acc
 
@@ -132,7 +130,7 @@ def group_by_weight(columns, n, cap):
         if j == ncols:
             count += 1
             if count > cap:
-                raise ValueError(f"enumeration exceeds cap={cap}")
+                raise CapExceeded(f"enumeration below the diagram exceeds cap {cap}", cap)
             key = tuple(w)
             members = out.get(key)
             if members is None:
@@ -156,19 +154,16 @@ def column_det(dcol, ccol):
 
     Expanded as a signed sum over permutations, skipping structurally
     zero entries (row index above column index).  Keys are sorted tuples
-    of encoded positions; values are the signs.  An index of ``STRIDE``
-    or more would alias another position, so it is an error.
+    of positions ``(i, j)``; values are the signs.
     """
     k = len(dcol)
     if len(ccol) != k:
         raise ValueError(f"submatrix is not square: {len(ccol)} rows, {k} columns")
-    if max(dcol + ccol, default=0) >= STRIDE:
-        raise ValueError(f"row and column indices must be below {STRIDE}")
     if k == 0:
         return {(): 1}
     terms = {}
     used = [False] * k
-    pairs = [0] * k
+    pairs = [None] * k
 
     def assign(a, sign):
         if a == k:
@@ -184,7 +179,7 @@ def column_det(dcol, ccol):
                 if used[b2]:
                     swaps += 1
             used[b] = True
-            pairs[a] = i * STRIDE + dcol[b]
+            pairs[a] = (i, dcol[b])
             assign(a + 1, -sign if swaps & 1 else sign)
             used[b] = False
 

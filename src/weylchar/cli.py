@@ -148,6 +148,10 @@ def _family_from_args(args):
 
 
 def _cmd_sweep(args) -> int:
+    if args.support_only and args.check != "lower-bound":
+        raise ValueError("--support-only applies only to the lower-bound check")
+    if args.patterns and args.check not in ("zero-one-patterns", "upper-bound"):
+        raise ValueError(f"--patterns does not apply to the {args.check} check")
     run = {
         "workers": args.workers,
         "checkpoint_path": args.checkpoint,

@@ -15,17 +15,10 @@ from enum import Enum
 from functools import lru_cache
 
 from weylchar import _kernels
+from weylchar._kernels import CapExceeded
 from weylchar.polynomials import Monomial, monomial
 
 DEFAULT_CAP = 10**7
-
-
-class CapExceeded(RuntimeError):
-    """An enumeration or support sweep grew past its configured cap."""
-
-    def __init__(self, message, cap):
-        super().__init__(message)
-        self.cap = cap
 
 
 def check_cap(cap: int) -> None:

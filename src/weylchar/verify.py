@@ -485,10 +485,20 @@ def _fingerprint(ctx) -> dict:
     return {name: canonical(value) for name, value in sorted(ctx.items()) if name != "cap"}
 
 
+def _members_digest(family):
+    """A digest of an explicit family's members, whose ``describe()`` gives only their count."""
+    if not family.members:
+        return None
+    import hashlib  # here, not at the top: only explicit lists need it, and it slows start-up
+
+    return hashlib.sha256(repr(family.members).encode()).hexdigest()
+
+
 def _write_checkpoint(path, check_name, family, ctx, cursor, checked, findings, elapsed_s=0.0):
     payload = {
         "check": check_name,
         "family": family.describe(),
+        "members": _members_digest(family),
         "ctx": _fingerprint(ctx),
         "cap": ctx["cap"],
         "shard_cursor": cursor,
@@ -501,6 +511,9 @@ def _write_checkpoint(path, check_name, family, ctx, cursor, checked, findings, 
     try:
         with os.fdopen(fd, "w") as handle:
             json.dump(payload, handle)
+            # on disk before the rename, so a crash cannot leave an empty checkpoint
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -511,11 +524,12 @@ def _write_checkpoint(path, check_name, family, ctx, cursor, checked, findings, 
 def _load_checkpoint(path, check_name, family, ctx):
     """Cursor, count, findings and seconds so far of a checkpoint written by this same run.
 
-    A checkpoint from a run with a different check, family or ctx field
-    is refused.  So is a resume with a smaller cap than the checkpoint's,
-    under which instances before the cursor might truncate; a larger cap
-    is fine, since no instance before the cursor truncated.  A checkpoint
-    without a time reads as 0 seconds.
+    A checkpoint from a run with a different check, family (an explicit
+    list's members included) or ctx field is refused.  So is a resume
+    with a smaller cap than the checkpoint's, under which instances
+    before the cursor might truncate; a larger cap is fine, since no
+    instance before the cursor truncated.  A checkpoint without a time
+    reads as 0 seconds.
     """
     if not path or not os.path.exists(path):
         return 0, 0, [], 0.0
@@ -524,6 +538,7 @@ def _load_checkpoint(path, check_name, family, ctx):
     if (
         payload.get("check") != check_name
         or payload.get("family") != family.describe()
+        or payload.get("members") != _members_digest(family)
         or payload.get("ctx") != _fingerprint(ctx)
         or "cap" not in payload
         or payload["cap"] > ctx["cap"]

@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import gcd
 
 from weylchar import _kernels
-from weylchar.diagrams import CapExceeded, DEFAULT_CAP, Diagram, check_cap, column_multiset
+from weylchar.diagrams import DEFAULT_CAP, Diagram, check_cap, column_multiset
 from weylchar.polynomials import Polynomial, _trim, monomial
 
 __all__ = [
@@ -27,9 +27,9 @@ __all__ = [
 class YPolynomial:
     """Integer combination of monomials in indeterminates y_ij, i <= j.
 
-    Terms map a sorted tuple of encoded (i, j) positions to a nonzero
-    integer coefficient.  This is the public form of a product of
-    minors; the character engine itself multiplies packed monomials
+    Terms map a sorted tuple of positions (i, j), one per factor, to a
+    nonzero integer coefficient.  This is the public form of a product
+    of minors; the character engine itself multiplies packed monomials
     (see ``_packed_product``), so the surface is minimal.
     """
 
@@ -61,7 +61,7 @@ class YPolynomial:
     def render(self) -> str:
         """Human form with factors like y12 and terms in ascending key order.
 
-        >>> y = YPolynomial({((1 * 1024 + 1), (2 * 1024 + 3)): 1})
+        >>> y = YPolynomial({((1, 1), (2, 3)): 1})
         >>> y.render()
         'y11*y23'
         """
@@ -71,12 +71,11 @@ class YPolynomial:
         for key in sorted(self.terms):
             coeff = self.terms[key]
             pieces = []
-            for p in key:
-                i, j = _kernels.decode_pair(p)
-                if pieces and pieces[-1][0] == (i, j):
+            for pair in key:
+                if pieces and pieces[-1][0] == pair:
                     pieces[-1][1] += 1
                 else:
-                    pieces.append([(i, j), 1])
+                    pieces.append([pair, 1])
             factors = "*".join(
                 f"y{i}{j}" if e == 1 else f"y{i}{j}^{e}" for (i, j), e in pieces
             )
@@ -118,39 +117,41 @@ def _minor(dcol, ccol) -> dict:
 
 
 # Packed y-monomials.  Inside a product of m minors a monomial in the
-# y_ij, 1 <= i <= j <= n, is one int: position (i, j) owns a field of
-# ``width`` bits holding the exponent of y_ij, so multiplying two
-# monomials adds their ints.  Each term of a minor is squarefree, so no
-# exponent of the product exceeds m, and ``width = m.bit_length()``
-# never carries into the next field.
+# y_ij, i <= j, is one int: position (i, j) owns a field of ``width``
+# bits holding the exponent of y_ij, so multiplying two monomials adds
+# their ints.  Each term of a minor is squarefree, so no exponent of the
+# product exceeds m, and ``width = m.bit_length()`` never carries into
+# the next field.  Fields are numbered column by column, so a position's
+# field does not depend on the grid size.
 
-def _field(i, j, n) -> int:
-    """Index of (i, j) among the upper-triangular positions of an n x n grid, row by row."""
-    return (i - 1) * (2 * n - i + 2) // 2 + j - i
+def _field(i, j) -> int:
+    """Index of (i, j), i <= j, among the upper-triangular positions numbered column by column."""
+    return j * (j - 1) // 2 + i - 1
 
 
 # one memo for the whole process, shared like ``_minor``'s dicts; the
-# layout of a key depends on ``width`` and ``n``, so both are in the memo key
+# layout of a key depends on ``width``, so it is in the memo key
 @lru_cache(maxsize=4096)
-def _packed_minor(dcol, ccol, width, n) -> dict:
+def _packed_minor(dcol, ccol, width) -> dict:
     terms = {}
     for key, coeff in _minor(dcol, ccol).items():
         packed = 0
-        for p in key:
-            packed += 1 << width * _field(*_kernels.decode_pair(p), n)
+        for i, j in key:
+            packed += 1 << width * _field(i, j)
         terms[packed] = coeff
     return terms
 
 
-def _unpack(packed, width, n) -> tuple:
-    """The ``YPolynomial`` key of a packed monomial: sorted encoded positions, repeated."""
+def _unpack(packed, width) -> tuple:
+    """The ``YPolynomial`` key of a packed monomial: its positions, repeated, sorted."""
     mask = (1 << width) - 1
     key = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            e = packed >> width * _field(i, j, n) & mask
-            key += [_kernels.encode_pair(i, j)] * e
-    return tuple(key)
+    i = j = 1
+    while packed:
+        key += [(i, j)] * (packed & mask)
+        packed >>= width
+        i, j = (i + 1, j) if i < j else (1, j + 1)
+    return tuple(sorted(key))
 
 
 def _ymul(a, b) -> dict:
@@ -167,7 +168,7 @@ def _ymul(a, b) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _packed_product(columns, member, width, n, prefixes) -> dict:
+def _packed_product(columns, member, width, prefixes) -> dict:
     """Packed terms of the product over j of the minor pairing ``columns[j]`` with ``member[j]``.
 
     ``prefixes`` maps proper prefixes of members to their products; the
@@ -183,20 +184,19 @@ def _packed_product(columns, member, width, n, prefixes) -> dict:
     if j > 1:
         acc = prefixes[member[:j]]
     else:
-        acc, j = _packed_minor(columns[0], member[0], width, n), 1
+        acc, j = _packed_minor(columns[0], member[0], width), 1
     for t in range(j, k):
         if t > j:
             prefixes[member[:t]] = acc
-        acc = _ymul(acc, _packed_minor(columns[t], member[t], width, n))
+        acc = _ymul(acc, _packed_minor(columns[t], member[t], width))
     return acc
 
 
 def _product(columns, member) -> dict:
     """``_packed_product`` with its keys unpacked to those of ``YPolynomial``."""
-    n = max((dcol[-1] for dcol in columns if dcol), default=0)
     width = len(columns).bit_length()
-    packed = _packed_product(columns, member, width, n, {})
-    return {_unpack(key, width, n): coeff for key, coeff in packed.items()}
+    packed = _packed_product(columns, member, width, {})
+    return {_unpack(key, width): coeff for key, coeff in packed.items()}
 
 
 def coefficient_rank(polys) -> int:
@@ -240,21 +240,12 @@ def coefficient_rank(polys) -> int:
 def character_support(d: Diagram, cap: int = DEFAULT_CAP) -> frozenset:
     """Set of weight monomials of the diagrams below ``d``, without ranks."""
     check_cap(cap)
-    try:
-        raw = _kernels.weight_support(d.columns, d.n, cap)
-    except ValueError:
-        raise CapExceeded(f"weight support of {d!r} exceeds cap {cap}", cap) from None
-    return frozenset(monomial(w) for w in raw)
+    return frozenset(monomial(w) for w in _kernels.weight_support(d.columns, d.n, cap))
 
 
 @lru_cache(maxsize=4096)
 def _character(columns, n: int, cap: int) -> Polynomial:
-    try:
-        classes = _kernels.group_by_weight(columns, n, cap)
-    except ValueError:
-        raise CapExceeded(
-            f"enumeration below the diagram exceeds cap {cap}", cap
-        ) from None
+    classes = _kernels.group_by_weight(columns, n, cap)
     width = len(columns).bit_length()
     prefixes = {}  # products of proper prefixes of members, for this character only
     terms = {}
@@ -263,7 +254,7 @@ def _character(columns, n: int, cap: int) -> Polynomial:
             coeff = 1
         else:
             coeff = coefficient_rank(
-                [_packed_product(columns, m, width, n, prefixes) for m in members]
+                [_packed_product(columns, m, width, prefixes) for m in members]
             )
         if coeff < 1:
             raise AssertionError(f"weight {weight} produced rank {coeff}")

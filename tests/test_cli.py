@@ -233,6 +233,39 @@ def test_sweep_pattern_errors(capsys, tmp_path):
     assert code == 2 and "two pattern" in err
 
 
+SWEEP_ARGS = {
+    "lower-bound": ["--family", "all-diagrams", "--n", "2"],
+    "equality-unstable": ["--family", "all-diagrams", "--n", "2"],
+    "zero-one-implication": ["--family", "all-diagrams", "--n", "2"],
+    "zero-one-patterns": ["--family", "all-diagrams", "--n", "2"],
+    "upper-bound": ["--family", "all-diagrams", "--n", "2"],
+    "schubert": ["--n", "3"],
+    "key": ["--max-part", "1", "--max-len", "2"],
+}
+
+
+@pytest.mark.parametrize(
+    "check, flag",
+    [(check, "--support-only") for check in SWEEP_ARGS if check != "lower-bound"]
+    + [
+        (check, "--patterns")
+        for check in SWEEP_ARGS
+        if check not in ("zero-one-patterns", "upper-bound")
+    ],
+)
+def test_sweep_rejects_flags_the_check_ignores(capsys, tmp_path, check, flag):
+    pattern = tmp_path / "witness.txt"
+    pattern.write_text("columnswap: true\n#x\nx#\n##\n")
+    patterns = ["--patterns", str(pattern)]
+    base = ["sweep", check, *SWEEP_ARGS[check]]
+    if check == "zero-one-patterns":
+        base += patterns
+    assert run_cli(capsys, *base)[0] == 0
+    code, out, err = run_cli(capsys, *base, *(patterns if flag == "--patterns" else [flag]))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and flag in err
+
+
 def test_sweep_missing_family_arguments(capsys):
     code, _, err = run_cli(capsys, "sweep", "lower-bound")
     assert code == 2 and "--family" in err

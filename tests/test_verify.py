@@ -7,6 +7,7 @@ context passing, severity routing, merging) is what is under test.
 """
 import itertools
 import json
+import os
 
 import pytest
 
@@ -578,6 +579,41 @@ def test_checkpoint_from_other_parameters_rejected(tmp_path):
     )
     assert stable_json(resumed) == stable_json(verify_lower_bound(fam, support_only=True))
     assert not path.exists()
+
+
+def test_checkpoint_from_another_explicit_list_rejected(tmp_path):
+    wide = diagram([(3,), (3,), (3,)])
+    first = explicit_list([diagram([(1,)]), wide, diagram([(2,)])])
+    other = explicit_list([diagram([(2,)]), diagram([(1, 2)]), diagram([(1,), (2,)])])
+    assert first.describe() == other.describe() == "ExplicitList(3 diagrams)"
+    path = tmp_path / "explicit.json"
+    # ``wide`` has 27 diagrams below it, so cap 5 interrupts the run there
+    cut = verify_lower_bound(first, cap=5, checkpoint_path=str(path))
+    assert cut.truncated and cut.checked == 1
+    with pytest.raises(ValueError, match="different run"):
+        verify_lower_bound(other, checkpoint_path=str(path))
+    resumed = verify_lower_bound(first, checkpoint_path=str(path))
+    assert stable_json(resumed) == stable_json(verify_lower_bound(first))
+
+
+def test_checkpoint_is_on_disk_before_it_is_renamed(tmp_path, monkeypatch):
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def spy_fsync(fd):
+        calls.append("fsync")
+        fsync(fd)
+
+    def spy_replace(src, dst):
+        calls.append("replace")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    path = tmp_path / "durable.json"
+    verify._write_checkpoint(str(path), "lower_bound", all_diagrams(2), {"cap": DEFAULT_CAP}, 4, 4, [])
+    assert calls == ["fsync", "replace"]
+    assert json.loads(path.read_text())["shard_cursor"] == 4
 
 
 def test_checkpoint_fingerprint_covers_patterns(tmp_path):

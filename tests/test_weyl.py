@@ -227,7 +227,7 @@ def test_cap_is_checked_in_every_column_order():
 
 
 # The engine before packed keys and the sparse echelon, kept as the
-# reference: products keyed by sorted tuples of encoded positions and
+# reference: products keyed by sorted tuples of (i, j) positions and
 # multiplied by ``_kernels.ymul``, ranks of the dense coefficient matrix
 # over the union of their monomials by ``_kernels.bareiss_rank``.
 
@@ -301,7 +301,7 @@ def test_dense_sample_ranks_match_the_dense_bareiss_reference():
         prefixes = {}
         for members in _kernels.group_by_weight(columns, d.n, DEFAULT_CAP).values():
             if len(members) > 1:
-                packed = [weyl._packed_product(columns, m, width, d.n, prefixes) for m in members]
+                packed = [weyl._packed_product(columns, m, width, prefixes) for m in members]
                 expected = reference_rank([reference_product(columns, m) for m in members])
                 assert coefficient_rank(packed) == expected, (columns, members)
                 classes += 1
@@ -315,8 +315,8 @@ def unpacked_products(columns, n):
     out = {}
     for members in _kernels.group_by_weight(columns, n, DEFAULT_CAP).values():
         for m in members:
-            packed = weyl._packed_product(columns, m, width, n, prefixes)
-            out[m] = {weyl._unpack(key, width, n): coeff for key, coeff in packed.items()}
+            packed = weyl._packed_product(columns, m, width, prefixes)
+            out[m] = {weyl._unpack(key, width): coeff for key, coeff in packed.items()}
     return out
 
 
@@ -333,13 +333,23 @@ def test_an_exponent_may_reach_the_column_count():
         assert product == reference_product(columns, member)
 
 
-def test_packed_minors_are_not_reused_across_grid_sizes_or_widths():
-    """The same minors read again at another n, or with another column count, pack afresh."""
+def test_packed_minors_are_shared_across_grid_sizes():
+    """The packed layout does not depend on n, so the same multiset at another n packs no minor afresh."""
     weyl._packed_minor.cache_clear()
     columns = ((1, 3), (2, 3))
-    for n in (3, 5, 4, 3):
-        for member, product in unpacked_products(columns, n).items():
-            assert product == reference_product(columns, member), (n, member)
+    unpacked_products(columns, 3)
+    misses = weyl._packed_minor.cache_info().misses
+    assert misses > 0
+    products = unpacked_products(columns, 5)
+    assert weyl._packed_minor.cache_info().misses == misses
+    for member, product in products.items():
+        assert product == reference_product(columns, member), member
+
+
+def test_packed_minors_are_not_reused_across_widths():
+    """The same minors read with another column count pack afresh."""
+    weyl._packed_minor.cache_clear()
+    columns = ((1, 3), (2, 3))
     for more in (columns, columns + ((2, 3), (3,)), columns + ((3,),), columns * 4):
         for member, product in unpacked_products(more, 3).items():
             assert product == reference_product(more, member), (more, member)
