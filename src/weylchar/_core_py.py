@@ -112,41 +112,67 @@ def weight_support(columns, n, cap):
 
 
 def group_by_weight(columns, n, cap):
-    """Group the diagrams below ``columns`` by weight.
+    """Group the diagrams below ``columns`` by weight, one per multiset of choices.
 
     Returns ``{weight: [member, ...]}`` where each member is a tuple of
-    chosen columns.  Members appear in enumeration order (first column
-    varies slowest); ``cap`` bounds the total number of members.
+    chosen columns.  Members that differ only by permuting the choices
+    made for equal columns have equal weights and equal products of
+    minors, so only one of them is listed: along the positions of equal
+    columns the choice index never decreases.  Members appear in
+    enumeration order (first column varies slowest).  ``cap`` bounds the
+    number of diagrams below ``columns``, the product of the ideal sizes,
+    and is checked before anything is enumerated.
     """
     ideals = [column_ideal(c) for c in columns]
-    ncols = len(ideals)
+    total = 1
+    for ideal in ideals:
+        total *= len(ideal)
+    if total > cap:
+        raise CapExceeded(f"enumeration below the diagram exceeds cap {cap}", cap)
+    if not columns:
+        return {(0,) * n: [()]}
+    # a weight is one int while enumerating: row i owns field i - 1 of
+    # ``size`` bytes, enough for a count of up to ``len(columns)``;
+    # one-byte fields unpack at C speed through ``to_bytes``
+    size = (len(columns).bit_length() + 7) // 8
+    shifts = [[sum(1 << 8 * size * (i - 1) for i in ch) for ch in ideal] for ideal in ideals]
+    last = {}
+    before = []  # position of the previous equal column, or None
+    for j, col in enumerate(columns):
+        before.append(last.get(col))
+        last[col] = j
+    index = [0] * len(columns)
+    chosen = [()] * len(columns)
+    end = len(columns) - 1
     out = {}
-    w = [0] * n
-    chosen = [()] * ncols
-    count = 0
 
-    def walk(j):
-        nonlocal count
-        if j == ncols:
-            count += 1
-            if count > cap:
-                raise CapExceeded(f"enumeration below the diagram exceeds cap {cap}", cap)
-            key = tuple(w)
-            members = out.get(key)
-            if members is None:
-                out[key] = members = []
-            members.append(tuple(chosen))
+    def walk(j, w):
+        ideal, shift = ideals[j], shifts[j]
+        start = 0 if before[j] is None else index[before[j]]
+        if j == end:
+            for t in range(start, len(ideal)):
+                chosen[j] = ideal[t]
+                key = w + shift[t]
+                members = out.get(key)
+                if members is None:
+                    out[key] = [tuple(chosen)]
+                else:
+                    members.append(tuple(chosen))
             return
-        for ch in ideals[j]:
-            chosen[j] = ch
-            for i in ch:
-                w[i - 1] += 1
-            walk(j + 1)
-            for i in ch:
-                w[i - 1] -= 1
+        for t in range(start, len(ideal)):
+            index[j] = t
+            chosen[j] = ideal[t]
+            walk(j + 1, w + shift[t])
 
-    walk(0)
-    return out
+    walk(0, 0)
+    mask = (1 << 8 * size) - 1
+
+    def unpack(key):
+        if size == 1:
+            return tuple(key.to_bytes(n, "little"))
+        return tuple(key >> 8 * size * i & mask for i in range(n))
+
+    return {unpack(key): members for key, members in out.items()}
 
 
 def column_det(dcol, ccol):

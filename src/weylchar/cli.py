@@ -127,6 +127,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the family arguments each diagram family reads, and those that the
+# schubert and key sweeps read for their own families
+_FAMILY_ARGS = {
+    "all-diagrams": ("n", "max_boxes"),
+    "all-rothe": ("n",),
+    "all-skyline": ("max_part", "max_len"),
+    "explicit": ("diagram",),
+    "schubert": ("n",),
+    "key": ("max_part", "max_len"),
+}
+
+
+def _reject_unread_family_args(args):
+    """Exit-2 error for a family argument that the chosen family would ignore."""
+    if args.check in _DIAGRAM_CHECKS:
+        if args.family is None:
+            return  # _family_from_args asks for --family
+        owner, read = f"the {args.family} family", {"family", *_FAMILY_ARGS[args.family]}
+    else:
+        owner, read = f"the {args.check} sweep", set(_FAMILY_ARGS[args.check])
+    for name in ("family", "n", "max_boxes", "max_part", "max_len", "diagram"):
+        if name not in read and getattr(args, name) not in (None, []):
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to {owner}")
+
+
 def _family_from_args(args):
     if args.family == "all-diagrams":
         if args.n is None:
@@ -152,6 +177,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--support-only applies only to the lower-bound check")
     if args.patterns and args.check not in ("zero-one-patterns", "upper-bound"):
         raise ValueError(f"--patterns does not apply to the {args.check} check")
+    _reject_unread_family_args(args)
     run = {
         "workers": args.workers,
         "checkpoint_path": args.checkpoint,

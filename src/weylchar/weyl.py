@@ -30,7 +30,7 @@ class YPolynomial:
     Terms map a sorted tuple of positions (i, j), one per factor, to a
     nonzero integer coefficient.  This is the public form of a product
     of minors; the character engine itself multiplies packed monomials
-    (see ``_packed_product``), so the surface is minimal.
+    (see ``_grow``), so the surface is minimal.
     """
 
     __slots__ = ("terms",)
@@ -168,49 +168,36 @@ def _ymul(a, b) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _packed_product(columns, member, width, prefixes) -> dict:
-    """Packed terms of the product over j of the minor pairing ``columns[j]`` with ``member[j]``.
-
-    ``prefixes`` maps proper prefixes of members to their products; the
-    longest one already there is extended, and the new ones are added.
-    """
-    k = len(member)
-    assert k < 1 << width, f"{width}-bit exponent fields overflow at {k} factors"
-    if not k:
-        return {0: 1}
-    j = k - 1
-    while j > 1 and member[:j] not in prefixes:
-        j -= 1
-    if j > 1:
-        acc = prefixes[member[:j]]
-    else:
-        acc, j = _packed_minor(columns[0], member[0], width), 1
-    for t in range(j, k):
-        if t > j:
-            prefixes[member[:t]] = acc
-        acc = _ymul(acc, _packed_minor(columns[t], member[t], width))
+def _packed_product(columns, member, width) -> dict:
+    """Packed terms of the product over j of the minor pairing ``columns[j]`` with ``member[j]``."""
+    assert len(member) < 1 << width, f"{width}-bit exponent fields overflow at {len(member)} factors"
+    acc = {0: 1}
+    for dcol, ccol in zip(columns, member):
+        acc = _ymul(acc, _packed_minor(dcol, ccol, width))
     return acc
 
 
 def _product(columns, member) -> dict:
     """``_packed_product`` with its keys unpacked to those of ``YPolynomial``."""
     width = len(columns).bit_length()
-    packed = _packed_product(columns, member, width, {})
+    packed = _packed_product(columns, member, width)
     return {_unpack(key, width): coeff for key, coeff in packed.items()}
 
 
-def coefficient_rank(polys) -> int:
-    """Rank of the integer span of the given y-polynomials.
+def _independent(polys) -> list:
+    """The polynomials that stay independent when reduced shortest first.
 
-    Each is a ``YPolynomial`` or a dict of terms whose monomial keys are
-    totally ordered.  A sparse fraction-free echelon: shortest first,
-    each polynomial is reduced against a basis keyed by least monomial,
-    each step an integer combination that cancels the least monomial,
-    divided by the gcd of its coefficients.  The rank is the size of
-    the basis.
+    ``polys`` are dicts of terms whose monomial keys are totally ordered.
+    A sparse fraction-free echelon: shortest first, each polynomial is
+    reduced against a basis keyed by least monomial, each step an
+    integer combination that cancels the least monomial, divided by the
+    gcd of its coefficients.  Returns, unreduced and in that order, the
+    inputs that added a basis vector: a basis of the span of all inputs.
     """
     basis = {}
-    for p in sorted((getattr(p, "terms", p) for p in polys), key=len):
+    kept = []
+    for original in sorted(polys, key=len):
+        p = original
         if not p:
             continue
         lead = min(p)
@@ -234,7 +221,64 @@ def coefficient_rank(polys) -> int:
             lead = min(p)
         else:
             basis[lead] = p
-    return len(basis)
+            kept.append(original)
+    return kept
+
+
+def coefficient_rank(polys) -> int:
+    """Rank of the integer span of the given y-polynomials.
+
+    Each is a ``YPolynomial`` or a dict of terms whose monomial keys are
+    totally ordered; the rank is the number of them ``_independent`` keeps.
+    """
+    return len(_independent([getattr(p, "terms", p) for p in polys]))
+
+
+def _grow(spaces, col, width, wanted=None) -> dict:
+    """Multiply every product in ``spaces`` by each minor of ``col``, grouped by packed weight.
+
+    Weights are packed like y-monomials: row i owns a field of
+    ``width`` bits, which holds a count of up to the number of columns.
+    With ``wanted``, only the weights in it are kept.
+    """
+    grown = {}
+    for ch in _kernels.column_ideal(col):
+        minor = _packed_minor(col, ch, width)
+        shift = 0
+        for i in ch:
+            shift += 1 << width * (i - 1)
+        for weight, basis in spaces.items():
+            w = weight + shift
+            if wanted is not None and w not in wanted:
+                continue
+            products = grown.get(w)
+            if products is None:
+                grown[w] = products = []
+            products += [_ymul(p, minor) for p in basis]
+    return grown
+
+
+def _weight_spaces(columns, wanted) -> dict:
+    """Products of minors spanning each weight space in ``wanted``, built column by column.
+
+    After each column but the last, only a basis of every partial weight
+    space is kept, chosen from its products by ``_independent``.  This is
+    exact: the next column's products span span(A) * m = span{a * m : a
+    in A} for each of its minors m, so a product whose prefix depends on
+    the kept ones is a combination of kept products with the same suffix
+    and the same weight.  The last column multiplies only into the
+    weights in ``wanted``, length-n tuples, by which the result is keyed.
+    ``columns`` must not be empty.
+    """
+    width = len(columns).bit_length()
+    packed = {sum(e << width * i for i, e in enumerate(w)): w for w in wanted}
+    spaces = {0: [{0: 1}]}
+    for col in columns[:-1]:
+        spaces = {
+            w: ps if len(ps) == 1 else _independent(ps)
+            for w, ps in _grow(spaces, col, width).items()
+        }
+    return {packed[w]: ps for w, ps in _grow(spaces, columns[-1], width, packed).items()}
 
 
 def character_support(d: Diagram, cap: int = DEFAULT_CAP) -> frozenset:
@@ -245,17 +289,16 @@ def character_support(d: Diagram, cap: int = DEFAULT_CAP) -> frozenset:
 
 @lru_cache(maxsize=4096)
 def _character(columns, n: int, cap: int) -> Polynomial:
+    # one member per multiset of choices; a class of one has coefficient 1
     classes = _kernels.group_by_weight(columns, n, cap)
-    width = len(columns).bit_length()
-    prefixes = {}  # products of proper prefixes of members, for this character only
+    multi = [weight for weight, members in classes.items() if len(members) > 1]
+    spaces = _weight_spaces(columns, multi) if multi else {}
     terms = {}
     for weight, members in classes.items():
         if len(members) == 1:
             coeff = 1
         else:
-            coeff = coefficient_rank(
-                [_packed_product(columns, m, width, prefixes) for m in members]
-            )
+            coeff = coefficient_rank(spaces.get(weight, ()))
         if coeff < 1:
             raise AssertionError(f"weight {weight} produced rank {coeff}")
         # weights are distinct nonnegative length-n tuples, so their trims are too
@@ -272,7 +315,7 @@ def dual_character(d: Diagram, cap: int = DEFAULT_CAP) -> Polynomial:
     reordering columns only reorders the factors of each product of
     minors and leaves every weight class's span unchanged, while an
     empty column contributes the factor 1.  The cap check is order-free
-    too, since the member count is the product of the column-ideal sizes.
+    too: the cap bounds the product of the column-ideal sizes.
     """
     check_cap(cap)
     return _character(column_multiset(d), d.n, cap)

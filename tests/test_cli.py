@@ -266,6 +266,45 @@ def test_sweep_rejects_flags_the_check_ignores(capsys, tmp_path, check, flag):
     assert err.startswith("error:") and flag in err
 
 
+FAMILY_SWEEPS = {
+    "all-diagrams": ["lower-bound", "--family", "all-diagrams", "--n", "2"],
+    "all-rothe": ["lower-bound", "--family", "all-rothe", "--n", "3"],
+    "all-skyline": ["lower-bound", "--family", "all-skyline", "--max-part", "1", "--max-len", "2"],
+    "explicit": ["lower-bound", "--family", "explicit", "--diagram", WORKED_INLINE],
+    "schubert": ["schubert", "--n", "3"],
+    "key": ["key", "--max-part", "1", "--max-len", "2"],
+}
+
+
+@pytest.mark.parametrize(
+    "family, flag, value",
+    [
+        ("all-diagrams", "--diagram", "1;"),
+        ("all-diagrams", "--max-part", "3"),
+        ("all-diagrams", "--max-len", "2"),
+        ("all-rothe", "--max-boxes", "1"),
+        ("all-rothe", "--diagram", "1;"),
+        ("all-skyline", "--n", "2"),
+        ("all-skyline", "--max-boxes", "1"),
+        ("explicit", "--max-boxes", "0"),
+        ("explicit", "--n", "5"),
+        ("explicit", "--max-part", "1"),
+        ("schubert", "--family", "explicit"),
+        ("schubert", "--max-part", "1"),
+        ("schubert", "--diagram", "1;"),
+        ("key", "--family", "all-diagrams"),
+        ("key", "--n", "2"),
+        ("key", "--max-boxes", "1"),
+    ],
+)
+def test_sweep_rejects_flags_the_family_ignores(capsys, family, flag, value):
+    base = ["sweep", *FAMILY_SWEEPS[family]]
+    assert run_cli(capsys, *base)[0] == 0
+    code, out, err = run_cli(capsys, *base, flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and flag in err
+
+
 def test_sweep_missing_family_arguments(capsys):
     code, _, err = run_cli(capsys, "sweep", "lower-bound")
     assert code == 2 and "--family" in err

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import weylchar
 from weylchar import _core_py, _kernels
-from weylchar.diagrams import Diagram, enumerate_below
+from weylchar.diagrams import Diagram, count_below, enumerate_below
 from weylchar.weyl import column_determinant
 
 columns = st.lists(st.integers(1, 6), max_size=4, unique=True).map(
@@ -133,9 +133,28 @@ def test_bareiss_big_integers():
 
 @given(diagrams)
 def test_grouping_matches_enumerated_weights(d):
+    """The enumerated weights, with one member per multiset of (column, choice) pairs."""
+    weights = set()
     expected = {}
+    seen = set()
     for below in enumerate_below(d):
         weight = _core_py.weight_of_columns(below.columns, d.n)
-        expected.setdefault(weight, []).append(below.columns)
+        weights.add(weight)
+        choices = tuple(sorted(zip(d.columns, below.columns)))
+        if choices not in seen:
+            seen.add(choices)
+            expected.setdefault(weight, []).append(below.columns)
+    grouped = _core_py.group_by_weight(d.columns, d.n, 10**6)
+    assert set(grouped) == weights
     # list values, so each class's member order is compared too
-    assert _core_py.group_by_weight(d.columns, d.n, 10**6) == expected
+    assert grouped == expected
+
+
+def test_grouping_caps_the_diagrams_below_not_the_members_listed():
+    d = Diagram(((2, 3), (1, 3), (2, 3), (2, 3)), 4)
+    below = count_below(d)
+    assert below == 3 * 2 * 3 * 3
+    members = _core_py.group_by_weight(d.columns, d.n, below)
+    assert sum(len(v) for v in members.values()) == 10 * 2  # multisets of 3 from 3, times 2
+    with pytest.raises(_core_py.CapExceeded):
+        _core_py.group_by_weight(d.columns, d.n, below - 1)

@@ -226,10 +226,11 @@ def test_cap_is_checked_in_every_column_order():
         assert principal_specialization(dual_character(diagram(columns), cap=6)) == 6
 
 
-# The engine before packed keys and the sparse echelon, kept as the
-# reference: products keyed by sorted tuples of (i, j) positions and
-# multiplied by ``_kernels.ymul``, ranks of the dense coefficient matrix
-# over the union of their monomials by ``_kernels.bareiss_rank``.
+# The engine before packed keys, weight spaces and the sparse echelon,
+# kept as the reference: every ordered member's product, keyed by sorted
+# tuples of (i, j) positions and multiplied by ``_kernels.ymul``, and
+# ranks of the dense coefficient matrix over the union of their
+# monomials by ``_kernels.bareiss_rank``.
 
 @lru_cache(maxsize=None)
 def reference_minor(dcol, ccol):
@@ -256,12 +257,14 @@ def reference_rank(polys):
 
 
 def reference_character(columns, n):
-    terms = {}
-    for weight, members in _kernels.group_by_weight(columns, n, DEFAULT_CAP).items():
-        if len(members) == 1:
-            terms[weight] = 1
-        else:
-            terms[weight] = reference_rank([reference_product(columns, m) for m in members])
+    """Every ordered member below ``columns``, grouped by weight, each class ranked densely."""
+    classes = {}
+    for member in itertools.product(*(_kernels.column_ideal(c) for c in columns)):
+        classes.setdefault(_kernels.weight_of_columns(member, n), []).append(member)
+    terms = {
+        weight: reference_rank([reference_product(columns, m) for m in members])
+        for weight, members in classes.items()
+    }
     return Polynomial.from_terms(terms.items())
 
 
@@ -298,10 +301,9 @@ def test_dense_sample_ranks_match_the_dense_bareiss_reference():
     for d in workloads.dense_sample_5grid(1, 0, workloads.SMOKE_DENSE_QUOTA):
         columns = column_multiset(d)
         width = len(columns).bit_length()
-        prefixes = {}
         for members in _kernels.group_by_weight(columns, d.n, DEFAULT_CAP).values():
             if len(members) > 1:
-                packed = [weyl._packed_product(columns, m, width, prefixes) for m in members]
+                packed = [weyl._packed_product(columns, m, width) for m in members]
                 expected = reference_rank([reference_product(columns, m) for m in members])
                 assert coefficient_rank(packed) == expected, (columns, members)
                 classes += 1
@@ -311,11 +313,10 @@ def test_dense_sample_ranks_match_the_dense_bareiss_reference():
 def unpacked_products(columns, n):
     """Every member's product below ``columns`` as the engine packs it, unpacked."""
     width = len(columns).bit_length()
-    prefixes = {}
     out = {}
     for members in _kernels.group_by_weight(columns, n, DEFAULT_CAP).values():
         for m in members:
-            packed = weyl._packed_product(columns, m, width, prefixes)
+            packed = weyl._packed_product(columns, m, width)
             out[m] = {weyl._unpack(key, width): coeff for key, coeff in packed.items()}
     return out
 
@@ -353,3 +354,38 @@ def test_packed_minors_are_not_reused_across_widths():
     for more in (columns, columns + ((2, 3), (3,)), columns + ((3,),), columns * 4):
         for member, product in unpacked_products(more, 3).items():
             assert product == reference_product(more, member), (more, member)
+
+
+GRID4_COLUMNS = [tuple(i for i in range(1, 5) if mask >> (i - 1) & 1) for mask in range(1, 16)]
+
+
+@given(
+    st.lists(st.sampled_from(GRID4_COLUMNS), min_size=2, max_size=4),
+    st.integers(0, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_engine_matches_the_reference_with_repeated_columns(drawn, repeat):
+    """3-5 columns of the 4-grid drawn with replacement, one of them at least twice."""
+    columns = tuple(sorted(drawn + [drawn[repeat % len(drawn)]]))
+    assert weyl._character.__wrapped__(columns, 4, DEFAULT_CAP) == reference_character(columns, 4)
+
+
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 6), st.integers(-3, 3).filter(bool), max_size=4),
+        max_size=8,
+    ),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(-2, 2)), max_size=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_kept_basis_is_independent_and_spans_the_inputs(polys, combos):
+    """``_independent`` keeps inputs, unreduced, that are independent and have the rank of them all."""
+    for a, b, c in combos:  # add some dependent inputs: p_a + c * p_b
+        if a < len(polys) and b < len(polys):
+            q = dict(polys[a])
+            for k, v in polys[b].items():
+                q[k] = q.get(k, 0) + c * v
+            polys.append({k: v for k, v in q.items() if v})
+    kept = weyl._independent(polys)
+    assert all(any(k is p for p in polys) for k in kept)
+    assert reference_rank(kept) == len(kept) == reference_rank(polys) == coefficient_rank(polys)
