@@ -35,7 +35,7 @@ def check_column(col) -> tuple:
     """Validate one column: strictly increasing positive row indices."""
     c = tuple(col)
     for x in c:
-        if not isinstance(x, int) or x < 1:
+        if type(x) is not int or x < 1:
             raise ValueError(f"row index must be a positive integer, got {x!r}")
     if any(a >= b for a, b in zip(c, c[1:])):
         raise ValueError(f"column must be strictly increasing, got {c!r}")
@@ -105,6 +105,8 @@ def diagram(columns, n: int | None = None) -> Diagram:
     max_row = max((c[-1] for c in cols if c), default=0)
     size = max(len(cols), max_row)
     if n is not None:
+        if type(n) is not int:
+            raise ValueError(f"grid size must be an integer, got {n!r}")
         if n < size:
             raise ValueError(
                 f"grid size {n} too small for {len(cols)} columns with rows up to {max_row}"
@@ -298,7 +300,7 @@ def check_permutation(w) -> tuple:
     n = len(t)
     seen = [False] * (n + 1)
     for v in t:
-        if not isinstance(v, int) or not (1 <= v <= n) or seen[v]:
+        if type(v) is not int or not (1 <= v <= n) or seen[v]:
             raise ValueError(f"bad one-line permutation value {v!r} in {t!r}")
         seen[v] = True
     return t
@@ -368,7 +370,7 @@ def count_132(w) -> int:
 def check_composition(alpha) -> tuple:
     t = tuple(alpha)
     for a in t:
-        if not isinstance(a, int) or a < 0:
+        if type(a) is not int or a < 0:
             raise ValueError(f"composition parts must be nonnegative integers, got {a!r}")
     return t
 

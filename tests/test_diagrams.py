@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from weylchar.diagrams import (
     CapExceeded,
     Diagram,
+    check_column,
+    check_composition,
+    check_permutation,
     column_leq,
     count_132,
     count_below,
@@ -55,6 +58,34 @@ def test_diagram_factory_validates():
         diagram([(0,)])
     with pytest.raises(ValueError):
         diagram([(1, 3)], n=2)
+
+
+# True == 1, so a bool passes an isinstance(int) check and prints as JSON true
+def test_check_column_rejects_bools():
+    with pytest.raises(ValueError, match="row index"):
+        check_column([True])
+    assert check_column([1, 2]) == (1, 2)
+
+
+def test_check_permutation_rejects_bools():
+    with pytest.raises(ValueError, match="permutation value True"):
+        check_permutation([True, 2])
+    assert check_permutation([1, 2]) == (1, 2)
+
+
+def test_check_composition_rejects_bools():
+    with pytest.raises(ValueError, match="nonnegative integers, got False"):
+        check_composition([False, 2])
+    assert check_composition([0, 2]) == (0, 2)
+
+
+def test_diagram_json_rejects_bools():
+    with pytest.raises(ValueError):
+        diagram_from_json_obj({"n": True, "columns": []})
+    with pytest.raises(ValueError):
+        diagram_from_json_obj({"n": 2, "columns": [[True], []]})
+    d = diagram_from_json_obj(json.loads(json.dumps(diagram_to_json_obj(diagram([(1,), ()])))))
+    assert json.dumps(diagram_to_json_obj(d)) == '{"n": 2, "columns": [[1], []]}'
 
 
 def test_boxes_and_membership():

@@ -132,6 +132,33 @@ def test_json_round_trip(f):
     assert from_json_obj(json.loads(blob)) == f
 
 
+def test_bool_exponents_are_rejected():
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        monomial([True, 2])
+    with pytest.raises(ValueError):
+        Polynomial.from_exponents([True, 2])
+    with pytest.raises(ValueError):
+        from_json_obj([{"exponents": [True, 2], "coeff": "1"}])
+
+
+def test_json_round_trip_prints_integer_exponents():
+    f = Polynomial.from_terms([((1, 2), 3), ((1,), 1)])
+    blob = json.dumps(to_json_obj(f))
+    assert blob == '[{"exponents": [1, 2], "coeff": "3"}, {"exponents": [1], "coeff": "1"}]'
+    assert from_json_obj(json.loads(blob)) == f
+
+
+def test_equal_monomials_are_one_object():
+    assert monomial([1, 0, 2, 0]) is monomial((1, 0, 2))
+    (m,) = Polynomial.variable(2).support()
+    assert m is monomial([0, 1, 0])
+    f = Polynomial.from_exponents((1, 2)) * Polynomial.from_exponents((0, 1))
+    (m,) = f.support()
+    assert m is monomial((1, 3))
+    (m,) = divided_difference(Polynomial.from_exponents((2, 1)), 2).support()
+    assert m is monomial((2,))
+
+
 def test_json_rejects_malformed():
     with pytest.raises(ValueError):
         from_json_obj({"exponents": [1]})

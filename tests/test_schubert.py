@@ -130,6 +130,14 @@ def test_schubert_equals_rothe_character_s4():
         assert schubert(w) == dual_character(rothe(w))
 
 
+def test_schubert_and_rothe_character_share_their_monomials():
+    for w in itertools.permutations(range(1, 5)):
+        chi, sigma = dual_character(rothe(w)).terms, schubert(w).terms
+        assert chi == sigma
+        canonical = {m: m for m in sigma}
+        assert all(m is canonical[m] for m in chi), w
+
+
 def test_key_base_cases():
     assert render(key((2, 1, 0))) == "x1^2*x2"
     assert render(key((0, 1))) == "x2 + x1"

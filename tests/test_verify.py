@@ -8,6 +8,9 @@ context passing, severity routing, merging) is what is under test.
 import itertools
 import json
 import os
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -21,12 +24,14 @@ from weylchar.diagrams import (
     count_below,
     diagram,
     diagram_to_json_obj,
+    enumerate_below,
     has_unstable_pair,
     is_northwest,
     pattern_grid,
     rank,
     render_pattern,
     rothe,
+    weight_monomial,
 )
 from weylchar.polynomials import principal_specialization, zero_one_witness
 from weylchar.verify import (
@@ -318,6 +323,21 @@ def test_support_count_raises_exactly_when_the_uncached_call_does():
                     assert _support_count(e, cap) == expected, (e, cap)
 
 
+def test_support_count_matches_enumeration_on_the_5_grid():
+    """Seeded 5 x 5 diagrams: the count is the number of distinct weights of the diagrams below."""
+    rng = random.Random(5)
+    cells = [(i, j) for j in range(1, 6) for i in range(1, 6)]
+    checked = 0
+    while checked < 30:
+        boxes = rng.sample(cells, rng.randint(4, 12))
+        d = diagram([[i for i, j in sorted(boxes) if j == c] for c in range(1, 6)], 5)
+        if count_below(d) > 20000:
+            continue
+        weights = {weight_monomial(e) for e in enumerate_below(d)}
+        assert _support_count(d, DEFAULT_CAP) == len(weights), d
+        checked += 1
+
+
 def test_column_orders_share_one_support_computation(monkeypatch):
     verify._support_count.cache_clear()
     calls = []
@@ -495,6 +515,18 @@ def test_run_check_validation():
         run_check("nonsense", all_diagrams(2), {})
     with pytest.raises(ValueError):
         run_check("lower_bound", all_diagrams(2), {"cap": 10}, workers=0)
+
+
+def test_importing_the_package_starts_no_pool_machinery():
+    """The process pool is imported only by a run with workers, so start-up skips it."""
+    probe = (
+        "import sys; before = set(sys.modules); import weylchar; "
+        "print(sorted(m for m in set(sys.modules) - before "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_serial_runs_are_deterministic():

@@ -286,6 +286,77 @@ def test_characters_match_the_dense_bareiss_reference():
         assert weyl._character.__wrapped__(columns, n, DEFAULT_CAP) == reference_character(columns, n), (columns, n)
 
 
+# an engine-free oracle: the coefficient of x^w in the character of D is
+# the dimension of the weight-w space of U(n+) . (e_{D_1} (x) ... (x) e_{D_m}),
+# where n+, the strictly upper-triangular matrices, is generated as a Lie
+# algebra by the raising operators E_{i,i+1}.  Ordered members are the
+# coordinates; no minor, product of minors or echelon is used, only ranks
+# by ``_kernels.bareiss_rank``.
+
+def raise_row(vector, i):
+    """E_{i,i+1} on a tensor vector: row i + 1 becomes row i in one factor at a time.
+
+    The replaced row keeps its place in its increasing column, so no
+    sign arises; a factor that already holds row i is killed.
+    """
+    out = {}
+    for member, coeff in vector.items():
+        for k, col in enumerate(member):
+            if i + 1 in col and i not in col:
+                image = member[:k] + (tuple(i if r == i + 1 else r for r in col),) + member[k + 1:]
+                out[image] = out.get(image, 0) + coeff
+    return {m: c for m, c in out.items() if c}
+
+
+def independent_vectors(vectors):
+    """The vectors, in order, that raise the rank of those kept before them."""
+    coordinates = sorted({m for v in vectors for m in v})
+    kept, rows = [], []
+    for v in vectors:
+        row = [v.get(m, 0) for m in coordinates]
+        if _kernels.bareiss_rank(rows + [row]) > len(rows):
+            rows.append(row)
+            kept.append(v)
+    return kept
+
+
+def raising_character(columns, n):
+    """Weight-space dimensions of the module the raising operators generate from the columns.
+
+    A weight space is spanned by the raising operators applied to bases
+    of the weight spaces one raise lower, so the spaces are built a
+    level at a time, each pruned to a basis.
+    """
+    start = tuple(c for c in columns if c)
+    top = tuple(sum(r in c for c in start) for r in range(1, n + 1))
+    spaces = {top: [{start: 1}]}
+    terms = {}
+    while spaces:
+        grown = {}
+        for w, basis in spaces.items():
+            terms[w] = len(basis)
+            for i in range(1, n):
+                images = [image for image in (raise_row(v, i) for v in basis) if image]
+                if images:
+                    target = w[:i - 1] + (w[i - 1] + 1, w[i] - 1) + w[i + 1:]
+                    grown.setdefault(target, []).extend(images)
+        spaces = {w: independent_vectors(vs) for w, vs in grown.items()}
+    return Polynomial.from_terms(terms.items())
+
+
+def test_characters_match_the_raising_operator_oracle():
+    """The 3-grid, Rothe diagrams up to n = 5, skylines of keys (2, 4) and every 16th 4-grid multiset."""
+    grid3 = [diagram(columns, 3) for columns in grid_multisets(3)]
+    cases = grid3 + [rothe(w) for n in range(1, 6) for w in itertools.permutations(range(1, n + 1))]
+    cases += [d for _, d in all_skyline(2, 4).instances()]
+    cases += [diagram(columns, 4) for columns in list(grid_multisets(4))[::16]]
+    assert len(cases) == 120 + 153 + 81 + 243
+    for d in cases:
+        assert raising_character(d.columns, d.n) == dual_character(d), d
+    # the oracle checks multiplicities, not just the support
+    assert sum(max(dual_character(d).terms.values()) > 1 for d in grid3) == 22
+
+
 def load_benchmark_workloads():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
