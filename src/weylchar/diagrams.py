@@ -122,7 +122,7 @@ def column_multiset(d: Diagram) -> tuple:
     >>> column_multiset(diagram([(2, 3), (), (1, 3)]))
     ((1, 3), (2, 3))
     """
-    return tuple(sorted(c for c in d.columns if c))
+    return tuple(sorted(filter(None, d.columns)))
 
 
 def diagram_leq(c: Diagram, d: Diagram) -> bool:

@@ -10,6 +10,8 @@ anywhere.
 """
 from __future__ import annotations
 
+import re
+
 Monomial = tuple  # exponent tuple in canonical form (no trailing zeros)
 
 
@@ -336,6 +338,19 @@ def to_json_obj(f: Polynomial) -> list:
     ]
 
 
+def _json_coefficient(value) -> int:
+    """An int, or a decimal-integer string such as ``to_json_obj`` writes.
+
+    Floats, bools and any other string are refused rather than rounded
+    or read as 0 and 1.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"polynomial coefficient must be an integer or a decimal-integer string, got {value!r}")
+
+
 def from_json_obj(obj) -> Polynomial:
     if not isinstance(obj, list):
         raise ValueError("polynomial JSON must be a list of term objects")
@@ -343,5 +358,5 @@ def from_json_obj(obj) -> Polynomial:
     for entry in obj:
         if not isinstance(entry, dict) or "exponents" not in entry or "coeff" not in entry:
             raise ValueError(f"malformed polynomial term {entry!r}")
-        items.append((entry["exponents"], int(entry["coeff"])))
+        items.append((entry["exponents"], _json_coefficient(entry["coeff"])))
     return Polynomial.from_terms(items)

@@ -98,7 +98,11 @@ class DiagramFamily:
     def __post_init__(self):
         for name in ("n", "max_boxes", "max_part", "max_len"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value is None and name == "max_boxes":
+                continue
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{name} must be at least 0, got {value}")
 
     def instances(self):
@@ -110,15 +114,14 @@ class DiagramFamily:
 def _grid_subsets(family):
     """Subsets of the n x n grid by ascending bitmask; bit (j-1)*n+(i-1) is box (i, j)."""
     n = family.n
-    limit = n * n if family.max_boxes is None else family.max_boxes
-    low = (1 << n) - 1
-    # column bits -> column tuple, built once; column j is mask bits (j-1)*n onward
+    # column bits -> column tuple; column j holds mask bits (j-1)*n onward.
+    # product varies its last factor fastest, so each tuple is read backwards:
+    # column 1, the lowest bits, then varies fastest and the masks ascend.
     column = [tuple(i for i in range(1, n + 1) if bits >> (i - 1) & 1) for bits in range(1 << n)]
-    shifts = [n * j for j in range(n)]
-    for mask in range(1 << (n * n)):
-        if mask.bit_count() > limit:
-            continue
-        yield Diagram(tuple(column[mask >> s & low] for s in shifts), n)
+    grids = (reversed_columns[::-1] for reversed_columns in itertools.product(column, repeat=n))
+    if family.max_boxes is not None:
+        grids = (columns for columns in grids if sum(map(len, columns)) <= family.max_boxes)
+    return map(Diagram, grids, itertools.repeat(n))
 
 
 def _permutations(family):
@@ -306,8 +309,8 @@ def _show_instance(payload) -> str:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=4096)
-def _support_count(columns, n, cap) -> int:
-    """``len(character_support(d, cap))`` for any ``d`` with this column multiset.
+def _support_and_bound(columns, n, cap) -> tuple:
+    """``(len(character_support(d, cap)), rank(d) + 1)`` for any ``d`` with this column multiset.
 
     The weight set is a Minkowski sum over the columns, so it does not
     depend on their order and an empty column adds nothing.  The cap
@@ -316,15 +319,30 @@ def _support_count(columns, n, cap) -> int:
     diagram has a box and the final set exceeds the cap.  Only the count
     is kept, never the set, and a call that raises ``CapExceeded`` is not
     stored.  The weights are counted as the kernel returns them, with
-    no monomials built.
+    no monomials built.  The rank is a sum over the columns, so one
+    lookup serves the whole lower-bound comparison.
     """
-    return len(_kernels.weight_support(columns, n, cap))
+    return len(_kernels.weight_support(columns, n, cap)), _kernels.rank_columns(columns) + 1
+
+
+@lru_cache(maxsize=4096)
+def _order_free(columns, n) -> tuple:
+    """``(rank(d) + 1, count_below(d), has_unstable_pair(d) is not None)`` for this column multiset.
+
+    None of the three reads the order of the columns or an empty one:
+    the rank and the ideal size are a sum and a product over columns,
+    and a box's rank, like whether two boxes share a row or a column,
+    survives any reordering of the columns.  The pair itself names box
+    positions, which do move, so a finding asks ``has_unstable_pair``
+    for its witness.
+    """
+    d = Diagram(columns + ((),) * (n - len(columns)), n)
+    return rank(d) + 1, count_below(d), has_unstable_pair(d) is not None
 
 
 def _check_lower_bound(idx, d, ctx):
     findings = []
-    bound = rank(d) + 1
-    support = _support_count(column_multiset(d), d.n, ctx["cap"])
+    support, bound = _support_and_bound(column_multiset(d), d.n, ctx["cap"])
     if support < bound:
         findings.append(Finding(idx, _show_instance(d), str(support), str(bound), "distinct weights below the bound"))
     if not ctx.get("support_only"):
@@ -335,18 +353,18 @@ def _check_lower_bound(idx, d, ctx):
 
 
 def _check_equality_iff_unstable(idx, d, ctx):
-    bound = rank(d) + 1
+    bound, _, unstable = _order_free(column_multiset(d), d.n)
     total = principal_specialization(dual_character(d, ctx["cap"]))
-    pair = has_unstable_pair(d)
-    if total == bound and pair is not None:
-        return [Finding(idx, _show_instance(d), str(total), str(bound), f"equality despite unstable pair {pair}")]
-    if total != bound and pair is None:
+    if total == bound and unstable:
+        return [Finding(idx, _show_instance(d), str(total), str(bound),
+                        f"equality despite unstable pair {has_unstable_pair(d)}")]
+    if total != bound and not unstable:
         return [Finding(idx, _show_instance(d), str(total), str(bound), "strict inequality without an unstable pair")]
     return []
 
 
 def _check_zero_one_implication(idx, d, ctx):
-    bound = rank(d) + 1
+    bound = _order_free(column_multiset(d), d.n)[0]
     chi = dual_character(d, ctx["cap"])
     total = principal_specialization(chi)
     if total == bound:
@@ -383,7 +401,7 @@ def _check_zero_one_characterization(idx, d, ctx):
 def _check_upper_bound(idx, d, ctx):
     findings = []
     total = principal_specialization(dual_character(d, ctx["cap"]))
-    below = count_below(d)
+    below = _order_free(column_multiset(d), d.n)[1]
     if total > below:
         findings.append(Finding(idx, _show_instance(d), str(total), str(below), "all-ones value above the ideal size"))
     equal = total == below

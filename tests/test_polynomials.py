@@ -166,6 +166,19 @@ def test_json_rejects_malformed():
         from_json_obj([{"exponents": [1]}])
 
 
+def test_json_coefficients_are_ints_or_decimal_strings():
+    f = Polynomial.from_terms([((1,), 2), ((0, 3), -12)])
+    assert from_json_obj([{"exponents": [1], "coeff": 2}, {"exponents": [0, 3], "coeff": -12}]) == f
+    assert from_json_obj([{"exponents": [1], "coeff": "2"}, {"exponents": [0, 3], "coeff": "-12"}]) == f
+    assert from_json_obj(to_json_obj(f)) == f
+
+
+@pytest.mark.parametrize("coeff", [2.7, 2.0, True, False, None, [2], "2.7", "", " 2", "+2", "1_000", "0x10", "\u0663"])
+def test_json_rejects_non_integer_coefficients(coeff):
+    with pytest.raises(ValueError, match="coefficient"):
+        from_json_obj([{"exponents": [1], "coeff": coeff}])
+
+
 @given(polys)
 def test_descending_terms_sorted(f):
     terms = f.descending_terms()

@@ -113,9 +113,10 @@ def _grid_subsets_bit_by_bit(n, max_boxes=None):
 
 @pytest.mark.parametrize(
     "n, max_boxes",
-    [(0, None), (1, None), (1, 0), (2, None), (2, 1), (2, 3), (3, None), (3, 0), (3, 4), (4, None)],
+    [(n, m) for n in range(4) for m in [None, *range(n * n + 2)]] + [(4, None)],
 )
 def test_grid_subsets_match_bit_by_bit_construction(n, max_boxes):
+    """Same diagrams in the same order: column 1 varies fastest, as the low bits of the mask."""
     fam = all_diagrams(n, max_boxes=max_boxes)
     assert [d for _, d in fam.instances()] == list(_grid_subsets_bit_by_bit(n, max_boxes))
 
@@ -136,6 +137,13 @@ def test_grid_subsets_match_bit_by_bit_construction(n, max_boxes):
 def test_negative_family_parameters_are_refused(make):
     with pytest.raises(ValueError, match="must be at least 0"):
         make()
+
+
+@pytest.mark.parametrize("value", [True, False, 2.5, 2.0, "2"])
+@pytest.mark.parametrize("name", ["n", "max_boxes", "max_part", "max_len"])
+def test_non_integer_family_parameters_are_refused(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        DiagramFamily(kind="all_diagrams", **{name: value})
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -298,18 +306,18 @@ def _column_orders(d):
 
 
 def _support_count(d, cap):
-    return verify._support_count(column_multiset(d), d.n, cap)
+    return verify._support_and_bound(column_multiset(d), d.n, cap)[0]
 
 
 def test_support_count_matches_uncached_count_in_every_column_order():
-    verify._support_count.cache_clear()
+    verify._support_and_bound.cache_clear()
     for _, d in all_diagrams(3).instances():
         for e in _column_orders(d):
             assert _support_count(e, DEFAULT_CAP) == len(character_support(e, DEFAULT_CAP)), e
 
 
 def test_support_count_raises_exactly_when_the_uncached_call_does():
-    verify._support_count.cache_clear()
+    verify._support_and_bound.cache_clear()
     for _, d in all_diagrams(3).instances():
         size = len(character_support(d))
         for cap in range(size + 2):
@@ -339,7 +347,7 @@ def test_support_count_matches_enumeration_on_the_5_grid():
 
 
 def test_column_orders_share_one_support_computation(monkeypatch):
-    verify._support_count.cache_clear()
+    verify._support_and_bound.cache_clear()
     calls = []
     support = weyl._kernels.weight_support
 
@@ -364,10 +372,29 @@ def test_column_orders_share_one_support_computation(monkeypatch):
             _support_count(d, 1)
     assert len(calls) == 5
     # a support-only sweep keys every column order the same way
-    verify._support_count.cache_clear()
+    verify._support_and_bound.cache_clear()
     report = verify_lower_bound(explicit_list(_column_orders(d)), support_only=True)
     assert report.checked == 24
     assert len(calls) == 6
+
+
+def _orbit_sample_4grid():
+    """Every column order of every 16th column multiset of the 4-grid."""
+    columns = [tuple(i for i in range(1, 5) if bits >> (i - 1) & 1) for bits in range(16)]
+    for multiset in list(itertools.combinations_with_replacement(columns, 4))[::16]:
+        yield from _column_orders(Diagram(multiset, 4))
+
+
+def test_memoized_values_match_their_per_diagram_functions():
+    verify._support_and_bound.cache_clear()
+    verify._order_free.cache_clear()
+    grid = [d for _, d in all_diagrams(3).instances()]
+    for d in grid + list(_orbit_sample_4grid()):
+        key = column_multiset(d)
+        assert verify._support_and_bound(key, d.n, DEFAULT_CAP)[1] == rank(d) + 1, d
+        assert verify._order_free(key, d.n) == (
+            rank(d) + 1, count_below(d), has_unstable_pair(d) is not None
+        ), d
 
 
 def test_clean_sweep_renders_no_instance(monkeypatch):
@@ -387,7 +414,8 @@ def test_clean_sweep_renders_no_instance(monkeypatch):
 
 @pytest.mark.parametrize("support_only", [True, False])
 def test_findings_render_their_instance(monkeypatch, support_only):
-    monkeypatch.setattr(verify, "rank", lambda d: 10 ** 6)
+    support_and_bound = verify._support_and_bound
+    monkeypatch.setattr(verify, "_support_and_bound", lambda *key: (support_and_bound(*key)[0], 10 ** 6))
     fam = all_diagrams(2)
     report = verify_lower_bound(fam, support_only=support_only)
     diagrams = dict(fam.instances())
