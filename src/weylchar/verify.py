@@ -326,18 +326,18 @@ def _support_and_bound(columns, n, cap) -> tuple:
 
 
 @lru_cache(maxsize=4096)
-def _order_free(columns, n) -> tuple:
-    """``(rank(d) + 1, count_below(d), has_unstable_pair(d) is not None)`` for this column multiset.
+def _order_free(value, columns, n):
+    """``value(d)`` for any ``d`` with this column multiset, for an order-free ``value``.
 
-    None of the three reads the order of the columns or an empty one:
-    the rank and the ideal size are a sum and a product over columns,
-    and a box's rank, like whether two boxes share a row or a column,
-    survives any reordering of the columns.  The pair itself names box
+    ``count_below`` is a product over the columns, and whether
+    ``has_unstable_pair`` finds a pair does not read the order of the
+    columns either: a box's rank, like whether two boxes share a row or
+    a column, survives any reordering.  The pair itself names box
     positions, which do move, so a finding asks ``has_unstable_pair``
-    for its witness.
+    for its own witness and only ``is not None`` is read from here.
+    Each miss computes just the one value asked for.
     """
-    d = Diagram(columns + ((),) * (n - len(columns)), n)
-    return rank(d) + 1, count_below(d), has_unstable_pair(d) is not None
+    return value(Diagram(columns + ((),) * (n - len(columns)), n))
 
 
 def _check_lower_bound(idx, d, ctx):
@@ -353,7 +353,8 @@ def _check_lower_bound(idx, d, ctx):
 
 
 def _check_equality_iff_unstable(idx, d, ctx):
-    bound, _, unstable = _order_free(column_multiset(d), d.n)
+    bound = rank(d) + 1
+    unstable = _order_free(has_unstable_pair, column_multiset(d), d.n) is not None
     total = principal_specialization(dual_character(d, ctx["cap"]))
     if total == bound and unstable:
         return [Finding(idx, _show_instance(d), str(total), str(bound),
@@ -364,7 +365,7 @@ def _check_equality_iff_unstable(idx, d, ctx):
 
 
 def _check_zero_one_implication(idx, d, ctx):
-    bound = _order_free(column_multiset(d), d.n)[0]
+    bound = rank(d) + 1
     chi = dual_character(d, ctx["cap"])
     total = principal_specialization(chi)
     if total == bound:
@@ -401,7 +402,7 @@ def _check_zero_one_characterization(idx, d, ctx):
 def _check_upper_bound(idx, d, ctx):
     findings = []
     total = principal_specialization(dual_character(d, ctx["cap"]))
-    below = _order_free(column_multiset(d), d.n)[1]
+    below = _order_free(count_below, column_multiset(d), d.n)
     if total > below:
         findings.append(Finding(idx, _show_instance(d), str(total), str(below), "all-ones value above the ideal size"))
     equal = total == below

@@ -392,9 +392,9 @@ def test_memoized_values_match_their_per_diagram_functions():
     for d in grid + list(_orbit_sample_4grid()):
         key = column_multiset(d)
         assert verify._support_and_bound(key, d.n, DEFAULT_CAP)[1] == rank(d) + 1, d
-        assert verify._order_free(key, d.n) == (
-            rank(d) + 1, count_below(d), has_unstable_pair(d) is not None
-        ), d
+        assert verify._order_free(count_below, key, d.n) == count_below(d), d
+        unstable = verify._order_free(has_unstable_pair, key, d.n) is not None
+        assert unstable == (has_unstable_pair(d) is not None), d
 
 
 def test_clean_sweep_renders_no_instance(monkeypatch):
