@@ -30,21 +30,12 @@ def column_ideal(col):
     the reversed tuples).  Memoized per column; the result is a tuple of
     tuples, so callers may share it.
     """
-    k = len(col)
-    if k == 0:
+    if not col:
         return ((),)
-    out = []
-    s = [0] * k
-
-    def walk(t, lo):
-        for v in range(lo, col[t] + 1):
-            s[t] = v
-            if t + 1 == k:
-                out.append(tuple(s))
-            else:
-                walk(t + 1, v + 1)
-
-    walk(0, 1)
+    # prefixes grow a row at a time, each past the one before
+    out = [(v,) for v in range(1, col[0] + 1)]
+    for top in col[1:]:
+        out = [s + (v,) for s in out for v in range(s[-1] + 1, top + 1)]
     out.sort(key=lambda c: c[::-1])
     return tuple(out)
 
@@ -137,34 +128,24 @@ def group_by_weight(columns, n, cap):
     size = (len(columns).bit_length() + 7) // 8
     shifts = [[sum(1 << 8 * size * (i - 1) for i in ch) for ch in ideal] for ideal in ideals]
     last = {}
-    before = []  # position of the previous equal column, or None
-    for j, col in enumerate(columns):
-        before.append(last.get(col))
+    # a level per column: (weight, member so far), first column slowest
+    level = [(0, ())]
+    for j, (col, ideal, shift) in enumerate(zip(columns, ideals, shifts)):
+        options = [((ch,), s) for ch, s in zip(ideal, shift)]
+        b = last.get(col)  # the previous equal column: choose no earlier than it did
         last[col] = j
-    index = [0] * len(columns)
-    chosen = [()] * len(columns)
-    end = len(columns) - 1
+        if b is None:
+            level = [(w + s, m + c) for w, m in level for c, s in options]
+        else:
+            index = {ch: t for t, ch in enumerate(ideal)}
+            level = [(w + s, m + c) for w, m in level for c, s in options[index[m[b]]:]]
     out = {}
-
-    def walk(j, w):
-        ideal, shift = ideals[j], shifts[j]
-        start = 0 if before[j] is None else index[before[j]]
-        if j == end:
-            for t in range(start, len(ideal)):
-                chosen[j] = ideal[t]
-                key = w + shift[t]
-                members = out.get(key)
-                if members is None:
-                    out[key] = [tuple(chosen)]
-                else:
-                    members.append(tuple(chosen))
-            return
-        for t in range(start, len(ideal)):
-            index[j] = t
-            chosen[j] = ideal[t]
-            walk(j + 1, w + shift[t])
-
-    walk(0, 0)
+    for key, member in level:
+        members = out.get(key)
+        if members is None:
+            out[key] = [member]
+        else:
+            members.append(member)
     mask = (1 << 8 * size) - 1
 
     def unpack(key):
@@ -185,32 +166,18 @@ def column_det(dcol, ccol):
     k = len(dcol)
     if len(ccol) != k:
         raise ValueError(f"submatrix is not square: {len(ccol)} rows, {k} columns")
-    if k == 0:
-        return {(): 1}
-    terms = {}
-    used = [False] * k
-    pairs = [None] * k
-
-    def assign(a, sign):
-        if a == k:
-            key = tuple(pairs)  # ccol increasing => already sorted
-            terms[key] = terms.get(key, 0) + sign
-            return
-        i = ccol[a]
-        for b in range(k):
-            if used[b] or i > dcol[b]:
-                continue
-            swaps = 0
-            for b2 in range(b + 1, k):
-                if used[b2]:
-                    swaps += 1
-            used[b] = True
-            pairs[a] = (i, dcol[b])
-            assign(a + 1, -sign if swaps & 1 else sign)
-            used[b] = False
-
-    assign(0, 1)
-    return {key: v for key, v in terms.items() if v}
+    # a level per row: (pairs so far, bitmask of the columns used, sign);
+    # each used column right of the one chosen adds an inversion
+    level = [((), 0, 1)]
+    for i in ccol:
+        level = [
+            (pairs + ((i, j),), used | 1 << b, -sign if (used >> b).bit_count() & 1 else sign)
+            for pairs, used, sign in level
+            for b, j in enumerate(dcol)
+            if i <= j and not used >> b & 1
+        ]
+    # each permutation gives its own key, so no two terms cancel
+    return {pairs: sign for pairs, _, sign in level}
 
 
 def ymul(a, b):

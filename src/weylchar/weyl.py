@@ -29,8 +29,8 @@ class YPolynomial:
 
     Terms map a sorted tuple of positions (i, j), one per factor, to a
     nonzero integer coefficient.  This is the public form of a product
-    of minors; the character engine itself multiplies packed monomials
-    (see ``_grow``), so the surface is minimal.
+    of minors; the character engine itself keeps products factored (see
+    ``_factors``), so the surface is minimal.
     """
 
     __slots__ = ("terms",)
@@ -154,11 +154,63 @@ def _unpack(packed, width) -> tuple:
     return tuple(sorted(key))
 
 
+# Factored products.  The minor on rows c, columns d, c <= d, is block
+# upper triangular wherever c[a + 1] > d[a], since every entry
+# y_{c[a'], d[b]} with a' > a >= b is then zero; so it is the product of
+# its staircase blocks, and a 1 x 1 block is the variable y_{c[a], d[a]}.
+# A product of minors is keyed by (monomial, blocks, lead): the packed
+# product of its 1 x 1 blocks, the sorted tuple of its larger blocks as
+# (dcol, ccol) pairs, and its packed least monomial.  Equal keys are
+# equal polynomials, and since packed ints compare as exponent vectors
+# in lex order, a term order, the lead of a product is the sum of its
+# factors' leads.
+
+# one memo for the whole process; the layout of a key depends on ``width``
+@lru_cache(maxsize=4096)
+def _factors(dcol, ccol, width) -> tuple:
+    """The key of the minor pairing ``dcol`` with ``ccol``, split into its staircase blocks."""
+    mono = lead = start = 0
+    blocks = []
+    last = len(dcol) - 1
+    for a in range(last + 1):
+        if a < last and ccol[a + 1] <= dcol[a]:
+            continue
+        if a == start:
+            mono += 1 << width * _field(ccol[a], dcol[a])
+        else:
+            block = (dcol[start:a + 1], ccol[start:a + 1])
+            blocks.append(block)
+            lead += min(_packed_minor(*block, width))
+        start = a + 1
+    return mono, tuple(sorted(blocks)), mono + lead
+
+
+_ONE = (0, (), 0)  # the key of the empty product
+
+
+def _times(key, factor) -> tuple:
+    """The key of the product of the products keyed by ``key`` and ``factor``."""
+    mono, blocks, lead = key
+    more = factor[1]
+    if more:
+        blocks = tuple(sorted(blocks + more)) if blocks else more
+    return mono + factor[0], blocks, lead + factor[2]
+
+
+def _expand(key, width, memo) -> dict:
+    """Packed terms of the product keyed by ``key``; ``memo`` keeps the products of its blocks."""
+    mono, blocks, _ = key
+    terms = memo.get(blocks)
+    if terms is None:
+        terms = _packed_minor(*blocks[0], width) if blocks else {0: 1}
+        for dcol, ccol in blocks[1:]:
+            terms = _ymul(terms, _packed_minor(dcol, ccol, width))
+        memo[blocks] = terms
+    return {k + mono: v for k, v in terms.items()}
+
+
 def _ymul(a, b) -> dict:
     """Product of two packed polynomials."""
-    if len(b) == 1:
-        ((kb, vb),) = b.items()
-        return {ka + kb: va * vb for ka, va in a.items()}
     out = {}
     get = out.get
     for kb, vb in b.items():
@@ -168,13 +220,18 @@ def _ymul(a, b) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+def _member_key(columns, member, width) -> tuple:
+    """The key of the product over j of the minor pairing ``columns[j]`` with ``member[j]``."""
+    assert len(member) < 1 << width, f"{width}-bit exponent fields overflow at {len(member)} factors"
+    key = _ONE
+    for dcol, ccol in zip(columns, member):
+        key = _times(key, _factors(dcol, ccol, width))
+    return key
+
+
 def _packed_product(columns, member, width) -> dict:
     """Packed terms of the product over j of the minor pairing ``columns[j]`` with ``member[j]``."""
-    assert len(member) < 1 << width, f"{width}-bit exponent fields overflow at {len(member)} factors"
-    acc = {0: 1}
-    for dcol, ccol in zip(columns, member):
-        acc = _ymul(acc, _packed_minor(dcol, ccol, width))
-    return acc
+    return _expand(_member_key(columns, member, width), width, {})
 
 
 def _product(columns, member) -> dict:
@@ -237,48 +294,80 @@ def coefficient_rank(polys) -> int:
 def _grow(spaces, col, width, wanted=None) -> dict:
     """Multiply every product in ``spaces`` by each minor of ``col``, grouped by packed weight.
 
-    Weights are packed like y-monomials: row i owns a field of
-    ``width`` bits, which holds a count of up to the number of columns.
-    With ``wanted``, only the weights in it are kept.
+    ``spaces`` maps packed weights to keys of products.  Weights are
+    packed like y-monomials: row i owns a field of ``width`` bits, which
+    holds a count of up to the number of columns.  Each grown weight
+    maps to a dict whose keys are its distinct product keys, in the
+    order first made.  With ``wanted``, only the weights in it are kept.
     """
     grown = {}
     for ch in _kernels.column_ideal(col):
-        minor = _packed_minor(col, ch, width)
+        factor = mono, blocks, lead = _factors(col, ch, width)
         shift = 0
         for i in ch:
             shift += 1 << width * (i - 1)
-        for weight, basis in spaces.items():
+        for weight, keys in spaces.items():
             w = weight + shift
             if wanted is not None and w not in wanted:
                 continue
             products = grown.get(w)
             if products is None:
-                grown[w] = products = []
-            products += [_ymul(p, minor) for p in basis]
+                grown[w] = products = {}
+            if blocks:
+                for key in keys:
+                    products[_times(key, factor)] = None
+            else:  # the common case, inlined: no blocks to merge
+                for m, b, ld in keys:
+                    products[m + mono, b, ld + lead] = None
     return grown
 
 
-def _weight_spaces(columns, wanted) -> dict:
-    """Products of minors spanning each weight space in ``wanted``, built column by column.
+def _certified(keys) -> bool:
+    """Whether the products keyed by ``keys`` are independent without expanding them.
+
+    One product is, being nonzero; so are products whose least
+    monomials are pairwise distinct, being triangular.
+    """
+    return len(keys) == 1 or len({lead for _, _, lead in keys}) == len(keys)
+
+
+def _dimensions(columns, wanted) -> dict:
+    """Dimension of each weight space in ``wanted``, built column by column.
 
     After each column but the last, only a basis of every partial weight
-    space is kept, chosen from its products by ``_independent``.  This is
-    exact: the next column's products span span(A) * m = span{a * m : a
-    in A} for each of its minors m, so a product whose prefix depends on
-    the kept ones is a combination of kept products with the same suffix
-    and the same weight.  The last column multiplies only into the
-    weights in ``wanted``, length-n tuples, by which the result is keyed.
-    ``columns`` must not be empty.
+    space is kept.  This is exact: the next column's products span
+    span(A) * m = span{a * m : a in A} for each of its minors m, so a
+    product whose prefix depends on the kept ones is a combination of
+    kept products with the same suffix and the same weight.  Products
+    are keys (see ``_factors``), deduplicated by key; a class that
+    ``_certified`` cannot vouch for is expanded and chosen from, or
+    ranked at the last column, by the sparse echelon.  Expansions are
+    memoized by their blocks while this call runs.  ``wanted`` holds
+    length-n tuples, by which the result is keyed; ``columns`` must not
+    be empty.
     """
     width = len(columns).bit_length()
     packed = {sum(e << width * i for i, e in enumerate(w)): w for w in wanted}
-    spaces = {0: [{0: 1}]}
+    memo = {}
+    spaces = {0: [_ONE]}
     for col in columns[:-1]:
-        spaces = {
-            w: ps if len(ps) == 1 else _independent(ps)
-            for w, ps in _grow(spaces, col, width).items()
-        }
-    return {packed[w]: ps for w, ps in _grow(spaces, columns[-1], width, packed).items()}
+        spaces = {w: _basis(keys, width, memo) for w, keys in _grow(spaces, col, width).items()}
+    dims = {}
+    for w, keys in _grow(spaces, columns[-1], width, packed).items():
+        if _certified(keys):
+            dims[packed[w]] = len(keys)
+        else:
+            dims[packed[w]] = coefficient_rank([_expand(k, width, memo) for k in keys])
+    return dims
+
+
+def _basis(keys, width, memo) -> list:
+    """Keys of a basis of the span of the products keyed by ``keys``, chosen among them."""
+    if _certified(keys):
+        return list(keys)
+    polys = [_expand(k, width, memo) for k in keys]
+    key_of = {id(p): k for p, k in zip(polys, keys)}
+    return [key_of[id(p)] for p in _independent(polys)]
 
 
 def character_support(d: Diagram, cap: int = DEFAULT_CAP) -> frozenset:
@@ -292,13 +381,10 @@ def _character(columns, n: int, cap: int) -> Polynomial:
     # one member per multiset of choices; a class of one has coefficient 1
     classes = _kernels.group_by_weight(columns, n, cap)
     multi = [weight for weight, members in classes.items() if len(members) > 1]
-    spaces = _weight_spaces(columns, multi) if multi else {}
+    dims = _dimensions(columns, multi) if multi else {}
     terms = {}
     for weight, members in classes.items():
-        if len(members) == 1:
-            coeff = 1
-        else:
-            coeff = coefficient_rank(spaces.get(weight, ()))
+        coeff = 1 if len(members) == 1 else dims.get(weight, 0)
         if coeff < 1:
             raise AssertionError(f"weight {weight} produced rank {coeff}")
         # weights are distinct nonnegative length-n tuples, so their trims are too

@@ -1,4 +1,5 @@
 """Kernels against independent oracles."""
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -158,3 +159,24 @@ def test_grouping_caps_the_diagrams_below_not_the_members_listed():
     assert sum(len(v) for v in members.values()) == 10 * 2  # multisets of 3 from 3, times 2
     with pytest.raises(_core_py.CapExceeded):
         _core_py.group_by_weight(d.columns, d.n, below - 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _core_py.group_by_weight(((1, 3), (2, 3), (2, 4)), 4, 10**6),
+        lambda: _core_py.column_det((2, 3, 4), (1, 2, 3)),
+        lambda: _core_py.column_ideal.__wrapped__((2, 3, 4)),
+    ],
+    ids=["group_by_weight", "column_det", "column_ideal"],
+)
+def test_kernels_leave_no_reference_cycles(call):
+    """A kernel's buffers are freed on return, not left for the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0

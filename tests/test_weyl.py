@@ -180,6 +180,7 @@ def test_characters_share_minors(monkeypatch):
         weyl._character.cache_clear()
         weyl._minor.cache_clear()
         weyl._packed_minor.cache_clear()
+        weyl._factors.cache_clear()
         calls.clear()
 
     monkeypatch.setattr(weyl._kernels, "column_det", counting)
@@ -197,9 +198,10 @@ def test_characters_share_minors(monkeypatch):
 
 
 def test_determinant_product_is_the_engine_product():
-    """Every pair (WORKED, c), c below WORKED, as the engine enumerates and multiplies it."""
+    """Every pair (WORKED, c), c below WORKED, as the engine keys, expands and multiplies it."""
     columns = column_multiset(WORKED)
     assert columns + ((),) == WORKED.columns
+    width = len(columns).bit_length()
     pairs = 0
     for members in weyl._kernels.group_by_weight(columns, WORKED.n, DEFAULT_CAP).values():
         for member in members:
@@ -207,9 +209,50 @@ def test_determinant_product_is_the_engine_product():
             expected = YPolynomial({(): 1})
             for dcol, ccol in zip(WORKED.columns, c.columns):
                 expected = expected * column_determinant(dcol, ccol)
-            assert determinant_product(WORKED, c) == YPolynomial(weyl._product(columns, member)) == expected
+            key = weyl._member_key(columns, member, width)
+            packed = weyl._expand(key, width, {})
+            expanded = YPolynomial({weyl._unpack(k, width): v for k, v in packed.items()})
+            assert determinant_product(WORKED, c) == expanded == expected
+            assert YPolynomial(weyl._product(columns, member)) == expected
+            assert key[2] == min(packed)
             pairs += 1
     assert pairs == count_below(WORKED)
+
+
+def test_grown_keys_are_the_member_keys():
+    """Unpruned, ``_grow`` keys each weight class by its members' keys, as ``_member_key`` folds them."""
+    cases = [column_multiset(WORKED), ((2, 3), (2, 3), (2, 3, 4)), ((2, 4), (1, 3, 4), (2, 3, 4))]
+    cases += list(grid_multisets(4))[1::97]
+    blocks = 0
+    for columns in cases:
+        width = len(columns).bit_length()
+        spaces = {0: [weyl._ONE]}
+        for col in columns:
+            spaces = weyl._grow(spaces, col, width)
+        expected = {}
+        for weight, members in _kernels.group_by_weight(columns, 4, DEFAULT_CAP).items():
+            packed = sum(e << width * i for i, e in enumerate(weight))
+            expected[packed] = {weyl._member_key(columns, m, width) for m in members}
+        assert {w: set(keys) for w, keys in spaces.items()} == expected, columns
+        blocks += sum(len(key[1]) > 1 for keys in expected.values() for key in keys)
+    assert blocks > 0  # some products merge blocks from two minors
+
+
+def test_factored_minors_are_the_minors():
+    """Each minor on the 6-grid is its 1 x 1 blocks' monomial times its larger blocks' minors."""
+    cells = larger = 0
+    for mask in range(1, 2 ** 6):
+        d = tuple(i for i in range(1, 7) if mask >> (i - 1) & 1)
+        for c in _kernels.column_ideal(d):
+            for width in (1, 3):
+                key = mono, blocks, lead = weyl._factors(d, c, width)
+                minor = weyl._packed_minor(d, c, width)
+                assert weyl._expand(key, width, {}) == minor, (d, c, width)
+                assert lead == min(minor)
+                assert list(blocks) == sorted(blocks) and all(len(b[0]) > 1 for b in blocks)
+            cells += 1
+            larger += bool(blocks)
+    assert (cells, larger) == (428, 196)
 
 
 def test_negative_cap_is_a_usage_error():
