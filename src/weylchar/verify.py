@@ -111,17 +111,31 @@ class DiagramFamily:
         return enumerate(payloads(self))
 
 
+def _grid_columns(n):
+    """The column table of the n-grid: column id ``bits`` holds the rows of its set bits."""
+    return [tuple(i for i in range(1, n + 1) if bits >> (i - 1) & 1) for bits in range(1 << n)]
+
+
+def _grid_product(family, table):
+    """A grid family's diagrams in index order, each an n-tuple of ``table[id]``, last column first.
+
+    ``product`` varies its last factor fastest, so column 1, the lowest
+    bits of the box mask, varies fastest and the masks ascend.  A
+    ``max_boxes`` limit is applied to the column sizes, at C speed.
+    """
+    n = family.n
+    grids = itertools.product(table, repeat=n)
+    if family.max_boxes is not None:
+        sizes = [bits.bit_count() for bits in range(1 << n)]
+        small = map(family.max_boxes.__ge__, map(sum, itertools.product(sizes, repeat=n)))
+        grids = itertools.compress(grids, small)
+    return grids
+
+
 def _grid_subsets(family):
     """Subsets of the n x n grid by ascending bitmask; bit (j-1)*n+(i-1) is box (i, j)."""
-    n = family.n
-    # column bits -> column tuple; column j holds mask bits (j-1)*n onward.
-    # product varies its last factor fastest, so each tuple is read backwards:
-    # column 1, the lowest bits, then varies fastest and the masks ascend.
-    column = [tuple(i for i in range(1, n + 1) if bits >> (i - 1) & 1) for bits in range(1 << n)]
-    grids = (reversed_columns[::-1] for reversed_columns in itertools.product(column, repeat=n))
-    if family.max_boxes is not None:
-        grids = (columns for columns in grids if sum(map(len, columns)) <= family.max_boxes)
-    return map(Diagram, grids, itertools.repeat(n))
+    grids = _grid_product(family, _grid_columns(family.n))
+    return map(Diagram, (reversed_columns[::-1] for reversed_columns in grids), itertools.repeat(family.n))
 
 
 def _permutations(family):
@@ -544,6 +558,21 @@ def _write_checkpoint(path, check_name, family, ctx, cursor, checked, findings, 
         raise
 
 
+_FINDING_FIELDS = frozenset(("instance_index", "instance", "lhs", "rhs", "witness"))
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_finding(obj) -> bool:
+    return (
+        isinstance(obj, dict)
+        and _FINDING_FIELDS <= obj.keys()
+        and obj.get("severity", "violation") in ("violation", "candidate")
+    )
+
+
 def _load_checkpoint(path, check_name, family, ctx):
     """Cursor, count, findings and seconds so far of a checkpoint written by this same run.
 
@@ -552,12 +581,16 @@ def _load_checkpoint(path, check_name, family, ctx):
     with a smaller cap than the checkpoint's, under which instances
     before the cursor might truncate; a larger cap is fine, since no
     instance before the cursor truncated.  A checkpoint without a time
-    reads as 0 seconds.
+    reads as 0 seconds.  A malformed one is refused too: the cursor and
+    the count must be equal counts, as a serial walk writes them, the
+    time a finite number of seconds, and the findings a list of findings.
     """
     if not path or not os.path.exists(path):
         return 0, 0, [], 0.0
     with open(path) as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint {path} is not a JSON object")
     if (
         payload.get("check") != check_name
         or payload.get("family") != family.describe()
@@ -567,24 +600,97 @@ def _load_checkpoint(path, check_name, family, ctx):
         or payload["cap"] > ctx["cap"]
     ):
         raise ValueError(f"checkpoint {path} belongs to a different run")
-    findings = [
-        _finding_from_json(f, f.get("severity", "violation"))
-        for f in payload["findings"]
-    ]
-    return payload["shard_cursor"], payload["checked"], findings, payload.get("elapsed_s", 0.0)
+    cursor, checked = payload.get("shard_cursor"), payload.get("checked")
+    if not (_is_count(cursor) and _is_count(checked) and cursor == checked):
+        raise ValueError(f"checkpoint {path}: shard_cursor and checked must be equal counts")
+    elapsed_s = payload.get("elapsed_s", 0.0)
+    if not (type(elapsed_s) in (int, float) and 0 <= elapsed_s < float("inf")):
+        raise ValueError(f"checkpoint {path}: elapsed_s must be a finite number of seconds")
+    found = payload.get("findings")
+    if not (isinstance(found, list) and all(map(_is_finding, found))):
+        raise ValueError(f"checkpoint {path}: findings must be a list of findings")
+    findings = [_finding_from_json(f, f.get("severity", "violation")) for f in found]
+    return cursor, checked, findings, elapsed_s
+
+
+# A support-only grid sweep reads the checkpoint clock once per this many
+# instances of its shard.
+CHUNK = 4096
+
+
+class _SupportVerdicts(dict):
+    """Sorted column ids of a grid diagram -> whether it needs its own check, filled on first lookup.
+
+    The ids of empty columns (0) stay in the key, so a key names one
+    column multiset.  A diagram needs its check when its support count
+    is below rank + 1, or when counting exceeds the cap: its check then
+    raises again and truncates the sweep at it.  A miss asks the
+    module-level ``_support_and_bound``, once per multiset a sweep meets.
+    """
+
+    def __init__(self, column, n, cap):
+        super().__init__()
+        self.column, self.n, self.cap = column, n, cap
+
+    def __missing__(self, ids):
+        columns = tuple(sorted(self.column[i] for i in ids if i))
+        try:
+            support, bound = _support_and_bound(columns, self.n, self.cap)
+            needed = support < bound
+        except CapExceeded:
+            needed = True
+        self[ids] = needed
+        return needed
+
+
+def _instance_runs(family, shard, nshards, start):
+    """Runs of one instance each, every ``nshards``-th from index ``shard`` on, from ``start``."""
+    for idx, payload in family.instances():
+        if idx >= start and idx % nshards == shard:
+            yield idx, 1, ((idx, payload),)
+
+
+def _support_grid_runs(family, ctx, shard, nshards, start):
+    """Runs of ``CHUNK`` instances of a support-only lower bound on a grid, as ``_instance_runs``.
+
+    The diagrams stream as tuples of column ids through C-level
+    itertools, and a run yields only its instances whose column
+    multiset ``_SupportVerdicts`` flags, built as diagrams; every other
+    instance has no finding and is counted without being built.
+    """
+    n = family.n
+    column = _grid_columns(n)
+    needed = _SupportVerdicts(column, n, ctx["cap"])
+    first = start + (shard - start) % nshards
+    grids = itertools.islice(_grid_product(family, range(1 << n)), first, None, nshards)
+    while block := list(itertools.islice(grids, CHUNK)):
+        picked = itertools.compress(range(len(block)), map(needed.__getitem__, map(tuple, map(sorted, block))))
+        yield first, len(block), _picked_diagrams(block, picked, first, nshards, column, n)
+        first += len(block) * nshards
+
+
+def _picked_diagrams(block, picked, first, nshards, column, n):
+    """(index, diagram) of each position ``k`` of ``block`` in ``picked``; ``block`` starts at index ``first``."""
+    for k in picked:
+        yield first + k * nshards, Diagram(tuple(map(column.__getitem__, block[k][::-1])), n)
 
 
 def _walk(check_name, family, ctx, shard, nshards, checkpoint_path):
     """Check every ``nshards``-th instance from index ``shard`` on.
 
     Returns (checked, findings, truncated, seconds spent before this
-    walk).  Only a serial run, shard 0 of 1, passes a checkpoint path: it
-    resumes from that checkpoint and rewrites it after each instance
-    that ends ``CHECKPOINT_INTERVAL_S`` or more seconds after the walk
-    began or the checkpoint was last written.  The checkpoint is removed
-    only once the family has been walked to the end; a run cut short by
-    the cap keeps it, with the cursor at the instance that truncated, so
-    a rerun with a larger cap resumes there.
+    walk).  Instances come in runs.  A support-only ``lower_bound`` on
+    an ``all_diagrams`` family takes runs of ``CHUNK`` instances from
+    ``_support_grid_runs``, which builds and checks only the diagrams
+    whose column multiset has a finding or exceeds the cap; every other
+    sweep takes runs of one instance.  Only a serial run, shard 0 of 1,
+    passes a checkpoint path: it resumes from that checkpoint and
+    rewrites it after each run that ends ``CHECKPOINT_INTERVAL_S`` or
+    more seconds after the walk began or the checkpoint was last
+    written.  The checkpoint is removed only once the family has been
+    walked to the end; a run cut short by the cap keeps it, with the
+    cursor at the instance that truncated, so a rerun with a larger cap
+    resumes there.
     """
     check = _CHECKS[check_name]
     start, checked, findings, resumed_s = _load_checkpoint(checkpoint_path, check_name, family, ctx)
@@ -598,17 +704,21 @@ def _walk(check_name, family, ctx, shard, nshards, checkpoint_path):
             _write_checkpoint(checkpoint_path, check_name, family, ctx, cursor, checked, findings, elapsed_s)
             saved = time.perf_counter()
 
-    for idx, payload in family.instances():
-        if idx < start or idx % nshards != shard:
-            continue
-        try:
-            findings.extend(check(idx, payload, ctx))
-        except CapExceeded:
-            save(idx)
-            return checked, findings, True, resumed_s
-        checked += 1
+    if check_name == "lower_bound" and ctx.get("support_only") and family.kind == "all_diagrams":
+        runs = _support_grid_runs(family, ctx, shard, nshards, start)
+    else:
+        runs = _instance_runs(family, shard, nshards, start)
+    for first, size, instances in runs:
+        for idx, payload in instances:
+            try:
+                findings.extend(check(idx, payload, ctx))
+            except CapExceeded:
+                checked += (idx - first) // nshards
+                save(idx)
+                return checked, findings, True, resumed_s
+        checked += size
         if checkpoint_path and time.perf_counter() - saved >= CHECKPOINT_INTERVAL_S:
-            save(idx + 1)
+            save(first + (size - 1) * nshards + 1)
     if checkpoint_path and os.path.exists(checkpoint_path):
         os.unlink(checkpoint_path)
     return checked, findings, False, resumed_s

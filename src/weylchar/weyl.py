@@ -294,18 +294,20 @@ def coefficient_rank(polys) -> int:
 def _grow(spaces, col, width, wanted=None) -> dict:
     """Multiply every product in ``spaces`` by each minor of ``col``, grouped by packed weight.
 
-    ``spaces`` maps packed weights to keys of products.  Weights are
-    packed like y-monomials: row i owns a field of ``width`` bits, which
-    holds a count of up to the number of columns.  Each grown weight
-    maps to a dict whose keys are its distinct product keys, in the
-    order first made.  With ``wanted``, only the weights in it are kept.
+    ``spaces`` maps packed weights to keys of products.  A weight is
+    packed one byte per row, row i in byte i - 1, as
+    ``int.from_bytes(bytes(w), "little")`` packs it; a count is at most
+    the number of columns, which ``_dimensions`` keeps below 256.  Each
+    grown weight maps to a dict whose keys are its distinct product
+    keys, in the order first made.  With ``wanted``, only the weights in
+    it are kept.
     """
     grown = {}
     for ch in _kernels.column_ideal(col):
         factor = mono, blocks, lead = _factors(col, ch, width)
         shift = 0
         for i in ch:
-            shift += 1 << width * (i - 1)
+            shift += 1 << 8 * (i - 1)
         for weight, keys in spaces.items():
             w = weight + shift
             if wanted is not None and w not in wanted:
@@ -344,10 +346,13 @@ def _dimensions(columns, wanted) -> dict:
     ranked at the last column, by the sparse echelon.  Expansions are
     memoized by their blocks while this call runs.  ``wanted`` holds
     length-n tuples, by which the result is keyed; ``columns`` must not
-    be empty.
+    be empty, and there must be fewer than 256 of them, so that no count
+    carries into the next row's byte.
     """
+    if len(columns) > 255:
+        raise ValueError(f"{len(columns)} columns overflow the one-byte weight fields")
     width = len(columns).bit_length()
-    packed = {sum(e << width * i for i, e in enumerate(w)): w for w in wanted}
+    packed = {int.from_bytes(bytes(w), "little"): w for w in wanted}
     memo = {}
     spaces = {0: [_ONE]}
     for col in columns[:-1]:

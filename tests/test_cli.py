@@ -393,3 +393,26 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "6\n"
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"shard_cursor": "3", "checked": 3}, {"shard_cursor": 99, "checked": -5}],
+    ids=["string-cursor", "negative-count"],
+)
+def test_malformed_checkpoint_exits_2(capsys, tmp_path, fields):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "check": "lower_bound",
+        "family": "AllDiagrams(n=2, max_boxes=None)",
+        "ctx": {"support_only": True},
+        "cap": 200000,
+        "findings": [],
+        **fields,
+    }))
+    code, out, err = run_cli(
+        capsys, "sweep", "lower-bound", "--family", "all-diagrams", "--n", "2",
+        "--support-only", "--checkpoint", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert "shard_cursor and checked must be equal counts" in err

@@ -833,3 +833,221 @@ def test_cap_exhaustion_truncates_report():
     # only the second shard meets the wide diagram
     sharded = verify_lower_bound(explicit_list([diagram([(1,)]), wide]), cap=5, workers=2)
     assert sharded.truncated and sharded.checked == 1
+
+
+# ---------------------------------------------------------------------------
+# Malformed checkpoints
+# ---------------------------------------------------------------------------
+
+def _valid_checkpoint(fam):
+    return {
+        "check": "lower_bound",
+        "family": fam.describe(),
+        "ctx": {"support_only": True},
+        "cap": DEFAULT_CAP,
+        "shard_cursor": 8,
+        "checked": 8,
+        "elapsed_s": 0.5,
+        "findings": [],
+    }
+
+
+GOOD_FINDING = {"instance_index": 3, "instance": "{}", "lhs": "1", "rhs": "2", "witness": "w"}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("shard_cursor", "3"),
+        ("shard_cursor", -1),
+        ("shard_cursor", True),
+        ("shard_cursor", 8.0),
+        ("shard_cursor", 99),
+        ("shard_cursor", None),
+        ("checked", -5),
+        ("checked", "8"),
+        ("checked", False),
+        ("checked", 9),
+        ("elapsed_s", -1.0),
+        ("elapsed_s", float("nan")),
+        ("elapsed_s", float("inf")),
+        ("elapsed_s", "0.5"),
+        ("elapsed_s", True),
+        ("findings", None),
+        ("findings", {}),
+        ("findings", ["violation"]),
+        ("findings", [{k: v for k, v in GOOD_FINDING.items() if k != "witness"}]),
+        ("findings", [dict(GOOD_FINDING, severity="warning")]),
+    ],
+)
+@pytest.mark.parametrize("support_only", [True, False], ids=["grid-runs", "instance-runs"])
+def test_malformed_checkpoint_is_refused(tmp_path, field, value, support_only):
+    fam = all_diagrams(2)
+    payload = _valid_checkpoint(fam)
+    payload["ctx"]["support_only"] = support_only
+    payload[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=field.replace("shard_cursor", "shard_cursor and checked")):
+        verify_lower_bound(fam, support_only=support_only, checkpoint_path=str(path))
+    assert path.exists()
+
+
+def test_well_formed_checkpoint_fields_are_accepted(tmp_path):
+    fam = all_diagrams(2)
+    path = tmp_path / "good.json"
+    payload = _valid_checkpoint(fam)
+    payload["elapsed_s"] = 2  # an int number of seconds is a number
+    payload["findings"] = [dict(GOOD_FINDING, severity="candidate")]
+    path.write_text(json.dumps(payload))
+    resumed = verify_lower_bound(fam, support_only=True, checkpoint_path=str(path))
+    assert resumed.checked == 16 and len(resumed.candidates) == 1
+    payload.pop("elapsed_s")  # a checkpoint without a time reads as 0 seconds
+    path.write_text(json.dumps(payload))
+    assert verify_lower_bound(fam, support_only=True, checkpoint_path=str(path)).checked == 16
+
+
+def test_checkpoint_that_is_not_an_object_is_refused(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    with pytest.raises(ValueError, match="not a JSON object"):
+        verify_lower_bound(all_diagrams(2), support_only=True, checkpoint_path=str(path))
+
+
+# ---------------------------------------------------------------------------
+# Support-only grid sweeps: runs of CHUNK instances, decided per multiset
+# ---------------------------------------------------------------------------
+
+def _flag_some_multisets(monkeypatch):
+    """Raise the bound on every multiset of an odd number of boxes, so those instances are violations."""
+    support_and_bound = verify._support_and_bound
+
+    def forced(columns, n, cap):
+        support, bound = support_and_bound(columns, n, cap)
+        return support, bound + 10 ** 6 * (sum(map(len, columns)) % 2)
+
+    monkeypatch.setattr(verify, "_support_and_bound", forced)
+
+
+def _as_explicit(fam):
+    """The same diagrams in the same order, swept one instance at a time."""
+    return explicit_list([d for _, d in fam.instances()])
+
+
+def _outcome(report):
+    obj = json.loads(stable_json(report))
+    del obj["family"]
+    return obj
+
+
+def test_support_grid_sweep_reads_no_family_instances(monkeypatch):
+    def refuse(family):
+        raise AssertionError("instances() was iterated")
+
+    monkeypatch.setattr(DiagramFamily, "instances", refuse)
+    assert verify_lower_bound(all_diagrams(3), support_only=True).checked == 512
+    with pytest.raises(AssertionError):
+        verify_lower_bound(all_diagrams(2), support_only=False)
+
+
+@pytest.mark.parametrize("max_boxes", [None, 0, 4, 9])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_support_grid_findings_match_instance_runs(monkeypatch, max_boxes, workers):
+    monkeypatch.setattr(verify, "CHUNK", 37)
+    _flag_some_multisets(monkeypatch)
+    fam = all_diagrams(3, max_boxes=max_boxes)
+    grid = verify_lower_bound(fam, support_only=True, workers=workers)
+    one_by_one = verify_lower_bound(_as_explicit(fam), support_only=True, workers=workers)
+    assert _outcome(grid) == _outcome(one_by_one)
+    assert grid.checked == sum(1 for _ in fam.instances())
+    expected = [idx for idx, d in fam.instances() if d.box_count % 2]
+    assert [f.instance_index for f in grid.violations] == expected
+    for f in grid.violations:
+        assert f.instance == verify._show_instance(dict(fam.instances())[f.instance_index])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_support_grid_truncates_where_instance_runs_do(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(verify, "CHUNK", 37)
+    _flag_some_multisets(monkeypatch)
+    fam = all_diagrams(3)
+    for cap in (0, 3, 6, 10):
+        grid = verify_lower_bound(fam, support_only=True, cap=cap, workers=workers)
+        one_by_one = verify_lower_bound(_as_explicit(fam), support_only=True, cap=cap, workers=workers)
+        assert grid.truncated and one_by_one.truncated
+        assert _outcome(grid) == _outcome(one_by_one), cap
+    cursors = {}
+    for name, sweep_fam in (("grid", fam), ("explicit", _as_explicit(fam))):
+        path = tmp_path / f"{name}.json"
+        cut = verify_lower_bound(sweep_fam, support_only=True, cap=6, checkpoint_path=str(path))
+        saved = json.loads(path.read_text())
+        assert saved["shard_cursor"] == saved["checked"] == cut.checked
+        cursors[name] = saved["shard_cursor"]
+        resumed = verify_lower_bound(sweep_fam, support_only=True, checkpoint_path=str(path))
+        assert _outcome(resumed) == _outcome(verify_lower_bound(sweep_fam, support_only=True))
+    assert cursors["grid"] == cursors["explicit"] > 0
+
+
+def test_support_grid_resumes_from_every_checkpoint(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify, "CHECKPOINT_INTERVAL_S", 0)
+    monkeypatch.setattr(verify, "CHUNK", 37)
+    _flag_some_multisets(monkeypatch)
+    fam = all_diagrams(3)
+    full = verify_lower_bound(fam, support_only=True)
+    snapshots = []
+    write = verify._write_checkpoint
+
+    def keep(path, *rest):
+        write(path, *rest)
+        with open(path) as handle:
+            snapshots.append(handle.read())
+
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "_write_checkpoint", keep)
+        path = tmp_path / "every.json"
+        assert stable_json(verify_lower_bound(fam, support_only=True, checkpoint_path=str(path))) == stable_json(full)
+    cursors = [json.loads(s)["shard_cursor"] for s in snapshots]
+    assert cursors == [*range(37, 512, 37), 512]
+    for snapshot in snapshots:
+        saved = json.loads(snapshot)
+        assert [f["instance_index"] for f in saved["findings"]] == [
+            f.instance_index for f in full.violations if f.instance_index < saved["shard_cursor"]
+        ]
+        path.write_text(snapshot)
+        resumed = verify_lower_bound(fam, support_only=True, checkpoint_path=str(path))
+        assert stable_json(resumed) == stable_json(full)
+        assert not path.exists()
+
+
+FULL_4_GRID_SUPPORT_DIGEST = "3660f54bbf54ea15bca3af67124efecfa656000e669e27e84358ee13e9cd2c21"
+
+
+def _digest(report):
+    import hashlib
+
+    obj = report.to_json_obj()
+    del obj["elapsed_s"]
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def test_full_4_grid_support_digest_serial_sharded_and_resumed(tmp_path, monkeypatch):
+    fam = all_diagrams(4)
+    assert _digest(verify_lower_bound(fam, support_only=True)) == FULL_4_GRID_SUPPORT_DIGEST
+    assert _digest(verify_lower_bound(fam, support_only=True, workers=2)) == FULL_4_GRID_SUPPORT_DIGEST
+    monkeypatch.setattr(verify, "CHECKPOINT_INTERVAL_S", 0)
+    path = tmp_path / "half.json"
+    write = verify._write_checkpoint
+
+    def interrupt_at_half(path, check_name, family, ctx, cursor, *rest):
+        write(path, check_name, family, ctx, cursor, *rest)
+        if cursor >= 1 << 15:
+            raise KeyboardInterrupt
+
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "_write_checkpoint", interrupt_at_half)
+        with pytest.raises(KeyboardInterrupt):
+            verify_lower_bound(fam, support_only=True, checkpoint_path=str(path))
+    assert json.loads(path.read_text())["shard_cursor"] == 1 << 15
+    resumed = verify_lower_bound(fam, support_only=True, checkpoint_path=str(path))
+    assert _digest(resumed) == FULL_4_GRID_SUPPORT_DIGEST
+    assert not path.exists()

@@ -231,7 +231,7 @@ def test_grown_keys_are_the_member_keys():
             spaces = weyl._grow(spaces, col, width)
         expected = {}
         for weight, members in _kernels.group_by_weight(columns, 4, DEFAULT_CAP).items():
-            packed = sum(e << width * i for i, e in enumerate(weight))
+            packed = int.from_bytes(bytes(weight), "little")
             expected[packed] = {weyl._member_key(columns, m, width) for m in members}
         assert {w: set(keys) for w, keys in spaces.items()} == expected, columns
         blocks += sum(len(key[1]) > 1 for keys in expected.values() for key in keys)
@@ -446,6 +446,13 @@ def test_an_exponent_may_reach_the_column_count():
     assert weyl._character.__wrapped__(columns, 3, DEFAULT_CAP) == reference_character(columns, 3)
     for member, product in unpacked_products(columns, 3).items():
         assert product == reference_product(columns, member)
+
+
+def test_a_weight_count_fills_its_byte_and_never_carries():
+    """Weights pack one byte per row: 255 equal columns fit, 256 raise rather than carry into row 2."""
+    assert weyl._dimensions(((1,),) * 255, [(255, 0)]) == {(255, 0): 1}
+    with pytest.raises(ValueError, match="256 columns"):
+        weyl._dimensions(((1,),) * 256, [(0, 1)])
 
 
 def test_packed_minors_are_shared_across_grid_sizes():
