@@ -1,14 +1,19 @@
 """Kernels for the hot inner loops of the character engine.
 
 Callers reach them through ``weylchar._kernels``.  Everything here works
-on plain tuples:
+on plain tuples and ints:
 
 * a column is a strictly increasing tuple of 1-based row indices;
-* a weight is a tuple of ``n`` nonnegative exponents;
+* a weight, as the grouping and support kernels return it, is one int
+  with a byte per row: the exponent of row i is byte i - 1, so adding
+  two weights adds their exponents, and a weight on ``n`` rows unpacks
+  as ``tuple(w.to_bytes(n, "little"))``;
 * a product of matrix indeterminates y_ij is a sorted tuple of their
   positions ``(i, j)``, one entry per factor.
 
-Kernels raise ``CapExceeded`` when an enumeration grows past its cap.
+Kernels raise ``CapExceeded`` when an enumeration grows past its cap,
+and the weight kernels raise ``ValueError`` on 256 or more non-empty
+columns, whose counts could carry into the next row's byte.
 """
 from functools import lru_cache
 
@@ -38,6 +43,19 @@ def column_ideal(col):
         out = [s + (v,) for s in out for v in range(s[-1] + 1, top + 1)]
     out.sort(key=lambda c: c[::-1])
     return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def column_weights(col):
+    """The packed weight of each column in ``column_ideal(col)``, in the same order."""
+    return tuple(sum(1 << 8 * (i - 1) for i in ch) for ch in column_ideal(col))
+
+
+def _check_fields(columns):
+    """Refuse 256 or more non-empty columns: a row's count must fit in its byte."""
+    boxed = sum(map(bool, columns))
+    if boxed > 255:
+        raise ValueError(f"{boxed} non-empty columns overflow the one-byte weight fields")
 
 
 def count_column_ideal(col):
@@ -79,23 +97,20 @@ def weight_of_columns(columns, n):
 
 
 def weight_support(columns, n, cap):
-    """Set of weights of the diagrams below ``columns``, as length-``n`` tuples.
+    """Set of packed weights of the diagrams below ``columns``, on ``n`` rows.
 
     Runs a set-valued DP over columns instead of walking the full
     product of column ideals; ``cap`` bounds the intermediate set size.
     """
-    acc = {(0,) * n}
+    _check_fields(columns)
+    acc = {0}
     for col in columns:
         if not col:
             continue
-        choices = column_ideal(col)
+        shifts = column_weights(col)
         new = set()
         for w in acc:
-            for ch in choices:
-                w2 = list(w)
-                for i in ch:
-                    w2[i - 1] += 1
-                new.add(tuple(w2))
+            new.update(map(w.__add__, shifts))
             if len(new) > cap:
                 raise CapExceeded(f"weight support exceeds cap {cap}", cap)
         acc = new
@@ -105,7 +120,7 @@ def weight_support(columns, n, cap):
 def group_by_weight(columns, n, cap):
     """Group the diagrams below ``columns`` by weight, one per multiset of choices.
 
-    Returns ``{weight: [member, ...]}`` where each member is a tuple of
+    Returns ``{packed weight: [member, ...]}`` where each member is a tuple of
     chosen columns.  Members that differ only by permuting the choices
     made for equal columns have equal weights and equal products of
     minors, so only one of them is listed: along the positions of equal
@@ -114,24 +129,18 @@ def group_by_weight(columns, n, cap):
     number of diagrams below ``columns``, the product of the ideal sizes,
     and is checked before anything is enumerated.
     """
+    _check_fields(columns)
     ideals = [column_ideal(c) for c in columns]
     total = 1
     for ideal in ideals:
         total *= len(ideal)
     if total > cap:
         raise CapExceeded(f"enumeration below the diagram exceeds cap {cap}", cap)
-    if not columns:
-        return {(0,) * n: [()]}
-    # a weight is one int while enumerating: row i owns field i - 1 of
-    # ``size`` bytes, enough for a count of up to ``len(columns)``;
-    # one-byte fields unpack at C speed through ``to_bytes``
-    size = (len(columns).bit_length() + 7) // 8
-    shifts = [[sum(1 << 8 * size * (i - 1) for i in ch) for ch in ideal] for ideal in ideals]
     last = {}
     # a level per column: (weight, member so far), first column slowest
     level = [(0, ())]
-    for j, (col, ideal, shift) in enumerate(zip(columns, ideals, shifts)):
-        options = [((ch,), s) for ch, s in zip(ideal, shift)]
+    for j, (col, ideal) in enumerate(zip(columns, ideals)):
+        options = [((ch,), s) for ch, s in zip(ideal, column_weights(col))]
         b = last.get(col)  # the previous equal column: choose no earlier than it did
         last[col] = j
         if b is None:
@@ -146,14 +155,7 @@ def group_by_weight(columns, n, cap):
             out[key] = [member]
         else:
             members.append(member)
-    mask = (1 << 8 * size) - 1
-
-    def unpack(key):
-        if size == 1:
-            return tuple(key.to_bytes(n, "little"))
-        return tuple(key >> 8 * size * i & mask for i in range(n))
-
-    return {unpack(key): members for key, members in out.items()}
+    return out
 
 
 def column_det(dcol, ccol):

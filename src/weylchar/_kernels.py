@@ -12,6 +12,7 @@ from weylchar._core_py import (
     bareiss_rank,
     column_det,
     column_ideal,
+    column_weights,
     count_column_ideal,
     group_by_weight,
     rank_columns,

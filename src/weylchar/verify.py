@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -92,8 +93,13 @@ class DiagramFamily:
             raise ValueError(f"unknown family kind {self.kind!r}") from None
 
     def describe(self) -> str:
-        label, _ = self._kind()
+        label, _, _ = self._kind()
         return label.format(f=self, size=len(self.members))
+
+    def size(self) -> int:
+        """Number of instances, counted without enumerating them."""
+        _, _, size = self._kind()
+        return size(self)
 
     def __post_init__(self):
         for name in ("n", "max_boxes", "max_part", "max_len"):
@@ -107,7 +113,7 @@ class DiagramFamily:
 
     def instances(self):
         """Iterate (index, payload) pairs in the family's canonical order."""
-        _, payloads = self._kind()
+        _, payloads, _ = self._kind()
         return enumerate(payloads(self))
 
 
@@ -138,6 +144,13 @@ def _grid_subsets(family):
     return map(Diagram, (reversed_columns[::-1] for reversed_columns in grids), itertools.repeat(family.n))
 
 
+def _grid_size(family):
+    """Subsets of the n x n grid with at most ``max_boxes`` boxes."""
+    cells = family.n * family.n
+    top = cells if family.max_boxes is None else min(family.max_boxes, cells)
+    return sum(math.comb(cells, k) for k in range(top + 1))
+
+
 def _permutations(family):
     return itertools.permutations(range(1, family.n + 1))
 
@@ -146,15 +159,33 @@ def _compositions(family):
     return itertools.product(range(family.max_part + 1), repeat=family.max_len)
 
 
-# kind -> (label, enumerator of payloads); a label is formatted with the
-# family as ``f`` and its member count as ``size``.
+def _factorial(family):
+    return math.factorial(family.n)
+
+
+def _composition_count(family):
+    return (family.max_part + 1) ** family.max_len
+
+
+# kind -> (label, enumerator of payloads, number of payloads); a label is
+# formatted with the family as ``f`` and its member count as ``size``.
 _KINDS = {
-    "all_diagrams": ("AllDiagrams(n={f.n}, max_boxes={f.max_boxes})", _grid_subsets),
-    "all_rothe": ("AllRothe(n={f.n})", lambda f: map(rothe, _permutations(f))),
-    "all_skyline": ("AllSkyline(max_part={f.max_part}, max_len={f.max_len})", lambda f: map(skyline, _compositions(f))),
-    "explicit": ("ExplicitList({size} diagrams)", lambda f: itertools.starmap(Diagram, f.members)),
-    "permutations": ("Permutations(n={f.n})", _permutations),
-    "compositions": ("Compositions(max_part={f.max_part}, max_len={f.max_len})", _compositions),
+    "all_diagrams": ("AllDiagrams(n={f.n}, max_boxes={f.max_boxes})", _grid_subsets, _grid_size),
+    "all_rothe": ("AllRothe(n={f.n})", lambda f: map(rothe, _permutations(f)), _factorial),
+    "all_skyline": (
+        "AllSkyline(max_part={f.max_part}, max_len={f.max_len})",
+        lambda f: map(skyline, _compositions(f)),
+        _composition_count,
+    ),
+    "explicit": (
+        "ExplicitList({size} diagrams)",
+        lambda f: itertools.starmap(Diagram, f.members),
+        lambda f: len(f.members),
+    ),
+    "permutations": ("Permutations(n={f.n})", _permutations, _factorial),
+    "compositions": (
+        "Compositions(max_part={f.max_part}, max_len={f.max_len})", _compositions, _composition_count
+    ),
 }
 
 
@@ -581,9 +612,10 @@ def _load_checkpoint(path, check_name, family, ctx):
     with a smaller cap than the checkpoint's, under which instances
     before the cursor might truncate; a larger cap is fine, since no
     instance before the cursor truncated.  A checkpoint without a time
-    reads as 0 seconds.  A malformed one is refused too: the cursor and
-    the count must be equal counts, as a serial walk writes them, the
-    time a finite number of seconds, and the findings a list of findings.
+    reads as 0 seconds.  A malformed one is refused too: the cap must be
+    a count, the cursor and the count equal counts, as a serial walk
+    writes them, and no larger than the family, the time a finite number
+    of seconds, and the findings a list of findings.
     """
     if not path or not os.path.exists(path):
         return 0, 0, [], 0.0
@@ -596,13 +628,18 @@ def _load_checkpoint(path, check_name, family, ctx):
         or payload.get("family") != family.describe()
         or payload.get("members") != _members_digest(family)
         or payload.get("ctx") != _fingerprint(ctx)
-        or "cap" not in payload
-        or payload["cap"] > ctx["cap"]
     ):
+        raise ValueError(f"checkpoint {path} belongs to a different run")
+    if not _is_count(payload.get("cap")):
+        raise ValueError(f"checkpoint {path}: cap must be a count")
+    if payload["cap"] > ctx["cap"]:
         raise ValueError(f"checkpoint {path} belongs to a different run")
     cursor, checked = payload.get("shard_cursor"), payload.get("checked")
     if not (_is_count(cursor) and _is_count(checked) and cursor == checked):
         raise ValueError(f"checkpoint {path}: shard_cursor and checked must be equal counts")
+    size = family.size()
+    if cursor > size:
+        raise ValueError(f"checkpoint {path}: shard_cursor {cursor} is past the family's {size} instances")
     elapsed_s = payload.get("elapsed_s", 0.0)
     if not (type(elapsed_s) in (int, float) and 0 <= elapsed_s < float("inf")):
         raise ValueError(f"checkpoint {path}: elapsed_s must be a finite number of seconds")

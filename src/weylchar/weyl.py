@@ -107,51 +107,35 @@ def determinant_product(d: Diagram, c: Diagram) -> YPolynomial:
     """Product over columns j of the minor pairing column j of ``d`` and of ``c``."""
     if c.n != d.n:
         raise ValueError("diagrams must live on the same grid")
-    return YPolynomial(_product(d.columns, c.columns))
-
-
-# one memo for the whole process; the dict it returns is shared, so never mutate it
-@lru_cache(maxsize=4096)
-def _minor(dcol, ccol) -> dict:
-    return _kernels.column_det(dcol, ccol)
+    product = YPolynomial({(): 1})
+    for dcol, ccol in zip(d.columns, c.columns):
+        product = product * column_determinant(dcol, ccol)
+    return product
 
 
 # Packed y-monomials.  Inside a product of m minors a monomial in the
-# y_ij, i <= j, is one int: position (i, j) owns a field of ``width``
-# bits holding the exponent of y_ij, so multiplying two monomials adds
-# their ints.  Each term of a minor is squarefree, so no exponent of the
-# product exceeds m, and ``width = m.bit_length()`` never carries into
-# the next field.  Fields are numbered column by column, so a position's
-# field does not depend on the grid size.
+# y_ij, i <= j, is one int: position (i, j) owns byte ``_field(i, j)``,
+# holding the exponent of y_ij, so multiplying two monomials adds their
+# ints.  Each term of a minor is squarefree, so no exponent of the
+# product exceeds m, which the weight kernels keep below 256, and no
+# byte carries into the next.  Fields are numbered column by column, so
+# a position's field does not depend on the grid size.
 
 def _field(i, j) -> int:
     """Index of (i, j), i <= j, among the upper-triangular positions numbered column by column."""
     return j * (j - 1) // 2 + i - 1
 
 
-# one memo for the whole process, shared like ``_minor``'s dicts; the
-# layout of a key depends on ``width``, so it is in the memo key
+# one memo for the whole process; the dict it returns is shared, so never mutate it
 @lru_cache(maxsize=4096)
-def _packed_minor(dcol, ccol, width) -> dict:
+def _packed_minor(dcol, ccol) -> dict:
     terms = {}
-    for key, coeff in _minor(dcol, ccol).items():
+    for key, coeff in _kernels.column_det(dcol, ccol).items():
         packed = 0
         for i, j in key:
-            packed += 1 << width * _field(i, j)
+            packed += 1 << 8 * _field(i, j)
         terms[packed] = coeff
     return terms
-
-
-def _unpack(packed, width) -> tuple:
-    """The ``YPolynomial`` key of a packed monomial: its positions, repeated, sorted."""
-    mask = (1 << width) - 1
-    key = []
-    i = j = 1
-    while packed:
-        key += [(i, j)] * (packed & mask)
-        packed >>= width
-        i, j = (i + 1, j) if i < j else (1, j + 1)
-    return tuple(sorted(key))
 
 
 # Factored products.  The minor on rows c, columns d, c <= d, is block
@@ -165,9 +149,9 @@ def _unpack(packed, width) -> tuple:
 # in lex order, a term order, the lead of a product is the sum of its
 # factors' leads.
 
-# one memo for the whole process; the layout of a key depends on ``width``
+# one memo for the whole process
 @lru_cache(maxsize=4096)
-def _factors(dcol, ccol, width) -> tuple:
+def _factors(dcol, ccol) -> tuple:
     """The key of the minor pairing ``dcol`` with ``ccol``, split into its staircase blocks."""
     mono = lead = start = 0
     blocks = []
@@ -176,11 +160,11 @@ def _factors(dcol, ccol, width) -> tuple:
         if a < last and ccol[a + 1] <= dcol[a]:
             continue
         if a == start:
-            mono += 1 << width * _field(ccol[a], dcol[a])
+            mono += 1 << 8 * _field(ccol[a], dcol[a])
         else:
             block = (dcol[start:a + 1], ccol[start:a + 1])
             blocks.append(block)
-            lead += min(_packed_minor(*block, width))
+            lead += min(_packed_minor(*block))
         start = a + 1
     return mono, tuple(sorted(blocks)), mono + lead
 
@@ -197,14 +181,14 @@ def _times(key, factor) -> tuple:
     return mono + factor[0], blocks, lead + factor[2]
 
 
-def _expand(key, width, memo) -> dict:
+def _expand(key, memo) -> dict:
     """Packed terms of the product keyed by ``key``; ``memo`` keeps the products of its blocks."""
     mono, blocks, _ = key
     terms = memo.get(blocks)
     if terms is None:
-        terms = _packed_minor(*blocks[0], width) if blocks else {0: 1}
+        terms = _packed_minor(*blocks[0]) if blocks else {0: 1}
         for dcol, ccol in blocks[1:]:
-            terms = _ymul(terms, _packed_minor(dcol, ccol, width))
+            terms = _ymul(terms, _packed_minor(dcol, ccol))
         memo[blocks] = terms
     return {k + mono: v for k, v in terms.items()}
 
@@ -220,25 +204,12 @@ def _ymul(a, b) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _member_key(columns, member, width) -> tuple:
+def _member_key(columns, member) -> tuple:
     """The key of the product over j of the minor pairing ``columns[j]`` with ``member[j]``."""
-    assert len(member) < 1 << width, f"{width}-bit exponent fields overflow at {len(member)} factors"
     key = _ONE
     for dcol, ccol in zip(columns, member):
-        key = _times(key, _factors(dcol, ccol, width))
+        key = _times(key, _factors(dcol, ccol))
     return key
-
-
-def _packed_product(columns, member, width) -> dict:
-    """Packed terms of the product over j of the minor pairing ``columns[j]`` with ``member[j]``."""
-    return _expand(_member_key(columns, member, width), width, {})
-
-
-def _product(columns, member) -> dict:
-    """``_packed_product`` with its keys unpacked to those of ``YPolynomial``."""
-    width = len(columns).bit_length()
-    packed = _packed_product(columns, member, width)
-    return {_unpack(key, width): coeff for key, coeff in packed.items()}
 
 
 def _independent(polys) -> list:
@@ -291,23 +262,17 @@ def coefficient_rank(polys) -> int:
     return len(_independent([getattr(p, "terms", p) for p in polys]))
 
 
-def _grow(spaces, col, width, wanted=None) -> dict:
+def _grow(spaces, col, wanted=None) -> dict:
     """Multiply every product in ``spaces`` by each minor of ``col``, grouped by packed weight.
 
-    ``spaces`` maps packed weights to keys of products.  A weight is
-    packed one byte per row, row i in byte i - 1, as
-    ``int.from_bytes(bytes(w), "little")`` packs it; a count is at most
-    the number of columns, which ``_dimensions`` keeps below 256.  Each
-    grown weight maps to a dict whose keys are its distinct product
-    keys, in the order first made.  With ``wanted``, only the weights in
-    it are kept.
+    ``spaces`` maps packed weights, as the kernels pack them, to keys of
+    products.  Each grown weight maps to a dict whose keys are its
+    distinct product keys, in the order first made.  With ``wanted``,
+    only the weights in it are kept.
     """
     grown = {}
-    for ch in _kernels.column_ideal(col):
-        factor = mono, blocks, lead = _factors(col, ch, width)
-        shift = 0
-        for i in ch:
-            shift += 1 << 8 * (i - 1)
+    for ch, shift in zip(_kernels.column_ideal(col), _kernels.column_weights(col)):
+        factor = mono, blocks, lead = _factors(col, ch)
         for weight, keys in spaces.items():
             w = weight + shift
             if wanted is not None and w not in wanted:
@@ -344,33 +309,29 @@ def _dimensions(columns, wanted) -> dict:
     are keys (see ``_factors``), deduplicated by key; a class that
     ``_certified`` cannot vouch for is expanded and chosen from, or
     ranked at the last column, by the sparse echelon.  Expansions are
-    memoized by their blocks while this call runs.  ``wanted`` holds
-    length-n tuples, by which the result is keyed; ``columns`` must not
-    be empty, and there must be fewer than 256 of them, so that no count
-    carries into the next row's byte.
+    memoized by their blocks while this call runs.  ``wanted`` is a set
+    of packed weights, by which the result is keyed; ``columns`` must not
+    be empty, and there must be fewer than 256 of them, as the weight
+    kernels check, so that no count carries into the next byte.
     """
-    if len(columns) > 255:
-        raise ValueError(f"{len(columns)} columns overflow the one-byte weight fields")
-    width = len(columns).bit_length()
-    packed = {int.from_bytes(bytes(w), "little"): w for w in wanted}
     memo = {}
     spaces = {0: [_ONE]}
     for col in columns[:-1]:
-        spaces = {w: _basis(keys, width, memo) for w, keys in _grow(spaces, col, width).items()}
+        spaces = {w: _basis(keys, memo) for w, keys in _grow(spaces, col).items()}
     dims = {}
-    for w, keys in _grow(spaces, columns[-1], width, packed).items():
+    for w, keys in _grow(spaces, columns[-1], wanted).items():
         if _certified(keys):
-            dims[packed[w]] = len(keys)
+            dims[w] = len(keys)
         else:
-            dims[packed[w]] = coefficient_rank([_expand(k, width, memo) for k in keys])
+            dims[w] = coefficient_rank([_expand(k, memo) for k in keys])
     return dims
 
 
-def _basis(keys, width, memo) -> list:
+def _basis(keys, memo) -> list:
     """Keys of a basis of the span of the products keyed by ``keys``, chosen among them."""
     if _certified(keys):
         return list(keys)
-    polys = [_expand(k, width, memo) for k in keys]
+    polys = [_expand(k, memo) for k in keys]
     key_of = {id(p): k for p, k in zip(polys, keys)}
     return [key_of[id(p)] for p in _independent(polys)]
 
@@ -378,22 +339,24 @@ def _basis(keys, width, memo) -> list:
 def character_support(d: Diagram, cap: int = DEFAULT_CAP) -> frozenset:
     """Set of weight monomials of the diagrams below ``d``, without ranks."""
     check_cap(cap)
-    return frozenset(monomial(w) for w in _kernels.weight_support(d.columns, d.n, cap))
+    weights = _kernels.weight_support(d.columns, d.n, cap)
+    return frozenset(monomial(w.to_bytes(d.n, "little")) for w in weights)
 
 
 @lru_cache(maxsize=4096)
 def _character(columns, n: int, cap: int) -> Polynomial:
     # one member per multiset of choices; a class of one has coefficient 1
     classes = _kernels.group_by_weight(columns, n, cap)
-    multi = [weight for weight, members in classes.items() if len(members) > 1]
+    multi = {weight for weight, members in classes.items() if len(members) > 1}
     dims = _dimensions(columns, multi) if multi else {}
     terms = {}
     for weight, members in classes.items():
+        exponents = tuple(weight.to_bytes(n, "little"))
         coeff = 1 if len(members) == 1 else dims.get(weight, 0)
         if coeff < 1:
-            raise AssertionError(f"weight {weight} produced rank {coeff}")
-        # weights are distinct nonnegative length-n tuples, so their trims are too
-        terms[_trim(weight)] = coeff
+            raise AssertionError(f"weight {exponents} produced rank {coeff}")
+        # distinct weights unpack to distinct length-n tuples, so their trims are distinct too
+        terms[_trim(exponents)] = coeff
     return Polynomial(terms)
 
 

@@ -396,17 +396,25 @@ def test_module_entry_point():
 
 
 @pytest.mark.parametrize(
-    "fields",
-    [{"shard_cursor": "3", "checked": 3}, {"shard_cursor": 99, "checked": -5}],
-    ids=["string-cursor", "negative-count"],
+    "fields, message",
+    [
+        ({"shard_cursor": "3", "checked": 3}, "shard_cursor and checked must be equal counts"),
+        ({"shard_cursor": 99, "checked": -5}, "shard_cursor and checked must be equal counts"),
+        ({"shard_cursor": 99, "checked": 99}, "shard_cursor 99 is past the family's 16 instances"),
+        ({"cap": "5"}, "cap must be a count"),
+        ({"cap": None}, "cap must be a count"),
+    ],
+    ids=["string-cursor", "negative-count", "cursor-past-the-end", "string-cap", "null-cap"],
 )
-def test_malformed_checkpoint_exits_2(capsys, tmp_path, fields):
+def test_malformed_checkpoint_exits_2(capsys, tmp_path, fields, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
         "check": "lower_bound",
         "family": "AllDiagrams(n=2, max_boxes=None)",
         "ctx": {"support_only": True},
         "cap": 200000,
+        "shard_cursor": 8,
+        "checked": 8,
         "findings": [],
         **fields,
     }))
@@ -415,4 +423,5 @@ def test_malformed_checkpoint_exits_2(capsys, tmp_path, fields):
         "--support-only", "--checkpoint", str(path),
     )
     assert (code, out) == (2, "")
-    assert "shard_cursor and checked must be equal counts" in err
+    assert message in err
+

@@ -70,6 +70,8 @@ def test_column_ideal_matches_brute_force(col):
     assert set(out) == brute_column_ideal(col)
     assert len(set(out)) == len(out)
     assert _core_py.count_column_ideal(col) == len(out)
+    weights = [int.from_bytes(bytes(_core_py.weight_of_columns((c,), 6)), "little") for c in out]
+    assert _core_py.column_weights(col) == tuple(weights)
 
 
 @given(columns)
@@ -134,19 +136,19 @@ def test_bareiss_big_integers():
 
 @given(diagrams)
 def test_grouping_matches_enumerated_weights(d):
-    """The enumerated weights, with one member per multiset of (column, choice) pairs."""
+    """The enumerated weights, packed one byte per row, with one member per multiset of (column, choice) pairs."""
     weights = set()
     expected = {}
     seen = set()
     for below in enumerate_below(d):
-        weight = _core_py.weight_of_columns(below.columns, d.n)
+        weight = int.from_bytes(bytes(_core_py.weight_of_columns(below.columns, d.n)), "little")
         weights.add(weight)
         choices = tuple(sorted(zip(d.columns, below.columns)))
         if choices not in seen:
             seen.add(choices)
             expected.setdefault(weight, []).append(below.columns)
     grouped = _core_py.group_by_weight(d.columns, d.n, 10**6)
-    assert set(grouped) == weights
+    assert set(grouped) == weights == _core_py.weight_support(d.columns, d.n, 10**6)
     # list values, so each class's member order is compared too
     assert grouped == expected
 
@@ -167,8 +169,10 @@ def test_grouping_caps_the_diagrams_below_not_the_members_listed():
         lambda: _core_py.group_by_weight(((1, 3), (2, 3), (2, 4)), 4, 10**6),
         lambda: _core_py.column_det((2, 3, 4), (1, 2, 3)),
         lambda: _core_py.column_ideal.__wrapped__((2, 3, 4)),
+        lambda: _core_py.column_weights.__wrapped__((2, 3, 4)),
+        lambda: _core_py.weight_support(((1, 3), (2, 3), (2, 4)), 4, 10**6),
     ],
-    ids=["group_by_weight", "column_det", "column_ideal"],
+    ids=["group_by_weight", "column_det", "column_ideal", "column_weights", "weight_support"],
 )
 def test_kernels_leave_no_reference_cycles(call):
     """A kernel's buffers are freed on return, not left for the cyclic collector."""

@@ -878,6 +878,11 @@ GOOD_FINDING = {"instance_index": 3, "instance": "{}", "lhs": "1", "rhs": "2", "
         ("findings", ["violation"]),
         ("findings", [{k: v for k, v in GOOD_FINDING.items() if k != "witness"}]),
         ("findings", [dict(GOOD_FINDING, severity="warning")]),
+        ("cap", "5"),
+        ("cap", None),
+        ("cap", True),
+        ("cap", -1),
+        ("cap", 5.0),
     ],
 )
 @pytest.mark.parametrize("support_only", [True, False], ids=["grid-runs", "instance-runs"])
@@ -891,6 +896,48 @@ def test_malformed_checkpoint_is_refused(tmp_path, field, value, support_only):
     with pytest.raises(ValueError, match=field.replace("shard_cursor", "shard_cursor and checked")):
         verify_lower_bound(fam, support_only=support_only, checkpoint_path=str(path))
     assert path.exists()
+
+
+FAMILIES = [
+    all_diagrams(2),
+    all_diagrams(3, max_boxes=2),
+    all_rothe(3),
+    all_skyline(1, 3),
+    explicit_list([diagram([(1,)]), diagram([(1, 2)])]),
+    verify.DiagramFamily(kind="permutations", n=4),
+    verify.DiagramFamily(kind="compositions", max_part=2, max_len=2),
+]
+
+
+def test_family_size_counts_its_instances():
+    for fam in FAMILIES:
+        assert fam.size() == sum(1 for _ in fam.instances()), fam
+
+
+@pytest.mark.parametrize(
+    "check, fam, ctx",
+    [
+        ("lower_bound", all_diagrams(2), {"cap": DEFAULT_CAP, "support_only": True}),
+        ("upper_bound", all_diagrams(2), {"cap": DEFAULT_CAP, "northwest_pattern": None, "general_pattern": None}),
+        ("lower_bound", all_diagrams(3, max_boxes=2), {"cap": DEFAULT_CAP, "support_only": True}),
+        ("lower_bound", all_rothe(3), {"cap": DEFAULT_CAP, "support_only": False}),
+        ("lower_bound", all_skyline(1, 3), {"cap": DEFAULT_CAP, "support_only": False}),
+        ("lower_bound", FAMILIES[4], {"cap": DEFAULT_CAP, "support_only": False}),
+    ],
+    ids=["grid-runs", "instance-runs", "max-boxes", "rothe", "skyline", "explicit"],
+)
+def test_checkpoint_cursor_past_the_family_is_refused(tmp_path, check, fam, ctx):
+    """A cursor past the family's end is refused before the walk; one at its end resumes to the full report."""
+    path = tmp_path / "cursor.json"
+    size = fam.size()
+    verify._write_checkpoint(str(path), check, fam, ctx, size + 1, size + 1, [])
+    with pytest.raises(ValueError, match=f"shard_cursor {size + 1} is past the family's {size} instances"):
+        run_check(check, fam, ctx, checkpoint_path=str(path))
+    assert path.exists()
+    verify._write_checkpoint(str(path), check, fam, ctx, size, size, [])
+    resumed = run_check(check, fam, ctx, checkpoint_path=str(path))
+    assert resumed.checked == size and not resumed.truncated
+    assert not path.exists()
 
 
 def test_well_formed_checkpoint_fields_are_accepted(tmp_path):

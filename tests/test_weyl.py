@@ -1,4 +1,5 @@
 """Character engine: determinants, ranks of spans, and full characters."""
+import hashlib
 import importlib.util
 import itertools
 from functools import lru_cache
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylchar import _kernels, weyl
+from weylchar.cli import main
 from weylchar.diagrams import (
     DEFAULT_CAP,
     CapExceeded,
@@ -178,7 +180,6 @@ def test_characters_share_minors(monkeypatch):
 
     def cold():
         weyl._character.cache_clear()
-        weyl._minor.cache_clear()
         weyl._packed_minor.cache_clear()
         weyl._factors.cache_clear()
         calls.clear()
@@ -201,7 +202,6 @@ def test_determinant_product_is_the_engine_product():
     """Every pair (WORKED, c), c below WORKED, as the engine keys, expands and multiplies it."""
     columns = column_multiset(WORKED)
     assert columns + ((),) == WORKED.columns
-    width = len(columns).bit_length()
     pairs = 0
     for members in weyl._kernels.group_by_weight(columns, WORKED.n, DEFAULT_CAP).values():
         for member in members:
@@ -209,11 +209,10 @@ def test_determinant_product_is_the_engine_product():
             expected = YPolynomial({(): 1})
             for dcol, ccol in zip(WORKED.columns, c.columns):
                 expected = expected * column_determinant(dcol, ccol)
-            key = weyl._member_key(columns, member, width)
-            packed = weyl._expand(key, width, {})
-            expanded = YPolynomial({weyl._unpack(k, width): v for k, v in packed.items()})
-            assert determinant_product(WORKED, c) == expanded == expected
-            assert YPolynomial(weyl._product(columns, member)) == expected
+            key = weyl._member_key(columns, member)
+            packed = weyl._expand(key, {})
+            assert determinant_product(WORKED, c) == expected
+            assert packed == pack(expected.terms)
             assert key[2] == min(packed)
             pairs += 1
     assert pairs == count_below(WORKED)
@@ -225,14 +224,12 @@ def test_grown_keys_are_the_member_keys():
     cases += list(grid_multisets(4))[1::97]
     blocks = 0
     for columns in cases:
-        width = len(columns).bit_length()
         spaces = {0: [weyl._ONE]}
         for col in columns:
-            spaces = weyl._grow(spaces, col, width)
+            spaces = weyl._grow(spaces, col)
         expected = {}
         for weight, members in _kernels.group_by_weight(columns, 4, DEFAULT_CAP).items():
-            packed = int.from_bytes(bytes(weight), "little")
-            expected[packed] = {weyl._member_key(columns, m, width) for m in members}
+            expected[weight] = {weyl._member_key(columns, m) for m in members}
         assert {w: set(keys) for w, keys in spaces.items()} == expected, columns
         blocks += sum(len(key[1]) > 1 for keys in expected.values() for key in keys)
     assert blocks > 0  # some products merge blocks from two minors
@@ -244,12 +241,12 @@ def test_factored_minors_are_the_minors():
     for mask in range(1, 2 ** 6):
         d = tuple(i for i in range(1, 7) if mask >> (i - 1) & 1)
         for c in _kernels.column_ideal(d):
-            for width in (1, 3):
-                key = mono, blocks, lead = weyl._factors(d, c, width)
-                minor = weyl._packed_minor(d, c, width)
-                assert weyl._expand(key, width, {}) == minor, (d, c, width)
-                assert lead == min(minor)
-                assert list(blocks) == sorted(blocks) and all(len(b[0]) > 1 for b in blocks)
+            key = mono, blocks, lead = weyl._factors(d, c)
+            minor = weyl._packed_minor(d, c)
+            assert weyl._expand(key, {}) == minor, (d, c)
+            assert minor == pack(_kernels.column_det(d, c))
+            assert lead == min(minor)
+            assert list(blocks) == sorted(blocks) and all(len(b[0]) > 1 for b in blocks)
             cells += 1
             larger += bool(blocks)
     assert (cells, larger) == (428, 196)
@@ -285,6 +282,11 @@ def reference_product(columns, member):
     for dcol, ccol in zip(columns, member):
         acc = _kernels.ymul(acc, reference_minor(dcol, ccol))
     return acc
+
+
+def pack(terms):
+    """Terms keyed by (i, j) positions, packed as the engine packs them: y_ij in byte ``_field(i, j)``."""
+    return {sum(1 << 8 * weyl._field(i, j) for i, j in key): coeff for key, coeff in terms.items()}
 
 
 def reference_rank(polys):
@@ -414,24 +416,21 @@ def test_dense_sample_ranks_match_the_dense_bareiss_reference():
     classes = 0
     for d in workloads.dense_sample_5grid(1, 0, workloads.SMOKE_DENSE_QUOTA):
         columns = column_multiset(d)
-        width = len(columns).bit_length()
         for members in _kernels.group_by_weight(columns, d.n, DEFAULT_CAP).values():
             if len(members) > 1:
-                packed = [weyl._packed_product(columns, m, width) for m in members]
+                packed = [weyl._expand(weyl._member_key(columns, m), {}) for m in members]
                 expected = reference_rank([reference_product(columns, m) for m in members])
                 assert coefficient_rank(packed) == expected, (columns, members)
                 classes += 1
     assert classes > 1000
 
 
-def unpacked_products(columns, n):
-    """Every member's product below ``columns`` as the engine packs it, unpacked."""
-    width = len(columns).bit_length()
+def packed_products(columns, n):
+    """Every member's product below ``columns`` as the engine packs it."""
     out = {}
     for members in _kernels.group_by_weight(columns, n, DEFAULT_CAP).values():
         for m in members:
-            packed = weyl._packed_product(columns, m, width)
-            out[m] = {weyl._unpack(key, width): coeff for key, coeff in packed.items()}
+            out[m] = weyl._expand(weyl._member_key(columns, m), {})
     return out
 
 
@@ -444,37 +443,48 @@ def test_an_exponent_may_reach_the_column_count():
     # every product of minors below three columns (1, 3) has the factor y11^3
     columns = ((1, 3),) * 3
     assert weyl._character.__wrapped__(columns, 3, DEFAULT_CAP) == reference_character(columns, 3)
-    for member, product in unpacked_products(columns, 3).items():
-        assert product == reference_product(columns, member)
+    for member, product in packed_products(columns, 3).items():
+        assert product == pack(reference_product(columns, member))
 
 
-def test_a_weight_count_fills_its_byte_and_never_carries():
-    """Weights pack one byte per row: 255 equal columns fit, 256 raise rather than carry into row 2."""
-    assert weyl._dimensions(((1,),) * 255, [(255, 0)]) == {(255, 0): 1}
-    with pytest.raises(ValueError, match="256 columns"):
-        weyl._dimensions(((1,),) * 256, [(0, 1)])
+def test_a_weight_count_fills_its_byte_and_never_carries(capsys):
+    """Counts pack one byte per field: 255 equal columns fit, 256 non-empty ones raise rather than carry."""
+    columns = ((1,),) * 255
+    assert weyl._dimensions(columns, {255}) == {255: 1}
+    # y11^255 fills the y11 byte, and nothing carries into y12's
+    assert weyl._member_key(columns, columns)[0] == 255
+    assert render(dual_character(diagram(columns))) == "x1^255"
+    full = diagram([(1,)] * 256)
+    for engine in (dual_character, character_support):
+        with pytest.raises(ValueError, match="256 non-empty columns"):
+            engine(full)
+    assert main(["chi", ";".join(["1"] * 256)]) == 2
+    assert "256 non-empty columns" in capsys.readouterr().err
+    # empty columns do not count
+    assert render(dual_character(diagram([(1,)], n=300))) == "x1"
+
+
+def test_grid_4_characters_keep_their_digest():
+    """Every 4-grid column multiset's character, term order included, hashes as it always has."""
+    table = [tuple(i for i in range(1, 5) if bits >> (i - 1) & 1) for bits in range(16)]
+    grids = itertools.combinations_with_replacement(table, 4)
+    characters = [list(dual_character(diagram(columns, 4)).terms.items()) for columns in grids]
+    assert len(characters) == 3876
+    digest = hashlib.sha256(repr(characters).encode()).hexdigest()
+    assert digest == "2295d9472bd09e77bb971f6d243a1114ce9523f980d55955c66590a21ea872b6"
 
 
 def test_packed_minors_are_shared_across_grid_sizes():
     """The packed layout does not depend on n, so the same multiset at another n packs no minor afresh."""
     weyl._packed_minor.cache_clear()
     columns = ((1, 3), (2, 3))
-    unpacked_products(columns, 3)
+    packed_products(columns, 3)
     misses = weyl._packed_minor.cache_info().misses
     assert misses > 0
-    products = unpacked_products(columns, 5)
+    products = packed_products(columns, 5)
     assert weyl._packed_minor.cache_info().misses == misses
     for member, product in products.items():
-        assert product == reference_product(columns, member), member
-
-
-def test_packed_minors_are_not_reused_across_widths():
-    """The same minors read with another column count pack afresh."""
-    weyl._packed_minor.cache_clear()
-    columns = ((1, 3), (2, 3))
-    for more in (columns, columns + ((2, 3), (3,)), columns + ((3,),), columns * 4):
-        for member, product in unpacked_products(more, 3).items():
-            assert product == reference_product(more, member), (more, member)
+        assert product == pack(reference_product(columns, member)), member
 
 
 GRID4_COLUMNS = [tuple(i for i in range(1, 5) if mask >> (i - 1) & 1) for mask in range(1, 16)]
