@@ -64,8 +64,6 @@ from weylchar.verify import (
 from weylchar.weyl import (
     character_support,
     coefficient_rank,
-    column_determinant,
-    determinant_product,
     dual_character,
 )
 

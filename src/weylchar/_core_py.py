@@ -1,19 +1,23 @@
 """Kernels for the hot inner loops of the character engine.
 
 Callers reach them through ``weylchar._kernels``.  Everything here works
-on plain tuples and ints:
+on plain tuples and ints, and this module decides both byte layouts:
 
 * a column is a strictly increasing tuple of 1-based row indices;
 * a weight, as the grouping and support kernels return it, is one int
   with a byte per row: the exponent of row i is byte i - 1, so adding
   two weights adds their exponents, and a weight on ``n`` rows unpacks
   as ``tuple(w.to_bytes(n, "little"))``;
-* a product of matrix indeterminates y_ij is a sorted tuple of their
-  positions ``(i, j)``, one entry per factor.
+* a monomial in the matrix indeterminates y_ij, i <= j, is one int with
+  a byte per position: the exponent of y_ij is byte ``field(i, j)``, so
+  multiplying two monomials adds their ints.  A polynomial is a dict
+  from such ints to nonzero integer coefficients.
 
-Kernels raise ``CapExceeded`` when an enumeration grows past its cap,
-and the weight kernels raise ``ValueError`` on 256 or more non-empty
-columns, whose counts could carry into the next row's byte.
+A product of m minors has every exponent at most m, since each term of
+a minor is squarefree, and the weight kernels raise ``ValueError`` on
+256 or more non-empty columns, whose counts could carry into the next
+byte; so no byte of either layout carries.  Kernels raise
+``CapExceeded`` when an enumeration grows past its cap.
 """
 from functools import lru_cache
 
@@ -96,8 +100,8 @@ def weight_of_columns(columns, n):
     return tuple(w)
 
 
-def weight_support(columns, n, cap):
-    """Set of packed weights of the diagrams below ``columns``, on ``n`` rows.
+def weight_support(columns, cap):
+    """Set of packed weights of the diagrams below ``columns``.
 
     Runs a set-valued DP over columns instead of walking the full
     product of column ideals; ``cap`` bounds the intermediate set size.
@@ -117,7 +121,7 @@ def weight_support(columns, n, cap):
     return acc
 
 
-def group_by_weight(columns, n, cap):
+def group_by_weight(columns, cap):
     """Group the diagrams below ``columns`` by weight, one per multiset of choices.
 
     Returns ``{packed weight: [member, ...]}`` where each member is a tuple of
@@ -158,39 +162,49 @@ def group_by_weight(columns, n, cap):
     return out
 
 
+def field(i, j):
+    """Byte of y_ij, i <= j, in a packed y-monomial: positions numbered column by column.
+
+    The order is y11, y12, y22, y13, ..., so a position's byte does not
+    depend on the grid size.
+    """
+    return j * (j - 1) // 2 + i - 1
+
+
 def column_det(dcol, ccol):
     """Determinant of the upper-triangular submatrix with rows ``ccol``, columns ``dcol``.
 
     Expanded as a signed sum over permutations, skipping structurally
-    zero entries (row index above column index).  Keys are sorted tuples
-    of positions ``(i, j)``; values are the signs.
+    zero entries (row index above column index).  Keys are packed
+    y-monomials; values are the signs.
     """
     k = len(dcol)
     if len(ccol) != k:
         raise ValueError(f"submatrix is not square: {len(ccol)} rows, {k} columns")
-    # a level per row: (pairs so far, bitmask of the columns used, sign);
+    # a level per row: (monomial so far, bitmask of the columns used, sign);
     # each used column right of the one chosen adds an inversion
-    level = [((), 0, 1)]
+    level = [(0, 0, 1)]
     for i in ccol:
+        options = [(b, 1 << 8 * field(i, j)) for b, j in enumerate(dcol) if i <= j]
         level = [
-            (pairs + ((i, j),), used | 1 << b, -sign if (used >> b).bit_count() & 1 else sign)
-            for pairs, used, sign in level
-            for b, j in enumerate(dcol)
-            if i <= j and not used >> b & 1
+            (mono + y, used | 1 << b, -sign if (used >> b).bit_count() & 1 else sign)
+            for mono, used, sign in level
+            for b, y in options
+            if not used >> b & 1
         ]
-    # each permutation gives its own key, so no two terms cancel
-    return {pairs: sign for pairs, _, sign in level}
+    # each permutation gives its own monomial, so no two terms cancel
+    return {mono: sign for mono, _, sign in level}
 
 
 def ymul(a, b):
-    """Product of two polynomials in the matrix indeterminates."""
+    """Product of two polynomials in packed y-monomials."""
     out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = tuple(sorted(ka + kb))
-            c = out.get(key, 0) + va * vb
-            out[key] = c
-    return {key: v for key, v in out.items() if v}
+    get = out.get
+    for kb, vb in b.items():
+        for ka, va in a.items():
+            k = ka + kb
+            out[k] = get(k, 0) + va * vb
+    return {k: v for k, v in out.items() if v}
 
 
 def bareiss_rank(rows):

@@ -14,6 +14,7 @@ from weylchar._core_py import (
     column_ideal,
     column_weights,
     count_column_ideal,
+    field,
     group_by_weight,
     rank_columns,
     weight_of_columns,

@@ -22,7 +22,13 @@ DEFAULT_CAP = 10**7
 
 
 def check_cap(cap: int) -> None:
-    """Refuse a negative enumeration cap: it is a usage error, not an overflow."""
+    """Refuse a cap that is not an int, or is negative: it is a usage error, not an overflow.
+
+    A bool is refused too, so that a checkpoint never records ``true``
+    for the cap, which its own rerun could not read back as a count.
+    """
+    if type(cap) is not int:
+        raise ValueError(f"cap must be an integer, got {cap!r}")
     if cap < 0:
         raise ValueError(f"cap must be at least 0, got {cap}")
 

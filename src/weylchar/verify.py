@@ -354,7 +354,7 @@ def _show_instance(payload) -> str:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=4096)
-def _support_and_bound(columns, n, cap) -> tuple:
+def _support_and_bound(columns, cap) -> tuple:
     """``(len(character_support(d, cap)), rank(d) + 1)`` for any ``d`` with this column multiset.
 
     The weight set is a Minkowski sum over the columns, so it does not
@@ -367,7 +367,7 @@ def _support_and_bound(columns, n, cap) -> tuple:
     no monomials built.  The rank is a sum over the columns, so one
     lookup serves the whole lower-bound comparison.
     """
-    return len(_kernels.weight_support(columns, n, cap)), _kernels.rank_columns(columns) + 1
+    return len(_kernels.weight_support(columns, cap)), _kernels.rank_columns(columns) + 1
 
 
 @lru_cache(maxsize=4096)
@@ -387,7 +387,7 @@ def _order_free(value, columns, n):
 
 def _check_lower_bound(idx, d, ctx):
     findings = []
-    support, bound = _support_and_bound(column_multiset(d), d.n, ctx["cap"])
+    support, bound = _support_and_bound(column_multiset(d), ctx["cap"])
     if support < bound:
         findings.append(Finding(idx, _show_instance(d), str(support), str(bound), "distinct weights below the bound"))
     if not ctx.get("support_only"):
@@ -665,14 +665,14 @@ class _SupportVerdicts(dict):
     module-level ``_support_and_bound``, once per multiset a sweep meets.
     """
 
-    def __init__(self, column, n, cap):
+    def __init__(self, column, cap):
         super().__init__()
-        self.column, self.n, self.cap = column, n, cap
+        self.column, self.cap = column, cap
 
     def __missing__(self, ids):
         columns = tuple(sorted(self.column[i] for i in ids if i))
         try:
-            support, bound = _support_and_bound(columns, self.n, self.cap)
+            support, bound = _support_and_bound(columns, self.cap)
             needed = support < bound
         except CapExceeded:
             needed = True
@@ -680,14 +680,13 @@ class _SupportVerdicts(dict):
         return needed
 
 
-def _instance_runs(family, shard, nshards, start):
-    """Runs of one instance each, every ``nshards``-th from index ``shard`` on, from ``start``."""
-    for idx, payload in family.instances():
-        if idx >= start and idx % nshards == shard:
-            yield idx, 1, ((idx, payload),)
+def _instance_runs(family, first, nshards):
+    """Runs of one instance each, every ``nshards``-th from index ``first`` on."""
+    for idx, payload in itertools.islice(family.instances(), first, None, nshards):
+        yield idx, 1, ((idx, payload),)
 
 
-def _support_grid_runs(family, ctx, shard, nshards, start):
+def _support_grid_runs(family, ctx, first, nshards):
     """Runs of ``CHUNK`` instances of a support-only lower bound on a grid, as ``_instance_runs``.
 
     The diagrams stream as tuples of column ids through C-level
@@ -697,8 +696,7 @@ def _support_grid_runs(family, ctx, shard, nshards, start):
     """
     n = family.n
     column = _grid_columns(n)
-    needed = _SupportVerdicts(column, n, ctx["cap"])
-    first = start + (shard - start) % nshards
+    needed = _SupportVerdicts(column, ctx["cap"])
     grids = itertools.islice(_grid_product(family, range(1 << n)), first, None, nshards)
     while block := list(itertools.islice(grids, CHUNK)):
         picked = itertools.compress(range(len(block)), map(needed.__getitem__, map(tuple, map(sorted, block))))
@@ -741,10 +739,12 @@ def _walk(check_name, family, ctx, shard, nshards, checkpoint_path):
             _write_checkpoint(checkpoint_path, check_name, family, ctx, cursor, checked, findings, elapsed_s)
             saved = time.perf_counter()
 
+    # this shard's first index at or after the cursor
+    origin = start + (shard - start) % nshards
     if check_name == "lower_bound" and ctx.get("support_only") and family.kind == "all_diagrams":
-        runs = _support_grid_runs(family, ctx, shard, nshards, start)
+        runs = _support_grid_runs(family, ctx, origin, nshards)
     else:
-        runs = _instance_runs(family, shard, nshards, start)
+        runs = _instance_runs(family, origin, nshards)
     for first, size, instances in runs:
         for idx, payload in instances:
             try:
@@ -779,6 +779,8 @@ def run_check(
     if check_name not in _CHECKS:
         raise ValueError(f"unknown check {check_name!r}")
     check_cap(ctx["cap"])
+    if type(workers) is not int:
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if workers > 1 and checkpoint_path:

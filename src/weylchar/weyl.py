@@ -15,127 +15,17 @@ from weylchar.diagrams import DEFAULT_CAP, Diagram, check_cap, column_multiset
 from weylchar.polynomials import Polynomial, _trim, monomial
 
 __all__ = [
-    "YPolynomial",
-    "column_determinant",
-    "determinant_product",
     "coefficient_rank",
     "character_support",
     "dual_character",
 ]
 
 
-class YPolynomial:
-    """Integer combination of monomials in indeterminates y_ij, i <= j.
-
-    Terms map a sorted tuple of positions (i, j), one per factor, to a
-    nonzero integer coefficient.  This is the public form of a product
-    of minors; the character engine itself keeps products factored (see
-    ``_factors``), so the surface is minimal.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def __eq__(self, other):
-        if not isinstance(other, YPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __mul__(self, other):
-        if not isinstance(other, YPolynomial):
-            return NotImplemented
-        return YPolynomial(_kernels.ymul(self.terms, other.terms))
-
-    def is_zero(self):
-        return not self.terms
-
-    def render(self) -> str:
-        """Human form with factors like y12 and terms in ascending key order.
-
-        >>> y = YPolynomial({((1, 1), (2, 3)): 1})
-        >>> y.render()
-        'y11*y23'
-        """
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms):
-            coeff = self.terms[key]
-            pieces = []
-            for pair in key:
-                if pieces and pieces[-1][0] == pair:
-                    pieces[-1][1] += 1
-                else:
-                    pieces.append([pair, 1])
-            factors = "*".join(
-                f"y{i}{j}" if e == 1 else f"y{i}{j}^{e}" for (i, j), e in pieces
-            )
-            factors = factors or "1"
-            if not parts:
-                lead = "" if coeff == 1 else "-" if coeff == -1 else f"{coeff}*"
-                parts.append(f"{lead}{factors}")
-            else:
-                sign = " + " if coeff > 0 else " - "
-                mag = abs(coeff)
-                body = factors if mag == 1 else f"{mag}*{factors}"
-                parts.append(f"{sign}{body}")
-        return "".join(parts)
-
-    def __repr__(self):
-        return f"YPolynomial<{self.render()}>"
-
-
-def column_determinant(dcol, ccol) -> YPolynomial:
-    """Minor of the upper-triangular y matrix on rows ``ccol``, columns ``dcol``.
-
-    Both arguments are strictly increasing row-index tuples of equal
-    size; a size mismatch is an error.
-    """
-    return YPolynomial(_kernels.column_det(tuple(dcol), tuple(ccol)))
-
-
-def determinant_product(d: Diagram, c: Diagram) -> YPolynomial:
-    """Product over columns j of the minor pairing column j of ``d`` and of ``c``."""
-    if c.n != d.n:
-        raise ValueError("diagrams must live on the same grid")
-    product = YPolynomial({(): 1})
-    for dcol, ccol in zip(d.columns, c.columns):
-        product = product * column_determinant(dcol, ccol)
-    return product
-
-
-# Packed y-monomials.  Inside a product of m minors a monomial in the
-# y_ij, i <= j, is one int: position (i, j) owns byte ``_field(i, j)``,
-# holding the exponent of y_ij, so multiplying two monomials adds their
-# ints.  Each term of a minor is squarefree, so no exponent of the
-# product exceeds m, which the weight kernels keep below 256, and no
-# byte carries into the next.  Fields are numbered column by column, so
-# a position's field does not depend on the grid size.
-
-def _field(i, j) -> int:
-    """Index of (i, j), i <= j, among the upper-triangular positions numbered column by column."""
-    return j * (j - 1) // 2 + i - 1
-
-
 # one memo for the whole process; the dict it returns is shared, so never mutate it
 @lru_cache(maxsize=4096)
-def _packed_minor(dcol, ccol) -> dict:
-    terms = {}
-    for key, coeff in _kernels.column_det(dcol, ccol).items():
-        packed = 0
-        for i, j in key:
-            packed += 1 << 8 * _field(i, j)
-        terms[packed] = coeff
-    return terms
+def _minor(dcol, ccol) -> dict:
+    """The minor on rows ``ccol``, columns ``dcol``, in packed y-monomials, as ``column_det`` expands it."""
+    return _kernels.column_det(dcol, ccol)
 
 
 # Factored products.  The minor on rows c, columns d, c <= d, is block
@@ -160,11 +50,11 @@ def _factors(dcol, ccol) -> tuple:
         if a < last and ccol[a + 1] <= dcol[a]:
             continue
         if a == start:
-            mono += 1 << 8 * _field(ccol[a], dcol[a])
+            mono += 1 << 8 * _kernels.field(ccol[a], dcol[a])
         else:
             block = (dcol[start:a + 1], ccol[start:a + 1])
             blocks.append(block)
-            lead += min(_packed_minor(*block))
+            lead += min(_minor(*block))
         start = a + 1
     return mono, tuple(sorted(blocks)), mono + lead
 
@@ -186,22 +76,11 @@ def _expand(key, memo) -> dict:
     mono, blocks, _ = key
     terms = memo.get(blocks)
     if terms is None:
-        terms = _packed_minor(*blocks[0]) if blocks else {0: 1}
+        terms = _minor(*blocks[0]) if blocks else {0: 1}
         for dcol, ccol in blocks[1:]:
-            terms = _ymul(terms, _packed_minor(dcol, ccol))
+            terms = _kernels.ymul(terms, _minor(dcol, ccol))
         memo[blocks] = terms
     return {k + mono: v for k, v in terms.items()}
-
-
-def _ymul(a, b) -> dict:
-    """Product of two packed polynomials."""
-    out = {}
-    get = out.get
-    for kb, vb in b.items():
-        for ka, va in a.items():
-            k = ka + kb
-            out[k] = get(k, 0) + va * vb
-    return {k: v for k, v in out.items() if v}
 
 
 def _member_key(columns, member) -> tuple:
@@ -256,10 +135,11 @@ def _independent(polys) -> list:
 def coefficient_rank(polys) -> int:
     """Rank of the integer span of the given y-polynomials.
 
-    Each is a ``YPolynomial`` or a dict of terms whose monomial keys are
-    totally ordered; the rank is the number of them ``_independent`` keeps.
+    Each is a dict of terms whose monomial keys are totally ordered, such
+    as packed y-monomials; the rank is the number of them ``_independent``
+    keeps.
     """
-    return len(_independent([getattr(p, "terms", p) for p in polys]))
+    return len(_independent(polys))
 
 
 def _grow(spaces, col, wanted=None) -> dict:
@@ -339,14 +219,14 @@ def _basis(keys, memo) -> list:
 def character_support(d: Diagram, cap: int = DEFAULT_CAP) -> frozenset:
     """Set of weight monomials of the diagrams below ``d``, without ranks."""
     check_cap(cap)
-    weights = _kernels.weight_support(d.columns, d.n, cap)
+    weights = _kernels.weight_support(d.columns, cap)
     return frozenset(monomial(w.to_bytes(d.n, "little")) for w in weights)
 
 
 @lru_cache(maxsize=4096)
 def _character(columns, n: int, cap: int) -> Polynomial:
     # one member per multiset of choices; a class of one has coefficient 1
-    classes = _kernels.group_by_weight(columns, n, cap)
+    classes = _kernels.group_by_weight(columns, cap)
     multi = {weight for weight, members in classes.items() if len(members) > 1}
     dims = _dimensions(columns, multi) if multi else {}
     terms = {}
@@ -370,6 +250,17 @@ def dual_character(d: Diagram, cap: int = DEFAULT_CAP) -> Polynomial:
     minors and leaves every weight class's span unchanged, while an
     empty column contributes the factor 1.  The cap check is order-free
     too: the cap bounds the product of the column-ideal sizes.
+
+    The worked example of the paper, rows {1, 3} and {2, 3} in the first
+    two columns of the 3-grid:
+
+    >>> from weylchar.diagrams import parse_diagram_inline
+    >>> from weylchar.polynomials import principal_specialization, render
+    >>> chi = dual_character(parse_diagram_inline("1,3;2,3;"))
+    >>> render(chi)
+    'x1*x2*x3^2 + x1^2*x3^2 + x1*x2^2*x3 + 2*x1^2*x2*x3 + x1^2*x2^2'
+    >>> principal_specialization(chi)
+    6
     """
     check_cap(cap)
     return _character(column_multiset(d), d.n, cap)

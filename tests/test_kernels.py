@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import weylchar
 from weylchar import _core_py, _kernels
 from weylchar.diagrams import Diagram, count_below, enumerate_below
-from weylchar.weyl import column_determinant
 
 columns = st.lists(st.integers(1, 6), max_size=4, unique=True).map(
     lambda xs: tuple(sorted(xs))
@@ -28,6 +27,11 @@ diagrams = st.integers(1, 4).flatmap(
         *[st.sets(st.integers(1, n)).map(lambda rows: tuple(sorted(rows)))] * n
     ).map(lambda cols: Diagram(cols, n))
 )
+
+
+def pack(terms):
+    """Terms keyed by lists of positions (i, j), one per factor, packed with y_ij in byte j(j - 1)/2 + i - 1."""
+    return {sum(1 << 8 * (j * (j - 1) // 2 + i - 1) for i, j in key): coeff for key, coeff in terms.items()}
 
 
 def brute_column_ideal(col):
@@ -85,8 +89,8 @@ def test_column_ideal_sorted_by_invlex(col):
 
 def test_weight_support_equals_enumerated_weights():
     cols = ((1, 3), (2, 3), ())
-    support = _core_py.weight_support(cols, 3, 10**6)
-    groups = _core_py.group_by_weight(cols, 3, 10**6)
+    support = _core_py.weight_support(cols, 10**6)
+    groups = _core_py.group_by_weight(cols, 10**6)
     assert support == set(groups)
     assert sum(len(v) for v in groups.values()) == 6
 
@@ -94,9 +98,9 @@ def test_weight_support_equals_enumerated_weights():
 def test_caps_raise():
     cols = ((1, 3), (2, 3), ())
     with pytest.raises(_core_py.CapExceeded):
-        _core_py.group_by_weight(cols, 3, 5)
+        _core_py.group_by_weight(cols, 5)
     with pytest.raises(_core_py.CapExceeded):
-        _core_py.weight_support(cols, 3, 2)
+        _core_py.weight_support(cols, 2)
     # the kernels raise the package's own error, so no caller translates
     assert weylchar.CapExceeded is _kernels.CapExceeded is _core_py.CapExceeded
 
@@ -105,12 +109,12 @@ def test_column_det_known_minor():
     # rows {1,2}, columns {1,3} of the generic upper-triangular matrix
     det = _core_py.column_det((1, 3), (1, 2))
     # y21 is below the diagonal, so only the identity term survives
-    assert det == {((1, 1), (2, 3)): 1}
+    assert det == pack({((1, 1), (2, 3)): 1})
 
 
 def test_column_det_full_antidiagonal_sign():
     det = _core_py.column_det((2, 3), (2, 3))
-    assert det == {((2, 2), (3, 3)): 1}
+    assert det == pack({((2, 2), (3, 3)): 1})
 
 
 def test_column_det_mismatch_is_error():
@@ -119,8 +123,37 @@ def test_column_det_mismatch_is_error():
 
 
 def test_column_det_keeps_large_indices_apart():
-    assert _core_py.column_det((1024,), (1,)) == {((1, 1024),): 1}
-    assert column_determinant((1023,), (1,)).render() == "y11023"
+    assert _core_py.column_det((1024,), (1,)) == pack({((1, 1024),): 1})
+    assert _core_py.column_det((1023,), (1,)) != _core_py.column_det((23,), (11,))
+
+
+def test_column_det_is_the_leibniz_expansion():
+    """Every minor of the 5-grid is the signed sum over permutations, its positions packed by ``pack``."""
+    cols = [tuple(i for i in range(1, 6) if mask >> (i - 1) & 1) for mask in range(32)]
+    minors = 0
+    for d in cols:
+        for c in cols:
+            if len(c) != len(d):
+                continue
+            expected = {}
+            for perm in itertools.permutations(range(len(d))):
+                if all(c[a] <= d[b] for a, b in enumerate(perm)):
+                    inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+                    expected[tuple((c[a], d[b]) for a, b in enumerate(perm))] = (-1) ** inversions
+            assert _core_py.column_det(d, c) == pack(expected), (d, c)
+            # nonzero exactly when c lies below d
+            assert bool(expected) == (c in _core_py.column_ideal(d))
+            minors += bool(expected)
+    assert minors == 132
+
+
+def test_ymul_adds_exponents_and_drops_cancelled_terms():
+    # (y11 + y12)(y11 - y12) = y11^2 - y12^2: the cross terms cancel
+    a = pack({((1, 1),): 1, ((1, 2),): 1})
+    b = pack({((1, 1),): 1, ((1, 2),): -1})
+    assert _core_py.ymul(a, b) == pack({((1, 1), (1, 1)): 1, ((1, 2), (1, 2)): -1})
+    assert _core_py.ymul(a, {}) == {}
+    assert _core_py.ymul(a, {0: 1}) == a
 
 
 @given(matrices)
@@ -147,8 +180,8 @@ def test_grouping_matches_enumerated_weights(d):
         if choices not in seen:
             seen.add(choices)
             expected.setdefault(weight, []).append(below.columns)
-    grouped = _core_py.group_by_weight(d.columns, d.n, 10**6)
-    assert set(grouped) == weights == _core_py.weight_support(d.columns, d.n, 10**6)
+    grouped = _core_py.group_by_weight(d.columns, 10**6)
+    assert set(grouped) == weights == _core_py.weight_support(d.columns, 10**6)
     # list values, so each class's member order is compared too
     assert grouped == expected
 
@@ -157,20 +190,20 @@ def test_grouping_caps_the_diagrams_below_not_the_members_listed():
     d = Diagram(((2, 3), (1, 3), (2, 3), (2, 3)), 4)
     below = count_below(d)
     assert below == 3 * 2 * 3 * 3
-    members = _core_py.group_by_weight(d.columns, d.n, below)
+    members = _core_py.group_by_weight(d.columns, below)
     assert sum(len(v) for v in members.values()) == 10 * 2  # multisets of 3 from 3, times 2
     with pytest.raises(_core_py.CapExceeded):
-        _core_py.group_by_weight(d.columns, d.n, below - 1)
+        _core_py.group_by_weight(d.columns, below - 1)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: _core_py.group_by_weight(((1, 3), (2, 3), (2, 4)), 4, 10**6),
+        lambda: _core_py.group_by_weight(((1, 3), (2, 3), (2, 4)), 10**6),
         lambda: _core_py.column_det((2, 3, 4), (1, 2, 3)),
         lambda: _core_py.column_ideal.__wrapped__((2, 3, 4)),
         lambda: _core_py.column_weights.__wrapped__((2, 3, 4)),
-        lambda: _core_py.weight_support(((1, 3), (2, 3), (2, 4)), 4, 10**6),
+        lambda: _core_py.weight_support(((1, 3), (2, 3), (2, 4)), 10**6),
     ],
     ids=["group_by_weight", "column_det", "column_ideal", "column_weights", "weight_support"],
 )

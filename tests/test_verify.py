@@ -155,6 +155,18 @@ def test_negative_cap_is_refused_before_the_walk(workers):
                   {"cap": -3, "full_character_max_n": 2}, workers=workers)
 
 
+@pytest.mark.parametrize("cap", [True, False, 2.5, 2.0, "7", None])
+def test_non_integer_cap_is_refused_before_the_walk(tmp_path, cap):
+    """A run refuses the cap before it writes a checkpoint that its own rerun could not read."""
+    path = tmp_path / "ckpt.json"
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            verify_lower_bound(all_diagrams(2), cap=cap, workers=workers)
+    with pytest.raises(ValueError, match="cap must be an integer"):
+        verify_lower_bound(all_diagrams(2), cap=cap, checkpoint_path=str(path))
+    assert not path.exists()
+
+
 def test_rothe_family_matches_permutation_order():
     fam = all_rothe(3)
     expected = [rothe(w) for w in itertools.permutations((1, 2, 3))]
@@ -306,7 +318,7 @@ def _column_orders(d):
 
 
 def _support_count(d, cap):
-    return verify._support_and_bound(column_multiset(d), d.n, cap)[0]
+    return verify._support_and_bound(column_multiset(d), cap)[0]
 
 
 def test_support_count_matches_uncached_count_in_every_column_order():
@@ -351,9 +363,9 @@ def test_column_orders_share_one_support_computation(monkeypatch):
     calls = []
     support = weyl._kernels.weight_support
 
-    def counting(columns, n, cap):
+    def counting(columns, cap):
         calls.append(columns)
-        return support(columns, n, cap)
+        return support(columns, cap)
 
     monkeypatch.setattr(weyl._kernels, "weight_support", counting)
     d = diagram([(1, 3), (2, 3), (), (2,)])
@@ -361,21 +373,21 @@ def test_column_orders_share_one_support_computation(monkeypatch):
     assert _support_count(diagram([(2,), (), (2, 3), (1, 3)]), DEFAULT_CAP) == count
     assert _support_count(diagram([(), (2, 3), (2,), (1, 3)]), DEFAULT_CAP) == count
     assert len(calls) == 1
-    # the grid size and the cap stay part of the key
-    _support_count(diagram(d.columns, n=5), DEFAULT_CAP)
-    assert len(calls) == 2
+    # the cap stays part of the key; the grid size does not, since packed weights never read it
+    assert _support_count(diagram(d.columns, n=5), DEFAULT_CAP) == count
+    assert len(calls) == 1
     _support_count(d, DEFAULT_CAP - 1)
-    assert len(calls) == 3
+    assert len(calls) == 2
     # a miss that raises is not stored, so it is computed again
     for _ in range(2):
         with pytest.raises(CapExceeded):
             _support_count(d, 1)
-    assert len(calls) == 5
+    assert len(calls) == 4
     # a support-only sweep keys every column order the same way
     verify._support_and_bound.cache_clear()
     report = verify_lower_bound(explicit_list(_column_orders(d)), support_only=True)
     assert report.checked == 24
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 def _orbit_sample_4grid():
@@ -391,7 +403,7 @@ def test_memoized_values_match_their_per_diagram_functions():
     grid = [d for _, d in all_diagrams(3).instances()]
     for d in grid + list(_orbit_sample_4grid()):
         key = column_multiset(d)
-        assert verify._support_and_bound(key, d.n, DEFAULT_CAP)[1] == rank(d) + 1, d
+        assert verify._support_and_bound(key, DEFAULT_CAP)[1] == rank(d) + 1, d
         assert verify._order_free(count_below, key, d.n) == count_below(d), d
         unstable = verify._order_free(has_unstable_pair, key, d.n) is not None
         assert unstable == (has_unstable_pair(d) is not None), d
@@ -541,8 +553,14 @@ def test_key_identities_small():
 def test_run_check_validation():
     with pytest.raises(ValueError):
         run_check("nonsense", all_diagrams(2), {})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
         run_check("lower_bound", all_diagrams(2), {"cap": 10}, workers=0)
+    for workers in ("2", 1.5, 2.0, True):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            run_check("lower_bound", all_diagrams(2), {"cap": 10}, workers=workers)
+    for cap in ("7", 2.5, True, None):
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            run_check("lower_bound", all_diagrams(2), {"cap": cap})
 
 
 def test_importing_the_package_starts_no_pool_machinery():
@@ -969,8 +987,8 @@ def _flag_some_multisets(monkeypatch):
     """Raise the bound on every multiset of an odd number of boxes, so those instances are violations."""
     support_and_bound = verify._support_and_bound
 
-    def forced(columns, n, cap):
-        support, bound = support_and_bound(columns, n, cap)
+    def forced(columns, cap):
+        support, bound = support_and_bound(columns, cap)
         return support, bound + 10 ** 6 * (sum(map(len, columns)) % 2)
 
     monkeypatch.setattr(verify, "_support_and_bound", forced)

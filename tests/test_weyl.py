@@ -23,42 +23,39 @@ from weylchar.diagrams import (
 )
 from weylchar.polynomials import Polynomial, principal_specialization, render
 from weylchar.verify import all_diagrams, all_skyline
-from weylchar.weyl import (
-    YPolynomial,
-    character_support,
-    coefficient_rank,
-    column_determinant,
-    determinant_product,
-    dual_character,
-)
+from weylchar.weyl import character_support, coefficient_rank, dual_character
 
 WORKED = diagram([(1, 3), (2, 3), ()])
 
 
+def pack(terms):
+    """Terms keyed by lists of positions (i, j), one per factor, packed with y_ij in byte j(j - 1)/2 + i - 1."""
+    return {sum(1 << 8 * (j * (j - 1) // 2 + i - 1) for i, j in key): coeff for key, coeff in terms.items()}
+
+
 def test_column_determinant_triangular_pruning():
-    assert column_determinant((1, 3), (1, 3)).render() == "y11*y33"
-    assert column_determinant((2, 3), (1, 2)).render() == "y12*y23 - y13*y22"
-    assert column_determinant((), ()).render() == "1"
-
-
-def test_column_determinant_mismatch():
-    with pytest.raises(ValueError):
-        column_determinant((1, 2), (1,))
+    assert _kernels.column_det((1, 3), (1, 3)) == pack({((1, 1), (3, 3)): 1})
+    assert _kernels.column_det((2, 3), (1, 2)) == pack({((1, 2), (2, 3)): 1, ((1, 3), (2, 2)): -1})
+    assert _kernels.column_det((), ()) == {0: 1}
 
 
 def test_worked_example_determinant_products():
+    """The product of minors of each diagram below the worked example, as the engine keys and expands it."""
+    y11, y12, y13, y22, y23, y33 = (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)
     expected = {
-        ((1, 3), (2, 3), ()): "y11*y22*y33^2",
-        ((1, 3), (1, 2), ()): "y11*y12*y23*y33 - y11*y13*y22*y33",
-        ((1, 3), (1, 3), ()): "y11*y12*y33^2",
-        ((1, 2), (2, 3), ()): "y11*y22*y23*y33",
-        ((1, 2), (1, 2), ()): "y11*y12*y23^2 - y11*y13*y22*y23",
-        ((1, 2), (1, 3), ()): "y11*y12*y23*y33",
+        ((1, 3), (2, 3), ()): {(y11, y22, y33, y33): 1},
+        ((1, 3), (1, 2), ()): {(y11, y12, y23, y33): 1, (y11, y13, y22, y33): -1},
+        ((1, 3), (1, 3), ()): {(y11, y12, y33, y33): 1},
+        ((1, 2), (2, 3), ()): {(y11, y22, y23, y33): 1},
+        ((1, 2), (1, 2), ()): {(y11, y12, y23, y23): 1, (y11, y13, y22, y23): -1},
+        ((1, 2), (1, 3), ()): {(y11, y12, y23, y33): 1},
     }
     seen = set()
     for c in enumerate_below(WORKED):
         seen.add(c.columns)
-        assert determinant_product(WORKED, c).render() == expected[c.columns]
+        key = weyl._member_key(WORKED.columns, c.columns)
+        assert weyl._expand(key, {}) == pack(expected[c.columns])
+        assert reference_product(WORKED.columns, c.columns) == pack(expected[c.columns])
     assert seen == set(expected)
 
 
@@ -74,18 +71,11 @@ def test_worked_example_repeated_weight_class_rank():
         c for c in enumerate_below(WORKED) if weight_monomial(c) == (2, 1, 1)
     ]
     assert len(members) == 2
-    spans = [determinant_product(WORKED, c) for c in members]
+    spans = [reference_product(WORKED.columns, c.columns) for c in members]
     assert coefficient_rank(spans) == 2
     assert coefficient_rank(spans + spans) == 2
     assert coefficient_rank(spans[:1]) == 1
     assert coefficient_rank([]) == 0
-
-
-def test_ypolynomial_product_cancels():
-    a = column_determinant((2, 3), (1, 2))
-    zero = a * YPolynomial.zero()
-    assert zero.is_zero()
-    assert zero.render() == "0"
 
 
 def test_empty_diagram_character_is_one():
@@ -153,9 +143,9 @@ def test_column_orders_share_one_computation(monkeypatch):
     calls = []
     group = weyl._kernels.group_by_weight
 
-    def counting(columns, n, cap):
+    def counting(columns, cap):
         calls.append(columns)
-        return group(columns, n, cap)
+        return group(columns, cap)
 
     monkeypatch.setattr(weyl._kernels, "group_by_weight", counting)
     d = diagram([(1, 3), (2, 3), (), (2,)])
@@ -180,7 +170,7 @@ def test_characters_share_minors(monkeypatch):
 
     def cold():
         weyl._character.cache_clear()
-        weyl._packed_minor.cache_clear()
+        weyl._minor.cache_clear()
         weyl._factors.cache_clear()
         calls.clear()
 
@@ -203,19 +193,36 @@ def test_determinant_product_is_the_engine_product():
     columns = column_multiset(WORKED)
     assert columns + ((),) == WORKED.columns
     pairs = 0
-    for members in weyl._kernels.group_by_weight(columns, WORKED.n, DEFAULT_CAP).values():
+    for members in weyl._kernels.group_by_weight(columns, DEFAULT_CAP).values():
         for member in members:
-            c = diagram(member + ((),), n=WORKED.n)
-            expected = YPolynomial({(): 1})
-            for dcol, ccol in zip(WORKED.columns, c.columns):
-                expected = expected * column_determinant(dcol, ccol)
             key = weyl._member_key(columns, member)
             packed = weyl._expand(key, {})
-            assert determinant_product(WORKED, c) == expected
-            assert packed == pack(expected.terms)
+            assert packed == reference_product(WORKED.columns, member + ((),))
             assert key[2] == min(packed)
             pairs += 1
     assert pairs == count_below(WORKED)
+
+
+def test_products_are_multiplied_by_the_ymul_kernel(monkeypatch):
+    """``_expand`` multiplies the minors of a product's blocks through ``_kernels.ymul``, once per memo."""
+    columns = ((2, 3), (2, 3), (2, 3, 4))
+    member = ((1, 2), (1, 2), (1, 2, 3))
+    key = weyl._member_key(columns, member)
+    assert len(key[1]) == 3  # three blocks: two multiplications
+    expected = reference_product(columns, member)
+    calls = []
+    ymul = _kernels.ymul
+
+    def counting(a, b):
+        calls.append((a, b))
+        return ymul(a, b)
+
+    monkeypatch.setattr(weyl._kernels, "ymul", counting)
+    memo = {}
+    assert weyl._expand(key, memo) == expected
+    assert len(calls) == 2
+    assert weyl._expand(key, memo) == expected
+    assert len(calls) == 2
 
 
 def test_grown_keys_are_the_member_keys():
@@ -228,7 +235,7 @@ def test_grown_keys_are_the_member_keys():
         for col in columns:
             spaces = weyl._grow(spaces, col)
         expected = {}
-        for weight, members in _kernels.group_by_weight(columns, 4, DEFAULT_CAP).items():
+        for weight, members in _kernels.group_by_weight(columns, DEFAULT_CAP).items():
             expected[weight] = {weyl._member_key(columns, m) for m in members}
         assert {w: set(keys) for w, keys in spaces.items()} == expected, columns
         blocks += sum(len(key[1]) > 1 for keys in expected.values() for key in keys)
@@ -242,9 +249,8 @@ def test_factored_minors_are_the_minors():
         d = tuple(i for i in range(1, 7) if mask >> (i - 1) & 1)
         for c in _kernels.column_ideal(d):
             key = mono, blocks, lead = weyl._factors(d, c)
-            minor = weyl._packed_minor(d, c)
+            minor = weyl._minor(d, c)
             assert weyl._expand(key, {}) == minor, (d, c)
-            assert minor == pack(_kernels.column_det(d, c))
             assert lead == min(minor)
             assert list(blocks) == sorted(blocks) and all(len(b[0]) > 1 for b in blocks)
             cells += 1
@@ -259,6 +265,13 @@ def test_negative_cap_is_a_usage_error():
         character_support(WORKED, cap=-1)
 
 
+@pytest.mark.parametrize("cap", [True, 2.5, 6.0, "7", None])
+def test_non_integer_cap_is_a_usage_error(cap):
+    for engine in (dual_character, character_support):
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            engine(WORKED, cap=cap)
+
+
 def test_cap_is_checked_in_every_column_order():
     for columns in itertools.permutations([(1, 3), (2, 3), ()]):
         with pytest.raises(CapExceeded):
@@ -266,11 +279,11 @@ def test_cap_is_checked_in_every_column_order():
         assert principal_specialization(dual_character(diagram(columns), cap=6)) == 6
 
 
-# The engine before packed keys, weight spaces and the sparse echelon,
-# kept as the reference: every ordered member's product, keyed by sorted
-# tuples of (i, j) positions and multiplied by ``_kernels.ymul``, and
-# ranks of the dense coefficient matrix over the union of their
-# monomials by ``_kernels.bareiss_rank``.
+# The engine before factored keys, weight spaces and the sparse echelon,
+# kept as the reference: every ordered member's product, the minors
+# multiplied whole by ``_kernels.ymul``, and ranks of the dense
+# coefficient matrix over the union of their monomials by
+# ``_kernels.bareiss_rank``.
 
 @lru_cache(maxsize=None)
 def reference_minor(dcol, ccol):
@@ -278,15 +291,10 @@ def reference_minor(dcol, ccol):
 
 
 def reference_product(columns, member):
-    acc = {(): 1}
+    acc = {0: 1}
     for dcol, ccol in zip(columns, member):
         acc = _kernels.ymul(acc, reference_minor(dcol, ccol))
     return acc
-
-
-def pack(terms):
-    """Terms keyed by (i, j) positions, packed as the engine packs them: y_ij in byte ``_field(i, j)``."""
-    return {sum(1 << 8 * weyl._field(i, j) for i, j in key): coeff for key, coeff in terms.items()}
 
 
 def reference_rank(polys):
@@ -416,7 +424,7 @@ def test_dense_sample_ranks_match_the_dense_bareiss_reference():
     classes = 0
     for d in workloads.dense_sample_5grid(1, 0, workloads.SMOKE_DENSE_QUOTA):
         columns = column_multiset(d)
-        for members in _kernels.group_by_weight(columns, d.n, DEFAULT_CAP).values():
+        for members in _kernels.group_by_weight(columns, DEFAULT_CAP).values():
             if len(members) > 1:
                 packed = [weyl._expand(weyl._member_key(columns, m), {}) for m in members]
                 expected = reference_rank([reference_product(columns, m) for m in members])
@@ -425,10 +433,10 @@ def test_dense_sample_ranks_match_the_dense_bareiss_reference():
     assert classes > 1000
 
 
-def packed_products(columns, n):
+def packed_products(columns):
     """Every member's product below ``columns`` as the engine packs it."""
     out = {}
-    for members in _kernels.group_by_weight(columns, n, DEFAULT_CAP).values():
+    for members in _kernels.group_by_weight(columns, DEFAULT_CAP).values():
         for m in members:
             out[m] = weyl._expand(weyl._member_key(columns, m), {})
     return out
@@ -439,12 +447,13 @@ def test_an_exponent_may_reach_the_column_count():
     for m in range(1, 9):
         d = diagram([(1,)] * m)
         assert render(dual_character(d)) == ("x1" if m == 1 else f"x1^{m}")
-        assert determinant_product(d, d).render() == ("y11" if m == 1 else f"y11^{m}")
+        assert weyl._expand(weyl._member_key(d.columns, d.columns), {}) == pack({((1, 1),) * m: 1})
     # every product of minors below three columns (1, 3) has the factor y11^3
     columns = ((1, 3),) * 3
     assert weyl._character.__wrapped__(columns, 3, DEFAULT_CAP) == reference_character(columns, 3)
-    for member, product in packed_products(columns, 3).items():
-        assert product == pack(reference_product(columns, member))
+    for member, product in packed_products(columns).items():
+        assert product == reference_product(columns, member)
+        assert all(k & 0xFF == 3 for k in product)  # y11 is byte 0
 
 
 def test_a_weight_count_fills_its_byte_and_never_carries(capsys):
@@ -476,15 +485,16 @@ def test_grid_4_characters_keep_their_digest():
 
 def test_packed_minors_are_shared_across_grid_sizes():
     """The packed layout does not depend on n, so the same multiset at another n packs no minor afresh."""
-    weyl._packed_minor.cache_clear()
+    weyl._minor.cache_clear()
+    weyl._factors.cache_clear()
     columns = ((1, 3), (2, 3))
-    packed_products(columns, 3)
-    misses = weyl._packed_minor.cache_info().misses
+    chi = weyl._character.__wrapped__(columns, 3, DEFAULT_CAP)
+    misses = weyl._minor.cache_info().misses
     assert misses > 0
-    products = packed_products(columns, 5)
-    assert weyl._packed_minor.cache_info().misses == misses
-    for member, product in products.items():
-        assert product == pack(reference_product(columns, member)), member
+    assert weyl._character.__wrapped__(columns, 5, DEFAULT_CAP) == chi
+    assert weyl._minor.cache_info().misses == misses
+    for member, product in packed_products(columns).items():
+        assert product == reference_product(columns, member), member
 
 
 GRID4_COLUMNS = [tuple(i for i in range(1, 5) if mask >> (i - 1) & 1) for mask in range(1, 16)]
