@@ -212,13 +212,19 @@ def parse_diagram_inline(text: str) -> Diagram:
 # ---------------------------------------------------------------------------
 
 def enumerate_below(d: Diagram, cap: int = DEFAULT_CAP):
-    """Yield every diagram below ``d`` exactly once.
+    """Iterate over every diagram below ``d`` exactly once.
 
     Per-column ideals are ordered by increasing invlex weight and
     combined with the first column varying slowest, so the last diagram
-    yielded is ``d`` itself.  Raises :class:`CapExceeded` after ``cap``
-    diagrams.
+    yielded is ``d`` itself.  The iterator raises :class:`CapExceeded`
+    after ``cap`` diagrams; a cap that is not a non-negative int raises
+    ``ValueError`` at the call, before any diagram is built.
     """
+    check_cap(cap)
+    return _enumerate_below(d, cap)
+
+
+def _enumerate_below(d: Diagram, cap: int):
     ideals = [_kernels.column_ideal(c) for c in d.columns]
     seen = 0
     for combo in itertools.product(*ideals):
@@ -327,6 +333,18 @@ def parse_permutation(text: str) -> tuple:
     return check_permutation(values)
 
 
+# Shared column tuples: every column ``rothe`` or ``skyline`` builds maps
+# to one tuple object, as ``polynomials._CANONICAL`` does for monomials,
+# so the character memo's keys, which hold the columns of every diagram
+# they saw, share them.  Its size is bounded by the distinct columns in
+# play, at most 2^n for permutations of n.
+_COLUMNS: dict = {}
+
+
+def _shared_column(col: tuple) -> tuple:
+    return _COLUMNS.setdefault(col, col)
+
+
 def inverse_permutation(w) -> tuple:
     inv = [0] * len(w)
     for pos, v in enumerate(w, start=1):
@@ -344,7 +362,7 @@ def rothe(w) -> Diagram:
     n = len(w)
     winv = inverse_permutation(w)
     cols = tuple(
-        tuple(i for i in range(1, n + 1) if i < winv[j - 1] and j < w[i - 1])
+        _shared_column(tuple(i for i in range(1, n + 1) if i < winv[j - 1] and j < w[i - 1]))
         for j in range(1, n + 1)
     )
     return Diagram(cols, n)
@@ -407,7 +425,7 @@ def skyline(alpha) -> Diagram:
         return Diagram((), 0)
     n = max(last, max(alpha[:last]))
     cols = tuple(
-        tuple(i for i in range(1, last + 1) if alpha[i - 1] >= j)
+        _shared_column(tuple(i for i in range(1, last + 1) if alpha[i - 1] >= j))
         for j in range(1, n + 1)
     )
     return Diagram(cols, n)

@@ -126,6 +126,13 @@ def test_enumeration_cap():
     assert len(list(enumerate_below(d, cap=8))) == 8
 
 
+@pytest.mark.parametrize("cap", [-1, True, "7", 2.5])
+def test_enumeration_cap_is_validated_at_the_call(cap):
+    # the iterator is never advanced: the refusal comes from the call
+    with pytest.raises(ValueError, match="cap must be"):
+        enumerate_below(diagram([(2,), (2,)]), cap)
+
+
 def test_rank_examples():
     d = diagram([(1, 3), (2, 3), ()])
     assert rank(d) == 3
@@ -196,6 +203,15 @@ def test_132_count_equals_rothe_rank():
     for n in range(1, 6):
         for w in itertools.permutations(range(1, n + 1)):
             assert count_132(w) == rank(rothe(w))
+
+
+def test_rothe_and_skyline_share_their_columns():
+    first, second = rothe((3, 1, 5, 4, 2)), rothe((2, 1, 5, 4, 3))
+    assert first.columns[0] == second.columns[0] == (1,)
+    assert first.columns[0] is second.columns[0]
+    assert first.columns[3] is rothe((1, 2, 5, 4, 3)).columns[3]
+    assert skyline((2, 1)).columns[0] is skyline((3, 2)).columns[0]
+    assert skyline((0, 2)).columns[1] is rothe((1, 3, 2)).columns[1]
 
 
 def test_composition_parsing_and_skyline():
