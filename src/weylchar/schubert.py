@@ -62,7 +62,7 @@ def _swap_positions(w, j):
 # rightmost ascents first sorts the suffix after that prefix, so it
 # reaches polynomials the previous permutation's chain just built.  Over
 # all of S_8 this bound costs 4% more divided differences than an
-# unbounded memo, which peaks at 177 MB; along leftmost ascents, even
+# unbounded memo, which peaks at 174 MB; along leftmost ascents, even
 # 4,096 entries cost three times as many.
 _MEMO_SIZE = 256
 
