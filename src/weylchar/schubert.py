@@ -108,7 +108,8 @@ def _key_canonical(alpha) -> Polynomial:
         if alpha[i] < alpha[i + 1]:
             swapped = list(alpha)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            return demazure(_key_canonical(tuple(swapped)), i + 1)
+            # the swap can end the composition in a zero, which names the same key
+            return demazure(_key_canonical(_canonical_composition(swapped)), i + 1)
     return Polynomial.from_exponents(monomial(alpha))
 
 

@@ -28,7 +28,6 @@ from weylchar.diagrams import (
     contains_pattern,
     count_132,
     count_below,
-    diagram_to_json_obj,
     has_unstable_pair,
     is_northwest,
     rank,
@@ -344,8 +343,11 @@ def merge_reports(reports) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _show_instance(payload) -> str:
+    """A diagram as compact ``diagram_to_json_obj`` JSON, any other payload as comma-separated values."""
     if isinstance(payload, Diagram):
-        return json.dumps(diagram_to_json_obj(payload), separators=(",", ":"))
+        # rows are plain ints, so a list of row lists prints as its JSON with spaces
+        columns = str(list(map(list, payload.columns))).replace(" ", "")
+        return f'{{"n":{payload.n},"columns":{columns}}}'
     return ",".join(str(v) for v in payload)
 
 
@@ -424,24 +426,54 @@ def _check_zero_one_implication(idx, d, ctx):
     return []
 
 
-def _check_zero_one_characterization(idx, d, ctx):
-    findings = []
+class _ZeroOneVerdicts(dict):
+    """(column multiset, n) -> the zero-one verdict of every diagram with them, decided on first lookup.
+
+    A verdict is a pair ``(on_hit, on_miss)``: the lhs, rhs, witness and
+    severity of the finding when some pattern matches the diagram, and
+    when none does, with ``()`` for no finding.  The witness reads only
+    the character, which depends only on the column multiset.  A
+    swap-allowed pattern matches regardless of column order, since
+    matching tries every order of its columns; ``n`` stays in the key
+    because it fixes the number of empty columns, which a column of
+    ``x`` and ``.`` cells can match.  When a swap-allowed pattern
+    matches, ``on_miss`` is ``on_hit``.  Otherwise the patterns that keep
+    their column order are matched against each diagram by ``fixed_hit``.
+    """
+
+    def __init__(self, patterns):
+        super().__init__()
+        self.swap = [p for p in patterns if p.column_swap_allowed]
+        self.fixed = [p for p in patterns if not p.column_swap_allowed]
+
+    def decide(self, key, d, chi):
+        offender = zero_one_witness(chi)
+        if offender is None:
+            on_hit = ("zero-one", "pattern hit", "contains a flagged configuration yet has zero-one character",
+                      "violation")
+            on_miss = ()
+        else:
+            m, c = offender
+            on_hit = ()
+            on_miss = (f"coefficient {c} at {render_monomial(m)}", "no pattern hit",
+                       "not zero-one yet matches no supplied configuration", "candidate")
+        if any(contains_pattern(d, p) for p in self.swap):
+            on_miss = on_hit
+        verdict = self[key] = on_hit, on_miss
+        return verdict
+
+    def fixed_hit(self, d):
+        return any(contains_pattern(d, p) for p in self.fixed)
+
+
+def _check_zero_one_characterization(idx, d, ctx, verdicts):
+    # the character of every instance, ahead of the lookup, so that the
+    # cap truncates the sweep at the same instance as a check per diagram
     chi = dual_character(d, ctx["cap"])
-    offender = zero_one_witness(chi)
-    hits = [p for p in ctx["patterns"] if contains_pattern(d, p)]
-    if hits and offender is None:
-        findings.append(
-            Finding(idx, _show_instance(d), "zero-one", "pattern hit",
-                    "contains a flagged configuration yet has zero-one character")
-        )
-    if offender is not None and not hits:
-        m, c = offender
-        findings.append(
-            Finding(idx, _show_instance(d), f"coefficient {c} at {render_monomial(m)}", "no pattern hit",
-                    "not zero-one yet matches no supplied configuration",
-                    severity="candidate")
-        )
-    return findings
+    key = column_multiset(d), d.n
+    on_hit, on_miss = verdicts.get(key) or verdicts.decide(key, d, chi)
+    fields = on_hit if on_hit != on_miss and verdicts.fixed_hit(d) else on_miss
+    return [Finding(idx, _show_instance(d), *fields)] if fields else []
 
 
 def _check_upper_bound(idx, d, ctx):
@@ -718,7 +750,9 @@ def _walk(check_name, family, ctx, shard, nshards, checkpoint_path):
     an ``all_diagrams`` family takes runs of ``CHUNK`` instances from
     ``_support_grid_runs``, which builds and checks only the diagrams
     whose column multiset has a finding or exceeds the cap; every other
-    sweep takes runs of one instance.  Only a serial run, shard 0 of 1,
+    sweep takes runs of one instance.  A zero-one characterization
+    decides each column multiset once, in a ``_ZeroOneVerdicts`` that
+    lives for this walk.  Only a serial run, shard 0 of 1,
     passes a checkpoint path: it resumes from that checkpoint and
     rewrites it after each run that ends ``CHECKPOINT_INTERVAL_S`` or
     more seconds after the walk began or the checkpoint was last
@@ -728,6 +762,8 @@ def _walk(check_name, family, ctx, shard, nshards, checkpoint_path):
     resumes there.
     """
     check = _CHECKS[check_name]
+    if check_name == "zero_one_characterization":
+        check = partial(check, verdicts=_ZeroOneVerdicts(ctx["patterns"]))
     start, checked, findings, resumed_s = _load_checkpoint(checkpoint_path, check_name, family, ctx)
     saved = time.perf_counter()
     began = saved - resumed_s

@@ -1,13 +1,16 @@
 """Schubert and key polynomials, reduced words, and the all-ones evaluator."""
+import importlib
 import itertools
-from functools import reduce
+from functools import lru_cache, reduce
 
 import pytest
 
 from weylchar.diagrams import rothe, skyline
 from weylchar.polynomials import (
     Polynomial,
+    demazure,
     divided_difference,
+    monomial,
     principal_specialization,
     render,
 )
@@ -20,6 +23,9 @@ from weylchar.schubert import (
     schubert,
 )
 from weylchar.weyl import dual_character
+
+# the module, not the function the package exports under the same name
+schubert_module = importlib.import_module("weylchar.schubert")
 
 
 def test_schubert_base_cases():
@@ -185,6 +191,36 @@ def test_key_base_cases():
 def test_key_equals_skyline_character():
     for alpha in itertools.product(range(3), repeat=3):
         assert key(alpha) == dual_character(skyline(alpha))
+
+
+def _leftmost_key_reference(alpha, memo):
+    """Key polynomial by sorting the leftmost ascent, memoized in ``memo`` without stripping zeros."""
+    if alpha not in memo:
+        i = next((i for i in range(len(alpha) - 1) if alpha[i] < alpha[i + 1]), None)
+        if i is None:
+            memo[alpha] = Polynomial.from_exponents(monomial(alpha))
+        else:
+            memo[alpha] = demazure(_leftmost_key_reference(_swap(alpha, i + 1), memo), i + 1)
+    return memo[alpha]
+
+
+def test_key_memo_holds_one_entry_per_composition(monkeypatch):
+    compositions = list(itertools.product(range(3), repeat=4))
+    keys = set()
+    build = schubert_module._key_canonical.__wrapped__
+
+    def recording(alpha):
+        keys.add(alpha)
+        return build(alpha)
+
+    monkeypatch.setattr(schubert_module, "_key_canonical", lru_cache(maxsize=None)(recording))
+    memo = {}
+    for alpha in compositions:
+        assert key(alpha) == _leftmost_key_reference(alpha, memo), alpha
+    distinct = {alpha[:max((k + 1 for k, a in enumerate(alpha) if a), default=0)] for alpha in compositions}
+    assert not any(alpha and alpha[-1] == 0 for alpha in keys)
+    assert keys == distinct
+    assert schubert_module._key_canonical.cache_info().currsize == len(distinct) == 81
 
 
 def test_key_of_reversed_partition_is_full_homogeneous_piece():

@@ -5,12 +5,14 @@ recomputes it from the public math helpers and the engine's report is
 compared against that, so the engine machinery (enumeration order,
 context passing, severity routing, merging) is what is under test.
 """
+import dataclasses
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,13 +29,14 @@ from weylchar.diagrams import (
     enumerate_below,
     has_unstable_pair,
     is_northwest,
+    parse_pattern,
     pattern_grid,
     rank,
     render_pattern,
     rothe,
     weight_monomial,
 )
-from weylchar.polynomials import principal_specialization, zero_one_witness
+from weylchar.polynomials import principal_specialization, render_monomial, zero_one_witness
 from weylchar.verify import (
     DiagramFamily,
     Finding,
@@ -437,6 +440,17 @@ def test_findings_render_their_instance(monkeypatch, support_only):
         assert f.instance == json.dumps(diagram_to_json_obj(d), separators=(",", ":"))
 
 
+def test_instances_render_as_their_compact_json():
+    rng = random.Random(5)
+    cells = [(i, j) for i in range(1, 6) for j in range(1, 6)]
+    samples = [diagram([], 0), diagram([], 3), diagram([(1, 10), (), (7,)], 10)]
+    for _ in range(8):
+        boxes = rng.sample(cells, rng.randint(0, 25))
+        samples.append(diagram([[i for i, j in sorted(boxes) if j == c] for c in range(1, 6)], 5))
+    for d in [d for _, d in all_diagrams(3).instances()] + samples:
+        assert verify._show_instance(d) == json.dumps(diagram_to_json_obj(d), separators=(",", ":")), d
+
+
 def test_zero_one_implication_engine_matches_loop():
     fam = all_diagrams(2)
     report = verify_zero_one_implication(fam)
@@ -487,6 +501,162 @@ def test_zero_one_characterization_witness_pattern_clean_on_3_grid():
     assert [f.instance_index for f in report.candidates] == expected_candidates
     assert all(f.severity == "candidate" for f in report.candidates)
     assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# Zero-one verdicts: decided once per column multiset and grid size
+# ---------------------------------------------------------------------------
+
+FIXED_CORNER = pattern_grid(["#x", "x#"], column_swap_allowed=False)
+# a box with an empty cell beside it in either order: its ``x`` column can
+# match an empty column, so its hits depend on the grid size
+SWAP_BESIDE_EMPTY = pattern_grid(["#x"], column_swap_allowed=True)
+
+
+def _random_pattern_grids(seed, count):
+    """Grids of up to 3 x 3 cells; every third has a first column of only ``x`` and ``.`` cells."""
+    rng = random.Random(seed)
+    grids = []
+    for k in range(count):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        grid = [[rng.choice("#x.") for _ in range(cols)] for _ in range(rows)]
+        if k % 3 == 0:
+            for row in grid:
+                row[0] = rng.choice("x.")
+        grids.append(["".join(row) for row in grid])
+    return grids
+
+
+def _order_mismatches(patterns):
+    """How many (column multiset, pattern) pairs of the 3-grid disagree on containment across column orders."""
+    orbits = {}
+    for _, d in all_diagrams(3).instances():
+        orbits.setdefault(column_multiset(d), []).append(d)
+    return sum(len({contains_pattern(d, p) for d in orbit}) > 1 for orbit in orbits.values() for p in patterns)
+
+
+def test_swap_allowed_patterns_match_every_column_order():
+    grids = _random_pattern_grids(19, 48)
+    assert any(all(line[0] in "x." for line in grid) for grid in grids)
+    swap = [pattern_grid(grid, column_swap_allowed=True) for grid in grids]
+    assert _order_mismatches(swap + [WITNESS, SWAP_BESIDE_EMPTY]) == 0
+    # in a fixed column order, containment depends on the order, so those
+    # patterns are matched against each diagram
+    assert _order_mismatches([pattern_grid(grid) for grid in grids]) > 0
+
+
+def _force_some_witnesses(monkeypatch):
+    """A witness on every character whose number of terms is not a multiple of 5, none on the others."""
+    monkeypatch.setattr(
+        verify, "zero_one_witness", lambda chi: max(chi.terms.items()) if len(chi.terms) % 5 else None
+    )
+
+
+def _zero_one_reference(fam, patterns, cap, shard, nshards):
+    """One shard of the zero-one characterization, decided per instance: (checked, findings, truncated)."""
+    checked, findings = 0, []
+    for idx, d in itertools.islice(fam.instances(), shard, None, nshards):
+        try:
+            chi = dual_character(d, cap)
+        except CapExceeded:
+            return checked, findings, True
+        offender = verify.zero_one_witness(chi)
+        hit = any(contains_pattern(d, p) for p in patterns)
+        instance = json.dumps(diagram_to_json_obj(d), separators=(",", ":"))
+        if hit and offender is None:
+            findings.append((idx, instance, "zero-one", "pattern hit",
+                             "contains a flagged configuration yet has zero-one character", "violation"))
+        if offender is not None and not hit:
+            m, c = offender
+            findings.append((idx, instance, f"coefficient {c} at {render_monomial(m)}", "no pattern hit",
+                             "not zero-one yet matches no supplied configuration", "candidate"))
+        checked += 1
+    return checked, findings, False
+
+
+def _merged_reference(fam, patterns, cap=DEFAULT_CAP, workers=1):
+    parts = [_zero_one_reference(fam, patterns, cap, shard, workers) for shard in range(workers)]
+    return sum(p[0] for p in parts), sorted(f for p in parts for f in p[1]), any(p[2] for p in parts)
+
+
+def _as_reference(report):
+    findings = sorted(dataclasses.astuple(f) for f in report.violations + report.candidates)
+    return report.checked, findings, report.truncated
+
+
+MIXED_GRID_SIZES = explicit_list([
+    diagram([(1,)], 2),
+    diagram([(1,)], 1),
+    diagram([(), (1,)], 2),
+    diagram([(1,)], 3),
+    diagram([(1,), (2,)], 2),
+    diagram([(2,), (1,)], 2),
+    diagram([(2,), (), (1,)], 3),
+    diagram([(1, 3), (2, 3), ()]),
+    diagram([(2, 3), (1, 3), ()]),
+    diagram([(2, 3), (), (1, 3)]),
+])
+
+
+@pytest.mark.parametrize("patterns", [
+    [WITNESS],
+    [FIXED_CORNER],
+    [WITNESS, FIXED_CORNER],
+    [FIXED_CORNER, SWAP_BESIDE_EMPTY, pattern_grid(["x", "#"])],
+], ids=["swap", "fixed", "swap-fixed", "fixed-swap-fixed"])
+@pytest.mark.parametrize("fam", [all_diagrams(3), MIXED_GRID_SIZES], ids=["3-grid", "mixed-n"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_zero_one_verdicts_match_a_check_per_instance(monkeypatch, patterns, fam, workers):
+    _force_some_witnesses(monkeypatch)
+    expected = _merged_reference(fam, patterns, workers=workers)
+    _, findings, _ = expected
+    assert {f[-1] for f in findings} == {"violation", "candidate"}
+    assert _as_reference(verify_zero_one_characterization(fam, patterns, workers=workers)) == expected
+
+
+def test_zero_one_sweep_decides_each_multiset_once(monkeypatch):
+    calls = []
+
+    def counting(d, p):
+        calls.append(p)
+        return contains_pattern(d, p)
+
+    monkeypatch.setattr(verify, "contains_pattern", counting)
+    fam = all_diagrams(3)
+    multisets = len({column_multiset(d) for _, d in fam.instances()})
+    verify_zero_one_characterization(fam, [WITNESS])
+    assert len(calls) == multisets == 120
+    calls.clear()
+    verify_zero_one_characterization(fam, [WITNESS, FIXED_CORNER])
+    # the fixed pattern is matched against each diagram whose swap-allowed verdict did not hit
+    assert calls.count(WITNESS) == 120
+    assert 0 < calls.count(FIXED_CORNER) < 512
+
+
+@pytest.mark.parametrize("cap", [6, 10, 20])
+def test_zero_one_verdicts_truncate_and_resume_where_a_check_per_instance_does(tmp_path, monkeypatch, cap):
+    _force_some_witnesses(monkeypatch)
+    fam, patterns = all_diagrams(3), [WITNESS, FIXED_CORNER]
+    checked, findings, truncated = _merged_reference(fam, patterns, cap)
+    assert truncated
+    # some multiset has orders on both sides of the cut, so its verdict is
+    # decided before the cut and needed again after it
+    orders = {}
+    for idx, d in fam.instances():
+        orders.setdefault(column_multiset(d), []).append(idx)
+    assert any(indices[0] < checked < indices[-1] for indices in orders.values())
+    for workers in (1, 2):
+        report = verify_zero_one_characterization(fam, patterns, cap=cap, workers=workers)
+        assert _as_reference(report) == _merged_reference(fam, patterns, cap, workers)
+    path = tmp_path / "cut.json"
+    verify_zero_one_characterization(fam, patterns, cap=cap, checkpoint_path=str(path))
+    saved = json.loads(path.read_text())
+    assert saved["shard_cursor"] == saved["checked"] == checked
+    fields = ("instance_index", "instance", "lhs", "rhs", "witness", "severity")
+    assert sorted(tuple(f[k] for k in fields) for f in saved["findings"]) == findings
+    resumed = verify_zero_one_characterization(fam, patterns, checkpoint_path=str(path))
+    assert _as_reference(resumed) == _merged_reference(fam, patterns)
+    assert not path.exists()
 
 
 def test_upper_bound_trivial_holds_on_2_grid():
@@ -811,10 +981,10 @@ def test_interrupted_run_resumes_from_its_last_instance(tmp_path, monkeypatch):
     k = 9
     check = verify._CHECKS["zero_one_characterization"]
 
-    def crash_at_k(idx, d, ctx):
+    def crash_at_k(idx, d, ctx, **walk_state):
         if idx == k:
             raise RuntimeError("interrupted")
-        return check(idx, d, ctx)
+        return check(idx, d, ctx, **walk_state)
 
     with monkeypatch.context() as patched:
         patched.setitem(verify._CHECKS, "zero_one_characterization", crash_at_k)
@@ -1115,4 +1285,33 @@ def test_full_4_grid_support_digest_serial_sharded_and_resumed(tmp_path, monkeyp
     assert json.loads(path.read_text())["shard_cursor"] == 1 << 15
     resumed = verify_lower_bound(fam, support_only=True, checkpoint_path=str(path))
     assert _digest(resumed) == FULL_4_GRID_SUPPORT_DIGEST
+    assert not path.exists()
+
+
+FULL_4_GRID_ZERO_ONE_DIGEST = "7e3cd7d014fd0d4ac3d626d1cf5169465fa2d7c4fbb371f116d89e8f81351ac2"
+WITNESS_FILE = Path(__file__).resolve().parent.parent / "patterns" / "multiplicity-witness.txt"
+
+
+def test_full_4_grid_zero_one_patterns_digest_serial_sharded_and_resumed(tmp_path, monkeypatch):
+    fam, patterns = all_diagrams(4), [parse_pattern(WITNESS_FILE.read_text())]
+    assert _digest(verify_zero_one_characterization(fam, patterns)) == FULL_4_GRID_ZERO_ONE_DIGEST
+    assert _digest(verify_zero_one_characterization(fam, patterns, workers=2)) == FULL_4_GRID_ZERO_ONE_DIGEST
+    path = tmp_path / "half.json"
+    write = verify._write_checkpoint
+
+    def interrupt_at_half(path, check_name, family, ctx, cursor, *rest):
+        # this walk takes runs of one instance: writing each would serialize
+        # every finding so far 32,768 times
+        if cursor >= 1 << 15:
+            write(path, check_name, family, ctx, cursor, *rest)
+            raise KeyboardInterrupt
+
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "CHECKPOINT_INTERVAL_S", 0)
+        patched.setattr(verify, "_write_checkpoint", interrupt_at_half)
+        with pytest.raises(KeyboardInterrupt):
+            verify_zero_one_characterization(fam, patterns, checkpoint_path=str(path))
+    assert json.loads(path.read_text())["shard_cursor"] == 1 << 15
+    resumed = verify_zero_one_characterization(fam, patterns, checkpoint_path=str(path))
+    assert _digest(resumed) == FULL_4_GRID_ZERO_ONE_DIGEST
     assert not path.exists()
