@@ -7,12 +7,13 @@ of indeterminates, one product per diagram of weight w below D.
 """
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import lru_cache
 from math import gcd
 
 from weylchar import _kernels
 from weylchar.diagrams import DEFAULT_CAP, Diagram, check_cap, column_multiset
-from weylchar.polynomials import Polynomial, _trim, monomial
+from weylchar.polynomials import Polynomial, monomial
 
 __all__ = [
     "coefficient_rank",
@@ -92,19 +93,20 @@ def _member_key(columns, member) -> tuple:
 
 
 def _independent(polys) -> list:
-    """The polynomials that stay independent when reduced shortest first.
+    """Positions of the polynomials that stay independent when reduced shortest first.
 
     ``polys`` are dicts of terms whose monomial keys are totally ordered.
     A sparse fraction-free echelon: shortest first, each polynomial is
     reduced against a basis keyed by least monomial, each step an
     integer combination that cancels the least monomial, divided by the
-    gcd of its coefficients.  Returns, unreduced and in that order, the
-    inputs that added a basis vector: a basis of the span of all inputs.
+    gcd of its coefficients.  Returns, in that order, the positions in
+    ``polys`` of the inputs that added a basis vector; those inputs are a
+    basis of the span of all of them.
     """
     basis = {}
     kept = []
-    for original in sorted(polys, key=len):
-        p = original
+    for i in sorted(range(len(polys)), key=[len(p) for p in polys].__getitem__):
+        p = polys[i]
         if not p:
             continue
         lead = min(p)
@@ -128,18 +130,22 @@ def _independent(polys) -> list:
             lead = min(p)
         else:
             basis[lead] = p
-            kept.append(original)
+            kept.append(i)
     return kept
 
 
-def coefficient_rank(polys) -> int:
+def coefficient_rank(polys, kept=None) -> int:
     """Rank of the integer span of the given y-polynomials.
 
     Each is a dict of terms whose monomial keys are totally ordered, such
     as packed y-monomials; the rank is the number of them ``_independent``
-    keeps.
+    keeps, and their positions are appended to the list ``kept`` if one
+    is given.
     """
-    return len(_independent(polys))
+    positions = _independent(polys)
+    if kept is not None:
+        kept.extend(positions)
+    return len(positions)
 
 
 def _grow(spaces, col, wanted=None) -> dict:
@@ -188,39 +194,107 @@ def _dimensions(columns, wanted) -> dict:
     kept products with the same suffix and the same weight.  Products
     are keys (see ``_factors``), deduplicated by key; a class that
     ``_certified`` cannot vouch for is expanded and chosen from, or
-    ranked at the last column, by the sparse echelon.  Expansions are
-    memoized by their blocks while this call runs.  ``wanted`` is a set
-    of packed weights, by which the result is keyed; ``columns`` must not
-    be empty, and there must be fewer than 256 of them, as the weight
+    ranked at the last column, by the sparse echelon, unless a class of
+    its shape was ranked before (see ``_SHAPES``).  Expansions are memoized by
+    their blocks while this call runs.  ``wanted`` is a set of packed
+    weights, by which the result is keyed; ``columns`` must not be
+    empty, and there must be fewer than 256 of them, as the weight
     kernels check, so that no count carries into the next byte.
     """
     memo = {}
+    shifts = len(columns) < 128
     spaces = {0: [_ONE]}
     for col in columns[:-1]:
-        spaces = {w: _basis(keys, memo) for w, keys in _grow(spaces, col).items()}
+        spaces = {w: _basis(keys, memo, shifts) for w, keys in _grow(spaces, col).items()}
     dims = {}
     for w, keys in _grow(spaces, columns[-1], wanted).items():
-        if _certified(keys):
-            dims[w] = len(keys)
-        else:
-            dims[w] = coefficient_rank([_expand(k, memo) for k in keys])
+        dims[w] = len(keys) if _certified(keys) else len(_kept(sorted(keys), memo, shifts))
     return dims
 
 
-def _basis(keys, memo) -> list:
+# Ranked shapes, one memo for the whole process.  Let a class's keys be
+# sorted and m0 be the first one's monomial.  Two classes whose keys
+# agree in their blocks and whose monomials differ from m0 alike span
+# spaces that differ by one Laurent monomial factor: multiplying by it
+# is linear and injective, and adding a constant to packed ints keeps
+# their order, so the echelon keeps the same positions in both.  A
+# product of m minors has every exponent at most m, so with fewer than
+# 128 columns every byte of a monomial is below 128, and the difference
+# of two packed monomials names one exponent difference; with more, a
+# class is keyed by its monomials whole (see ``_shape``).  Entries are
+# evicted oldest first once they hold more than ``_SHAPE_PRODUCTS``
+# products: a class holds from 2 to about 90 of them, so a count of
+# entries would not bound the memory.
+_SHAPE_PRODUCTS = 1 << 14
+
+
+class _Shapes(OrderedDict):
+    """Positions a basis keeps among a class's sorted keys, by the class's shape."""
+
+    products = 0
+
+    def keep(self, shape, kept):
+        self[shape] = kept
+        self.products += len(shape[0])
+        while self.products > _SHAPE_PRODUCTS:
+            self.products -= len(self.popitem(last=False)[0][0])
+
+    def clear(self):
+        super().clear()
+        self.products = 0
+
+
+_SHAPES = _Shapes()
+
+
+def _shape(keys, shifts) -> tuple:
+    """The memo key of the class of sorted ``keys``: its monomials less m0, and its blocks.
+
+    Without ``shifts`` the monomials are kept whole, each plus 1, so that
+    the first is never 0 as in a shape and no shift shares the key.
+    """
+    m0 = keys[0][0] if shifts else -1
+    return tuple([m - m0 for m, _, _ in keys]), tuple([blocks for _, blocks, _ in keys])
+
+
+def _kept(keys, memo, shifts) -> tuple:
+    """Positions, among a class's sorted ``keys``, of keys whose products are a basis of its span."""
+    shape = _shape(keys, shifts)
+    kept = _SHAPES.get(shape)
+    if kept is None:
+        positions = []
+        coefficient_rank([_expand(k, memo) for k in keys], positions)
+        kept = tuple(positions)
+        _SHAPES.keep(shape, kept)
+    return kept
+
+
+def _basis(keys, memo, shifts) -> list:
     """Keys of a basis of the span of the products keyed by ``keys``, chosen among them."""
     if _certified(keys):
         return list(keys)
-    polys = [_expand(k, memo) for k in keys]
-    key_of = {id(p): k for p, k in zip(polys, keys)}
-    return [key_of[id(p)] for p in _independent(polys)]
+    keys = sorted(keys)
+    return [keys[i] for i in _kept(keys, memo, shifts)]
+
+
+# Packed weight -> its shared monomial, so that each weight unpacks once
+# per process; like ``polynomials._CANONICAL``, never evicted, and
+# bounded by the distinct weights in play.
+_WEIGHTS: dict = {}
+
+
+def _unpack(weight) -> tuple:
+    """The monomial of a packed weight: its bytes, of which the last is nonzero."""
+    m = _WEIGHTS.get(weight)
+    if m is None:
+        m = _WEIGHTS[weight] = monomial(weight.to_bytes((weight.bit_length() + 7) // 8, "little"))
+    return m
 
 
 def character_support(d: Diagram, cap: int = DEFAULT_CAP) -> frozenset:
     """Set of weight monomials of the diagrams below ``d``, without ranks."""
     check_cap(cap)
-    weights = _kernels.weight_support(d.columns, cap)
-    return frozenset(monomial(w.to_bytes(d.n, "little")) for w in weights)
+    return frozenset(map(_unpack, _kernels.weight_support(d.columns, cap)))
 
 
 @lru_cache(maxsize=4096)
@@ -231,12 +305,11 @@ def _character(columns, n: int, cap: int) -> Polynomial:
     dims = _dimensions(columns, multi) if multi else {}
     terms = {}
     for weight, members in classes.items():
-        exponents = tuple(weight.to_bytes(n, "little"))
         coeff = 1 if len(members) == 1 else dims.get(weight, 0)
         if coeff < 1:
-            raise AssertionError(f"weight {exponents} produced rank {coeff}")
-        # distinct weights unpack to distinct length-n tuples, so their trims are distinct too
-        terms[_trim(exponents)] = coeff
+            raise AssertionError(f"weight {tuple(weight.to_bytes(n, 'little'))} produced rank {coeff}")
+        # distinct weights unpack to distinct monomials
+        terms[_unpack(weight)] = coeff
     return Polynomial(terms)
 
 

@@ -99,6 +99,15 @@ def test_character_support_matches_character():
     for cols in [((1, 3), (2, 3), ()), ((2,), (1, 2), ()), ((2, 4), (1, 3), (), ())]:
         d = diagram(cols)
         assert character_support(d) == frozenset(dual_character(d).support())
+        # both unpack each weight once per process, to one shared monomial
+        shared = {id(m) for m in dual_character(d).support()}
+        assert {id(m) for m in character_support(d)} == shared
+
+
+def test_a_missing_rank_names_its_weight_unpacked(monkeypatch):
+    monkeypatch.setattr(weyl, "_dimensions", lambda columns, wanted: {})
+    with pytest.raises(AssertionError, match=r"^weight \(2, 1, 1, 0, 0\) produced rank 0$"):
+        weyl._character.__wrapped__(column_multiset(WORKED), 5, DEFAULT_CAP)
 
 
 def test_cap_translates_to_cap_exceeded():
@@ -483,6 +492,103 @@ def test_grid_4_characters_keep_their_digest():
     assert digest == "2295d9472bd09e77bb971f6d243a1114ce9523f980d55955c66590a21ea872b6"
 
 
+S7_ROTHE_DIGEST = "4f7f55f51ff703df81d874a99e3c0a3d381e2f7f79598cb853ddd2ead6581a17"
+
+
+def cold_engine():
+    """Empty every memo the character engine keeps for the process."""
+    for memo in (weyl._character, weyl._minor, weyl._factors, _kernels.column_ideal, _kernels.column_weights):
+        memo.cache_clear()
+    weyl._SHAPES.clear()
+    weyl._WEIGHTS.clear()
+
+
+def rothe_characters(perms):
+    return [list(dual_character(rothe(w)).terms.items()) for w in perms]
+
+
+def digest(characters):
+    return hashlib.sha256(repr(characters).encode()).hexdigest()
+
+
+def test_s7_rothe_characters_keep_their_digest(monkeypatch):
+    """All of S_7's Rothe characters, term order included, whatever the shape memo holds."""
+    perms = list(itertools.permutations(range(1, 8)))
+    ranked = []
+    rank = weyl.coefficient_rank
+
+    def counting(polys, kept=None):
+        ranked.append(len(polys))
+        return rank(polys, kept)
+
+    monkeypatch.setattr(weyl, "coefficient_rank", counting)
+    cold_engine()
+    assert digest(rothe_characters(perms)) == S7_ROTHE_DIGEST
+    # each shape is ranked once
+    shapes = len(weyl._SHAPES)
+    assert 0 < len(ranked) == shapes < 2000
+    # the shape memo warmed in reverse order ranks every class the forward order meets
+    cold_engine()
+    assert digest(rothe_characters(reversed(perms))[::-1]) == S7_ROTHE_DIGEST
+    ranked.clear()
+    weyl._character.cache_clear()
+    assert digest(rothe_characters(perms)) == S7_ROTHE_DIGEST
+    assert ranked == []
+    # a bound so small that every insert evicts: every class is ranked afresh
+    monkeypatch.setattr(weyl, "_SHAPE_PRODUCTS", 1)
+    cold_engine()
+    assert digest(rothe_characters(perms)) == S7_ROTHE_DIGEST
+    assert len(weyl._SHAPES) == weyl._SHAPES.products == 0
+    assert len(ranked) > 10 * shapes
+    cold_engine()
+
+
+def test_a_shifted_class_shares_its_shape(monkeypatch):
+    """The class of x1*x2*x3 below ((2, 3), (3,)), times y11, is that of x1^2*x2*x3 below ((1,), (2, 3), (3,))."""
+    first, second = ((2, 3), (3,)), ((1,), (2, 3), (3,))
+
+    def last_class(columns, weight):
+        spaces = {0: [weyl._ONE]}
+        for col in columns[:-1]:
+            spaces = {w: weyl._basis(keys, {}, True) for w, keys in weyl._grow(spaces, col).items()}
+        return sorted(weyl._grow(spaces, columns[-1])[weight])
+
+    keys = last_class(first, 0x010101)
+    assert not weyl._certified(keys) and any(blocks for _, blocks, _ in keys)
+    assert last_class(second, 0x010102) == [(m + 1, blocks, lead + 1) for m, blocks, lead in keys]
+    weyl._SHAPES.clear()
+    ranked = []
+    rank = weyl.coefficient_rank
+    monkeypatch.setattr(weyl, "coefficient_rank", lambda polys, kept=None: ranked.append(polys) or rank(polys, kept))
+    assert weyl._dimensions(first, {0x010101}) == {0x010101: 2}
+    assert weyl._dimensions(second, {0x010102}) == {0x010102: 2}
+    assert len(ranked) == len(weyl._SHAPES) == 1
+    for columns, n in ((first, 3), (second, 3)):
+        assert weyl._character.__wrapped__(columns, n, DEFAULT_CAP) == reference_character(columns, n)
+
+
+def test_equal_monomial_differences_share_no_shape_unless_exact():
+    """Monomials {1, y11^255} and {y11, y12} both differ by 255 as ints, but by no common factor."""
+    block = ((2, 3), (1, 2))
+    lead = min(weyl._minor(*block))
+    first = [(m, (block,), m + lead) for m in (0, 255)]
+    second = [(m, (block,), m + lead) for m in (1, 256)]
+    # with 128 or more columns an exponent may pass 127, so a difference no longer names one factor
+    assert weyl._shape(first, True) == weyl._shape(second, True)
+    assert weyl._shape(first, False) != weyl._shape(second, False)
+    weyl._SHAPES.clear()
+    assert weyl._kept(first, {}, False) == weyl._kept(second, {}, False) == (0, 1)
+    assert len(weyl._SHAPES) == 2
+    # _dimensions keys a class by its shape below 128 columns and by its monomials whole from 128 on
+    for k, shifts in ((125, True), (126, False)):
+        weyl._SHAPES.clear()
+        columns = ((1,),) * k + ((2, 3), (3,))
+        assert weyl._dimensions(columns, {0x010101 + k}) == {0x010101 + k: 2}
+        [shape] = weyl._SHAPES
+        assert (shape[0][0] == 0) == shifts
+    weyl._SHAPES.clear()
+
+
 def test_packed_minors_are_shared_across_grid_sizes():
     """The packed layout does not depend on n, so the same multiset at another n packs no minor afresh."""
     weyl._minor.cache_clear()
@@ -520,13 +626,17 @@ def test_engine_matches_the_reference_with_repeated_columns(drawn, repeat):
 )
 @settings(max_examples=100, deadline=None)
 def test_kept_basis_is_independent_and_spans_the_inputs(polys, combos):
-    """``_independent`` keeps inputs, unreduced, that are independent and have the rank of them all."""
+    """``_independent`` keeps positions of inputs that are independent and have the rank of them all."""
     for a, b, c in combos:  # add some dependent inputs: p_a + c * p_b
         if a < len(polys) and b < len(polys):
             q = dict(polys[a])
             for k, v in polys[b].items():
                 q[k] = q.get(k, 0) + c * v
             polys.append({k: v for k, v in q.items() if v})
-    kept = weyl._independent(polys)
-    assert all(any(k is p for p in polys) for k in kept)
+    positions = weyl._independent(polys)
+    assert len(set(positions)) == len(positions) and set(positions) <= set(range(len(polys)))
+    kept = [polys[i] for i in positions]
     assert reference_rank(kept) == len(kept) == reference_rank(polys) == coefficient_rank(polys)
+    appended = ["before"]
+    assert coefficient_rank(polys, appended) == len(kept)
+    assert appended == ["before"] + positions
