@@ -13,7 +13,7 @@ from math import gcd
 
 from weylchar import _kernels
 from weylchar.diagrams import DEFAULT_CAP, Diagram, check_cap, column_multiset
-from weylchar.polynomials import Polynomial, monomial
+from weylchar.polynomials import Polynomial, _trim, monomial
 
 __all__ = [
     "coefficient_rank",
@@ -202,42 +202,43 @@ def _dimensions(columns, wanted) -> dict:
     kernels check, so that no count carries into the next byte.
     """
     memo = {}
-    shifts = len(columns) < 128
     spaces = {0: [_ONE]}
     for col in columns[:-1]:
-        spaces = {w: _basis(keys, memo, shifts) for w, keys in _grow(spaces, col).items()}
+        spaces = {w: _basis(keys, memo) for w, keys in _grow(spaces, col).items()}
     dims = {}
     for w, keys in _grow(spaces, columns[-1], wanted).items():
-        dims[w] = len(keys) if _certified(keys) else len(_kept(sorted(keys), memo, shifts))
+        dims[w] = len(keys) if _certified(keys) else len(_kept(sorted(keys), memo))
     return dims
 
 
 # Ranked shapes, one memo for the whole process.  Let a class's keys be
-# sorted and m0 be the first one's monomial.  Two classes whose keys
-# agree in their blocks and whose monomials differ from m0 alike span
-# spaces that differ by one Laurent monomial factor: multiplying by it
-# is linear and injective, and adding a constant to packed ints keeps
-# their order, so the echelon keeps the same positions in both.  A
-# product of m minors has every exponent at most m, so with fewer than
-# 128 columns every byte of a monomial is below 128, and the difference
-# of two packed monomials names one exponent difference; with more, a
-# class is keyed by its monomials whole (see ``_shape``).  Entries are
-# evicted oldest first once they hold more than ``_SHAPE_PRODUCTS``
-# products: a class holds from 2 to about 90 of them, so a count of
-# entries would not bound the memory.
-_SHAPE_PRODUCTS = 1 << 14
+# sorted and m0 be the first one's monomial.  Take two classes whose
+# keys agree in their blocks and whose monomials differ from m0 alike,
+# by the same ints: the product keyed by (m, blocks, lead) has the terms
+# of the blocks' product with m added to each packed monomial, so every
+# packed monomial of the second class's products is the matching one of
+# the first's plus one constant c.  Adding c maps ints to ints one to
+# one and keeps their order, and the echelon only orders and compares
+# monomials, so it keeps the same positions in both; c need not be a
+# monomial.  Entries are keyed by the shape's hash, so that a miss
+# hashes it once, and hold the shape to compare.  They are evicted
+# oldest first once they hold more than ``_SHAPE_PRODUCTS`` products: a
+# class holds from 2 to about 90 of them, so a count of entries would
+# not bound the memory.  Every shape of the Rothe diagrams of S_7 fits,
+# in 7,092 products.
+_SHAPE_PRODUCTS = 1 << 13
 
 
 class _Shapes(OrderedDict):
-    """Positions a basis keeps among a class's sorted keys, by the class's shape."""
+    """By the hash of a class's shape: the shape, and the positions a basis keeps among its sorted keys."""
 
     products = 0
 
-    def keep(self, shape, kept):
-        self[shape] = kept
+    def keep(self, h, shape, kept):
+        self[h] = shape, kept
         self.products += len(shape[0])
         while self.products > _SHAPE_PRODUCTS:
-            self.products -= len(self.popitem(last=False)[0][0])
+            self.products -= len(self.popitem(last=False)[1][0][0])
 
     def clear(self):
         super().clear()
@@ -247,54 +248,40 @@ class _Shapes(OrderedDict):
 _SHAPES = _Shapes()
 
 
-def _shape(keys, shifts) -> tuple:
-    """The memo key of the class of sorted ``keys``: its monomials less m0, and its blocks.
-
-    Without ``shifts`` the monomials are kept whole, each plus 1, so that
-    the first is never 0 as in a shape and no shift shares the key.
-    """
-    m0 = keys[0][0] if shifts else -1
+def _shape(keys) -> tuple:
+    """The shape of the class of sorted ``keys``: its monomials less m0, and its blocks."""
+    m0 = keys[0][0]
     return tuple([m - m0 for m, _, _ in keys]), tuple([blocks for _, blocks, _ in keys])
 
 
-def _kept(keys, memo, shifts) -> tuple:
+def _kept(keys, memo) -> tuple:
     """Positions, among a class's sorted ``keys``, of keys whose products are a basis of its span."""
-    shape = _shape(keys, shifts)
-    kept = _SHAPES.get(shape)
-    if kept is None:
-        positions = []
-        coefficient_rank([_expand(k, memo) for k in keys], positions)
-        kept = tuple(positions)
-        _SHAPES.keep(shape, kept)
+    shape = _shape(keys)
+    h = hash(shape)  # once per lookup, miss or hit: a tuple does not keep its hash
+    entry = _SHAPES.get(h)
+    if entry is not None and entry[0] == shape:
+        return entry[1]
+    positions = []
+    coefficient_rank([_expand(k, memo) for k in keys], positions)
+    kept = tuple(positions)
+    if entry is None:  # on a clash of hashes the older shape keeps its entry
+        _SHAPES.keep(h, shape, kept)
     return kept
 
 
-def _basis(keys, memo, shifts) -> list:
+def _basis(keys, memo) -> list:
     """Keys of a basis of the span of the products keyed by ``keys``, chosen among them."""
     if _certified(keys):
         return list(keys)
     keys = sorted(keys)
-    return [keys[i] for i in _kept(keys, memo, shifts)]
-
-
-# Packed weight -> its shared monomial, so that each weight unpacks once
-# per process; like ``polynomials._CANONICAL``, never evicted, and
-# bounded by the distinct weights in play.
-_WEIGHTS: dict = {}
-
-
-def _unpack(weight) -> tuple:
-    """The monomial of a packed weight: its bytes, of which the last is nonzero."""
-    m = _WEIGHTS.get(weight)
-    if m is None:
-        m = _WEIGHTS[weight] = monomial(weight.to_bytes((weight.bit_length() + 7) // 8, "little"))
-    return m
+    return [keys[i] for i in _kept(keys, memo)]
 
 
 def character_support(d: Diagram, cap: int = DEFAULT_CAP) -> frozenset:
     """Set of weight monomials of the diagrams below ``d``, without ranks."""
     check_cap(cap)
-    return frozenset(map(_unpack, _kernels.weight_support(d.columns, cap)))
+    weights = _kernels.weight_support(d.columns, cap)
+    return frozenset(monomial(w.to_bytes(d.n, "little")) for w in weights)
 
 
 @lru_cache(maxsize=4096)
@@ -305,11 +292,12 @@ def _character(columns, n: int, cap: int) -> Polynomial:
     dims = _dimensions(columns, multi) if multi else {}
     terms = {}
     for weight, members in classes.items():
+        exponents = tuple(weight.to_bytes(n, "little"))
         coeff = 1 if len(members) == 1 else dims.get(weight, 0)
         if coeff < 1:
-            raise AssertionError(f"weight {tuple(weight.to_bytes(n, 'little'))} produced rank {coeff}")
-        # distinct weights unpack to distinct monomials
-        terms[_unpack(weight)] = coeff
+            raise AssertionError(f"weight {exponents} produced rank {coeff}")
+        # distinct weights unpack to distinct length-n tuples, so their trims are distinct too
+        terms[_trim(exponents)] = coeff
     return Polynomial(terms)
 
 
