@@ -52,7 +52,6 @@ from weylchar.verify import (
     all_rothe,
     all_skyline,
     explicit_list,
-    merge_reports,
     verify_equality_iff_unstable,
     verify_key_identities,
     verify_lower_bound,

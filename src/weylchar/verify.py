@@ -5,7 +5,7 @@ instead of raising: assertion-grade failures ("violation" severity,
 statements with proofs) and conjecture-grade ones ("candidate" severity,
 open directions where a hit is a discovery, not a bug).  Families shard
 deterministically across worker processes, and serial runs can
-checkpoint and resume.
+checkpoint and resume; either way, a report is the serial run's.
 """
 from __future__ import annotations
 
@@ -54,7 +54,6 @@ __all__ = [
     "explicit_list",
     "Finding",
     "VerificationReport",
-    "merge_reports",
     "verify_lower_bound",
     "verify_equality_iff_unstable",
     "verify_zero_one_implication",
@@ -296,48 +295,6 @@ def report_from_json_obj(obj) -> VerificationReport:
     )
 
 
-def _report(check, family, checked, findings, truncated, elapsed_s) -> VerificationReport:
-    """A report whose findings are split by severity and sorted by (index, witness)."""
-
-    def sorted_by_severity(severity):
-        return sorted(
-            (f for f in findings if f.severity == severity),
-            key=lambda f: (f.instance_index, f.witness),
-        )
-
-    return VerificationReport(
-        check=check,
-        family=family,
-        checked=checked,
-        violations=sorted_by_severity("violation"),
-        candidates=sorted_by_severity("candidate"),
-        truncated=truncated,
-        elapsed_s=elapsed_s,
-    )
-
-
-def merge_reports(reports) -> VerificationReport:
-    """Combine shard reports for one (check, family) run.
-
-    Commutative and associative: findings are re-sorted by instance
-    index, counts add, truncation flags combine by OR.
-    """
-    reports = list(reports)
-    if not reports:
-        raise ValueError("nothing to merge")
-    first = reports[0]
-    if any(r.check != first.check or r.family != first.family for r in reports):
-        raise ValueError("cannot merge reports from different runs")
-    return _report(
-        first.check,
-        first.family,
-        sum(r.checked for r in reports),
-        [f for r in reports for f in r.violations + r.candidates],
-        any(r.truncated for r in reports),
-        sum(r.elapsed_s for r in reports),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Instance serialization for witnesses
 # ---------------------------------------------------------------------------
@@ -467,8 +424,12 @@ class _ZeroOneVerdicts(dict):
 
 
 def _check_zero_one_characterization(idx, d, ctx, verdicts):
-    # the character of every instance, ahead of the lookup, so that the
-    # cap truncates the sweep at the same instance as a check per diagram
+    # the character of every instance, though a verdict reads only one per
+    # multiset: perfbench/tracer.py sums ``weyl.principal_sum`` over these
+    # calls and perfbench/expected.json pins the sum, so folding the call
+    # into ``decide`` waits on a declared benchmark change (ROADMAP item 1).
+    # The cap does not need it: whether a character exceeds the cap depends
+    # only on its column multiset, whose first instance ``decide`` meets.
     chi = dual_character(d, ctx["cap"])
     key = column_multiset(d), d.n
     on_hit, on_miss = verdicts.get(key) or verdicts.decide(key, d, chi)
@@ -592,7 +553,7 @@ def _members_digest(family):
     return hashlib.sha256(repr(family.members).encode()).hexdigest()
 
 
-def _write_checkpoint(path, check_name, family, ctx, cursor, checked, findings, elapsed_s=0.0):
+def _write_checkpoint(path, check_name, family, ctx, cursor, findings, elapsed_s=0.0):
     payload = {
         "check": check_name,
         "family": family.describe(),
@@ -600,7 +561,6 @@ def _write_checkpoint(path, check_name, family, ctx, cursor, checked, findings, 
         "ctx": _fingerprint(ctx),
         "cap": ctx["cap"],
         "shard_cursor": cursor,
-        "checked": checked,
         "elapsed_s": elapsed_s,
         "findings": [dict(f.to_json_obj(), severity=f.severity) for f in findings],
     }
@@ -637,20 +597,21 @@ def _is_finding(obj) -> bool:
 
 
 def _load_checkpoint(path, check_name, family, ctx):
-    """Cursor, count, findings and seconds so far of a checkpoint written by this same run.
+    """Cursor, findings and seconds so far of a checkpoint written by this same run.
 
     A checkpoint from a run with a different check, family (an explicit
     list's members included) or ctx field is refused.  So is a resume
     with a smaller cap than the checkpoint's, under which instances
     before the cursor might truncate; a larger cap is fine, since no
     instance before the cursor truncated.  A checkpoint without a time
-    reads as 0 seconds.  A malformed one is refused too: the cap must be
-    a count, the cursor and the count equal counts, as a serial walk
-    writes them, and no larger than the family, the time a finite number
-    of seconds, and the findings a list of findings.
+    reads as 0 seconds, and a ``checked`` field, which checkpoints once
+    carried beside the cursor, is ignored.  A malformed one is refused
+    too: the cap must be a count, the cursor a count no larger than the
+    family, the time a finite number of seconds, and the findings a list
+    of findings.
     """
     if not path or not os.path.exists(path):
-        return 0, 0, [], 0.0
+        return 0, [], 0.0
     with open(path) as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
@@ -666,9 +627,9 @@ def _load_checkpoint(path, check_name, family, ctx):
         raise ValueError(f"checkpoint {path}: cap must be a count")
     if payload["cap"] > ctx["cap"]:
         raise ValueError(f"checkpoint {path} belongs to a different run")
-    cursor, checked = payload.get("shard_cursor"), payload.get("checked")
-    if not (_is_count(cursor) and _is_count(checked) and cursor == checked):
-        raise ValueError(f"checkpoint {path}: shard_cursor and checked must be equal counts")
+    cursor = payload.get("shard_cursor")
+    if not _is_count(cursor):
+        raise ValueError(f"checkpoint {path}: shard_cursor must be a count")
     size = family.size()
     if cursor > size:
         raise ValueError(f"checkpoint {path}: shard_cursor {cursor} is past the family's {size} instances")
@@ -679,7 +640,7 @@ def _load_checkpoint(path, check_name, family, ctx):
     if not (isinstance(found, list) and all(map(_is_finding, found))):
         raise ValueError(f"checkpoint {path}: findings must be a list of findings")
     findings = [_finding_from_json(f, f.get("severity", "violation")) for f in found]
-    return cursor, checked, findings, elapsed_s
+    return cursor, findings, elapsed_s
 
 
 # A support-only grid sweep reads the checkpoint clock once per this many
@@ -713,9 +674,9 @@ class _SupportVerdicts(dict):
 
 
 def _instance_runs(family, first, nshards):
-    """Runs of one instance each, every ``nshards``-th from index ``first`` on."""
+    """Runs of one instance each, every ``nshards``-th from index ``first`` on, each with the index past it."""
     for idx, payload in itertools.islice(family.instances(), first, None, nshards):
-        yield idx, 1, ((idx, payload),)
+        yield idx + 1, ((idx, payload),)
 
 
 def _support_grid_runs(family, ctx, first, nshards):
@@ -732,7 +693,7 @@ def _support_grid_runs(family, ctx, first, nshards):
     grids = itertools.islice(_grid_product(family, range(1 << n)), first, None, nshards)
     while block := list(itertools.islice(grids, CHUNK)):
         picked = itertools.compress(range(len(block)), map(needed.__getitem__, map(tuple, map(sorted, block))))
-        yield first, len(block), _picked_diagrams(block, picked, first, nshards, column, n)
+        yield first + (len(block) - 1) * nshards + 1, _picked_diagrams(block, picked, first, nshards, column, n)
         first += len(block) * nshards
 
 
@@ -745,9 +706,12 @@ def _picked_diagrams(block, picked, first, nshards, column, n):
 def _walk(check_name, family, ctx, shard, nshards, checkpoint_path):
     """Check every ``nshards``-th instance from index ``shard`` on.
 
-    Returns (checked, findings, truncated, seconds spent before this
-    walk).  Instances come in runs.  A support-only ``lower_bound`` on
-    an ``all_diagrams`` family takes runs of ``CHUNK`` instances from
+    Returns (stop, findings, seconds spent before this walk): ``stop`` is
+    the index of the instance that exceeded the cap, or ``family.size()``
+    if none did, so every instance of this shard below ``stop`` has been
+    checked.  Instances come in runs, each yielded with the index past
+    its last instance.  A support-only ``lower_bound`` on an
+    ``all_diagrams`` family takes runs of ``CHUNK`` instances from
     ``_support_grid_runs``, which builds and checks only the diagrams
     whose column multiset has a finding or exceeds the cap; every other
     sweep takes runs of one instance.  A zero-one characterization
@@ -764,7 +728,7 @@ def _walk(check_name, family, ctx, shard, nshards, checkpoint_path):
     check = _CHECKS[check_name]
     if check_name == "zero_one_characterization":
         check = partial(check, verdicts=_ZeroOneVerdicts(ctx["patterns"]))
-    start, checked, findings, resumed_s = _load_checkpoint(checkpoint_path, check_name, family, ctx)
+    start, findings, resumed_s = _load_checkpoint(checkpoint_path, check_name, family, ctx)
     saved = time.perf_counter()
     began = saved - resumed_s
 
@@ -772,7 +736,7 @@ def _walk(check_name, family, ctx, shard, nshards, checkpoint_path):
         nonlocal saved
         if checkpoint_path:
             elapsed_s = time.perf_counter() - began
-            _write_checkpoint(checkpoint_path, check_name, family, ctx, cursor, checked, findings, elapsed_s)
+            _write_checkpoint(checkpoint_path, check_name, family, ctx, cursor, findings, elapsed_s)
             saved = time.perf_counter()
 
     # this shard's first index at or after the cursor
@@ -781,20 +745,18 @@ def _walk(check_name, family, ctx, shard, nshards, checkpoint_path):
         runs = _support_grid_runs(family, ctx, origin, nshards)
     else:
         runs = _instance_runs(family, origin, nshards)
-    for first, size, instances in runs:
+    for end, instances in runs:
         for idx, payload in instances:
             try:
                 findings.extend(check(idx, payload, ctx))
             except CapExceeded:
-                checked += (idx - first) // nshards
                 save(idx)
-                return checked, findings, True, resumed_s
-        checked += size
+                return idx, findings, resumed_s
         if checkpoint_path and time.perf_counter() - saved >= CHECKPOINT_INTERVAL_S:
-            save(first + (size - 1) * nshards + 1)
+            save(end)
     if checkpoint_path and os.path.exists(checkpoint_path):
         os.unlink(checkpoint_path)
-    return checked, findings, False, resumed_s
+    return family.size(), findings, resumed_s
 
 
 def run_check(
@@ -808,8 +770,11 @@ def run_check(
     """Run one named check over a family and assemble the report.
 
     ``workers`` processes each walk an interleaved shard of the family.
-    A serial run given ``checkpoint_path`` resumes from that file and
-    rewrites it about every ``CHECKPOINT_INTERVAL_S`` seconds; its
+    The report stops at the first instance that exceeded the cap in any
+    shard: every shard has checked each of its instances below it, so
+    ``checked`` and the findings are the serial run's at any worker
+    count.  A serial run given ``checkpoint_path`` resumes from that file
+    and rewrites it about every ``CHECKPOINT_INTERVAL_S`` seconds; its
     ``elapsed_s`` spans every resumed segment.
     """
     if check_name not in _CHECKS:
@@ -821,6 +786,8 @@ def run_check(
         raise ValueError("workers must be at least 1")
     if workers > 1 and checkpoint_path:
         raise ValueError("checkpointing requires a serial run")
+    if checkpoint_path and not os.path.isdir(os.path.dirname(os.path.abspath(checkpoint_path))):
+        raise ValueError(f"checkpoint {checkpoint_path}: its directory does not exist")
     began = time.perf_counter()
     walk = partial(_walk, check_name, family, ctx, nshards=workers, checkpoint_path=checkpoint_path)
     if workers == 1:
@@ -831,14 +798,20 @@ def run_check(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(walk, range(workers)))
-    checked, findings, truncated, resumed_s = zip(*parts)
-    return _report(
-        check_name,
-        family.describe(),
-        sum(checked),
-        [f for part in findings for f in part],
-        any(truncated),
-        sum(resumed_s) + time.perf_counter() - began,
+    stops, findings, resumed_s = zip(*parts)
+    stop = min(stops)
+    kept = sorted(
+        (f for part in findings for f in part if f.instance_index < stop),
+        key=lambda f: (f.instance_index, f.witness),
+    )
+    return VerificationReport(
+        check=check_name,
+        family=family.describe(),
+        checked=stop,
+        violations=[f for f in kept if f.severity == "violation"],
+        candidates=[f for f in kept if f.severity == "candidate"],
+        truncated=stop < family.size(),
+        elapsed_s=sum(resumed_s) + time.perf_counter() - began,
     )
 
 

@@ -36,7 +36,6 @@ from weylchar.polynomials import (
 from weylchar.schubert import key, macdonald_specialization, schubert
 from weylchar.verify import (
     all_diagrams,
-    merge_reports,
     verify_equality_iff_unstable,
     verify_lower_bound,
     verify_upper_bound,
@@ -237,8 +236,6 @@ def test_property_suite():
         for r in (serial, shard_a, shard_b)
     ]
     assert statics[0] == statics[1] == statics[2]
-    merged = merge_reports([shard_a, shard_b])
-    assert merged.checked == 2 * serial.checked
 
     elapsed = time.perf_counter() - start
     gate("operator and enumeration property suite", 120.0, elapsed, True)

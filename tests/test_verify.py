@@ -45,7 +45,6 @@ from weylchar.verify import (
     all_rothe,
     all_skyline,
     explicit_list,
-    merge_reports,
     report_from_json_obj,
     run_check,
     verify_equality_iff_unstable,
@@ -242,41 +241,6 @@ def test_report_render_lines():
     assert "candidates: 1" in text
     assert "violation #0 d0" in text
     assert "candidate #1 d1" in text
-
-
-def test_merge_reports():
-    full = _sample_report()
-    left = VerificationReport(
-        check=full.check, family=full.family, checked=1,
-        violations=list(full.violations), candidates=[], elapsed_s=0.1,
-    )
-    right = VerificationReport(
-        check=full.check, family=full.family, checked=1,
-        violations=[], candidates=list(full.candidates), elapsed_s=0.15,
-    )
-    for ordering in ([left, right], [right, left]):
-        merged = merge_reports(ordering)
-        assert merged.checked == 2
-        assert merged.violations == full.violations
-        assert merged.candidates == full.candidates
-    assert merge_reports([left, right]).elapsed_s == pytest.approx(0.25)
-
-
-def test_merge_rejects_mismatch_and_empty():
-    a = _sample_report()
-    b = _sample_report()
-    b.check = "upper_bound"
-    with pytest.raises(ValueError):
-        merge_reports([a, b])
-    with pytest.raises(ValueError):
-        merge_reports([])
-
-
-def test_merge_or_combines_truncation():
-    a = _sample_report()
-    b = _sample_report()
-    b.truncated = True
-    assert merge_reports([a, b]).truncated
 
 
 # ---------------------------------------------------------------------------
@@ -552,14 +516,14 @@ def _force_some_witnesses(monkeypatch):
     )
 
 
-def _zero_one_reference(fam, patterns, cap, shard, nshards):
-    """One shard of the zero-one characterization, decided per instance: (checked, findings, truncated)."""
+def _zero_one_reference(fam, patterns, cap=DEFAULT_CAP):
+    """The zero-one characterization, decided per instance in a serial walk: (checked, findings, truncated)."""
     checked, findings = 0, []
-    for idx, d in itertools.islice(fam.instances(), shard, None, nshards):
+    for idx, d in fam.instances():
         try:
             chi = dual_character(d, cap)
         except CapExceeded:
-            return checked, findings, True
+            return checked, sorted(findings), True
         offender = verify.zero_one_witness(chi)
         hit = any(contains_pattern(d, p) for p in patterns)
         instance = json.dumps(diagram_to_json_obj(d), separators=(",", ":"))
@@ -571,12 +535,7 @@ def _zero_one_reference(fam, patterns, cap, shard, nshards):
             findings.append((idx, instance, f"coefficient {c} at {render_monomial(m)}", "no pattern hit",
                              "not zero-one yet matches no supplied configuration", "candidate"))
         checked += 1
-    return checked, findings, False
-
-
-def _merged_reference(fam, patterns, cap=DEFAULT_CAP, workers=1):
-    parts = [_zero_one_reference(fam, patterns, cap, shard, workers) for shard in range(workers)]
-    return sum(p[0] for p in parts), sorted(f for p in parts for f in p[1]), any(p[2] for p in parts)
+    return checked, sorted(findings), False
 
 
 def _as_reference(report):
@@ -608,7 +567,7 @@ MIXED_GRID_SIZES = explicit_list([
 @pytest.mark.parametrize("workers", [1, 2])
 def test_zero_one_verdicts_match_a_check_per_instance(monkeypatch, patterns, fam, workers):
     _force_some_witnesses(monkeypatch)
-    expected = _merged_reference(fam, patterns, workers=workers)
+    expected = _zero_one_reference(fam, patterns)
     _, findings, _ = expected
     assert {f[-1] for f in findings} == {"violation", "candidate"}
     assert _as_reference(verify_zero_one_characterization(fam, patterns, workers=workers)) == expected
@@ -637,7 +596,7 @@ def test_zero_one_sweep_decides_each_multiset_once(monkeypatch):
 def test_zero_one_verdicts_truncate_and_resume_where_a_check_per_instance_does(tmp_path, monkeypatch, cap):
     _force_some_witnesses(monkeypatch)
     fam, patterns = all_diagrams(3), [WITNESS, FIXED_CORNER]
-    checked, findings, truncated = _merged_reference(fam, patterns, cap)
+    checked, findings, truncated = _zero_one_reference(fam, patterns, cap)
     assert truncated
     # some multiset has orders on both sides of the cut, so its verdict is
     # decided before the cut and needed again after it
@@ -647,15 +606,15 @@ def test_zero_one_verdicts_truncate_and_resume_where_a_check_per_instance_does(t
     assert any(indices[0] < checked < indices[-1] for indices in orders.values())
     for workers in (1, 2):
         report = verify_zero_one_characterization(fam, patterns, cap=cap, workers=workers)
-        assert _as_reference(report) == _merged_reference(fam, patterns, cap, workers)
+        assert _as_reference(report) == (checked, findings, truncated)
     path = tmp_path / "cut.json"
     verify_zero_one_characterization(fam, patterns, cap=cap, checkpoint_path=str(path))
     saved = json.loads(path.read_text())
-    assert saved["shard_cursor"] == saved["checked"] == checked
+    assert saved["shard_cursor"] == checked
     fields = ("instance_index", "instance", "lhs", "rhs", "witness", "severity")
     assert sorted(tuple(f[k] for k in fields) for f in saved["findings"]) == findings
     resumed = verify_zero_one_characterization(fam, patterns, checkpoint_path=str(path))
-    assert _as_reference(resumed) == _merged_reference(fam, patterns)
+    assert _as_reference(resumed) == _zero_one_reference(fam, patterns)
     assert not path.exists()
 
 
@@ -779,7 +738,6 @@ def test_checkpoint_resume_matches_full_run(tmp_path):
         "ctx": {"patterns": [render_pattern(ALL_FREE_2)]},
         "cap": DEFAULT_CAP,
         "shard_cursor": cursor,
-        "checked": cursor,
         "findings": [dict(f.to_json_obj(), severity=f.severity) for f in prefix],
     }))
     resumed = verify_zero_one_characterization(
@@ -796,7 +754,6 @@ def test_checkpoint_for_other_run_rejected(tmp_path):
         "check": "lower_bound",
         "family": "AllDiagrams(n=9, max_boxes=None)",
         "shard_cursor": 4,
-        "checked": 4,
         "findings": [],
     }))
     with pytest.raises(ValueError):
@@ -805,7 +762,6 @@ def test_checkpoint_for_other_run_rejected(tmp_path):
         "check": "upper_bound",
         "family": fam.describe(),
         "shard_cursor": 4,
-        "checked": 4,
         "findings": [],
     }))
     with pytest.raises(ValueError):
@@ -816,7 +772,7 @@ def test_checkpoint_from_other_parameters_rejected(tmp_path):
     fam = all_diagrams(3)
     path = tmp_path / "params.json"
     ctx = {"cap": DEFAULT_CAP, "support_only": True}  # as verify_lower_bound builds it
-    verify._write_checkpoint(str(path), "lower_bound", fam, ctx, 64, 64, [])
+    verify._write_checkpoint(str(path), "lower_bound", fam, ctx, 64, [])
     with pytest.raises(ValueError):
         verify_lower_bound(fam, support_only=False, checkpoint_path=str(path))
     with pytest.raises(ValueError):
@@ -859,7 +815,7 @@ def test_checkpoint_is_on_disk_before_it_is_renamed(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fsync", spy_fsync)
     monkeypatch.setattr(os, "replace", spy_replace)
     path = tmp_path / "durable.json"
-    verify._write_checkpoint(str(path), "lower_bound", all_diagrams(2), {"cap": DEFAULT_CAP}, 4, 4, [])
+    verify._write_checkpoint(str(path), "lower_bound", all_diagrams(2), {"cap": DEFAULT_CAP}, 4, [])
     assert calls == ["fsync", "replace"]
     assert json.loads(path.read_text())["shard_cursor"] == 4
 
@@ -885,7 +841,7 @@ def test_truncated_run_keeps_its_checkpoint(tmp_path):
     cut = verify_lower_bound(fam, cap=6, checkpoint_path=str(path))
     assert cut.truncated and cut.checked == 36
     saved = json.loads(path.read_text())
-    assert saved["shard_cursor"] == 36 and saved["cap"] == 6
+    assert saved["shard_cursor"] == 36 and saved["cap"] == 6 and "checked" not in saved
     assert saved["elapsed_s"] > 0
     resumed = verify_lower_bound(fam, checkpoint_path=str(path))
     assert not path.exists()
@@ -902,7 +858,6 @@ def test_resumed_report_counts_earlier_segments(tmp_path):
         "ctx": {"support_only": False},
         "cap": DEFAULT_CAP,
         "shard_cursor": 8,
-        "checked": 8,
         "elapsed_s": 1000.0,
         "findings": [],
     }))
@@ -938,9 +893,18 @@ def test_serial_sharded_and_resumed_runs_agree(check, tmp_path):
     cut = sweep(cap=CUT, checkpoint_path=str(path))
     assert cut.truncated and 0 < cut.checked < serial.checked
     assert path.exists()
+    # a truncated sharded run stops where the serial one does
+    assert stable_json(sweep(cap=CUT, workers=2)) == stable_json(cut)
     resumed = sweep(checkpoint_path=str(path))
     assert not path.exists()
     assert stable_json(serial) == stable_json(sharded) == stable_json(resumed)
+
+
+@pytest.mark.parametrize("cap, checked", [(6, 36), (10, 148), (20, 292)])
+def test_truncated_upper_bound_checks_the_serial_prefix_at_any_worker_count(cap, checked):
+    reports = [verify_upper_bound(all_diagrams(3), cap=cap, workers=workers) for workers in (1, 2)]
+    assert reports[0].truncated and reports[0].checked == checked
+    assert stable_json(reports[0]) == stable_json(reports[1])
 
 
 def test_checkpoint_requires_serial_run(tmp_path):
@@ -991,7 +955,7 @@ def test_interrupted_run_resumes_from_its_last_instance(tmp_path, monkeypatch):
         with pytest.raises(RuntimeError):
             verify_zero_one_characterization(fam, [ALL_FREE_2], checkpoint_path=str(path))
     saved = json.loads(path.read_text())
-    assert saved["shard_cursor"] == saved["checked"] == k
+    assert saved["shard_cursor"] == k
     assert saved["findings"]
     resumed = verify_zero_one_characterization(fam, [ALL_FREE_2], checkpoint_path=str(path))
     assert not path.exists()
@@ -1034,7 +998,6 @@ def _valid_checkpoint(fam):
         "ctx": {"support_only": True},
         "cap": DEFAULT_CAP,
         "shard_cursor": 8,
-        "checked": 8,
         "elapsed_s": 0.5,
         "findings": [],
     }
@@ -1052,10 +1015,10 @@ GOOD_FINDING = {"instance_index": 3, "instance": "{}", "lhs": "1", "rhs": "2", "
         ("shard_cursor", 8.0),
         ("shard_cursor", 99),
         ("shard_cursor", None),
-        ("checked", -5),
-        ("checked", "8"),
-        ("checked", False),
-        ("checked", 9),
+        ("shard_cursor", False),
+        ("shard_cursor", [8]),
+        ("shard_cursor", 17),
+        ("elapsed_s", None),
         ("elapsed_s", -1.0),
         ("elapsed_s", float("nan")),
         ("elapsed_s", float("inf")),
@@ -1081,9 +1044,24 @@ def test_malformed_checkpoint_is_refused(tmp_path, field, value, support_only):
     payload[field] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=field.replace("shard_cursor", "shard_cursor and checked")):
+    with pytest.raises(ValueError, match=field):
         verify_lower_bound(fam, support_only=support_only, checkpoint_path=str(path))
     assert path.exists()
+
+
+@pytest.mark.parametrize("checked", [-5, "8", False, 9])
+@pytest.mark.parametrize("support_only", [True, False], ids=["grid-runs", "instance-runs"])
+def test_checkpoint_checked_field_is_ignored(tmp_path, checked, support_only):
+    """A checkpoint that carries a ``checked`` count beside its cursor resumes from the cursor alone."""
+    fam = all_diagrams(2)
+    payload = _valid_checkpoint(fam)
+    payload["ctx"]["support_only"] = support_only
+    payload["checked"] = checked
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(payload))
+    resumed = verify_lower_bound(fam, support_only=support_only, checkpoint_path=str(path))
+    assert _outcome(resumed) == _outcome(verify_lower_bound(fam, support_only=support_only))
+    assert not path.exists()
 
 
 FAMILIES = [
@@ -1118,11 +1096,11 @@ def test_checkpoint_cursor_past_the_family_is_refused(tmp_path, check, fam, ctx)
     """A cursor past the family's end is refused before the walk; one at its end resumes to the full report."""
     path = tmp_path / "cursor.json"
     size = fam.size()
-    verify._write_checkpoint(str(path), check, fam, ctx, size + 1, size + 1, [])
+    verify._write_checkpoint(str(path), check, fam, ctx, size + 1, [])
     with pytest.raises(ValueError, match=f"shard_cursor {size + 1} is past the family's {size} instances"):
         run_check(check, fam, ctx, checkpoint_path=str(path))
     assert path.exists()
-    verify._write_checkpoint(str(path), check, fam, ctx, size, size, [])
+    verify._write_checkpoint(str(path), check, fam, ctx, size, [])
     resumed = run_check(check, fam, ctx, checkpoint_path=str(path))
     assert resumed.checked == size and not resumed.truncated
     assert not path.exists()
@@ -1208,7 +1186,7 @@ def test_support_grid_truncates_where_instance_runs_do(tmp_path, monkeypatch, wo
     fam = all_diagrams(3)
     for cap in (0, 3, 6, 10):
         grid = verify_lower_bound(fam, support_only=True, cap=cap, workers=workers)
-        one_by_one = verify_lower_bound(_as_explicit(fam), support_only=True, cap=cap, workers=workers)
+        one_by_one = verify_lower_bound(_as_explicit(fam), support_only=True, cap=cap)
         assert grid.truncated and one_by_one.truncated
         assert _outcome(grid) == _outcome(one_by_one), cap
     cursors = {}
@@ -1216,7 +1194,7 @@ def test_support_grid_truncates_where_instance_runs_do(tmp_path, monkeypatch, wo
         path = tmp_path / f"{name}.json"
         cut = verify_lower_bound(sweep_fam, support_only=True, cap=6, checkpoint_path=str(path))
         saved = json.loads(path.read_text())
-        assert saved["shard_cursor"] == saved["checked"] == cut.checked
+        assert saved["shard_cursor"] == cut.checked
         cursors[name] = saved["shard_cursor"]
         resumed = verify_lower_bound(sweep_fam, support_only=True, checkpoint_path=str(path))
         assert _outcome(resumed) == _outcome(verify_lower_bound(sweep_fam, support_only=True))
