@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -120,26 +121,20 @@ def _grid_columns(n):
     return [tuple(i for i in range(1, n + 1) if bits >> (i - 1) & 1) for bits in range(1 << n)]
 
 
-def _grid_product(family, table):
-    """A grid family's diagrams in index order, each an n-tuple of ``table[id]``, last column first.
+def _grid_subsets(family):
+    """Subsets of the n x n grid by ascending bitmask; bit (j-1)*n+(i-1) is box (i, j).
 
     ``product`` varies its last factor fastest, so column 1, the lowest
     bits of the box mask, varies fastest and the masks ascend.  A
     ``max_boxes`` limit is applied to the column sizes, at C speed.
     """
     n = family.n
-    grids = itertools.product(table, repeat=n)
+    grids = itertools.product(_grid_columns(n), repeat=n)
     if family.max_boxes is not None:
         sizes = [bits.bit_count() for bits in range(1 << n)]
         small = map(family.max_boxes.__ge__, map(sum, itertools.product(sizes, repeat=n)))
         grids = itertools.compress(grids, small)
-    return grids
-
-
-def _grid_subsets(family):
-    """Subsets of the n x n grid by ascending bitmask; bit (j-1)*n+(i-1) is box (i, j)."""
-    grids = _grid_product(family, _grid_columns(family.n))
-    return map(Diagram, (reversed_columns[::-1] for reversed_columns in grids), itertools.repeat(family.n))
+    return map(Diagram, (reversed_columns[::-1] for reversed_columns in grids), itertools.repeat(n))
 
 
 def _grid_size(family):
@@ -283,18 +278,6 @@ def _finding_from_json(obj, severity) -> Finding:
     )
 
 
-def report_from_json_obj(obj) -> VerificationReport:
-    return VerificationReport(
-        check=obj["check"],
-        family=obj["family"],
-        checked=obj["checked"],
-        violations=[_finding_from_json(f, "violation") for f in obj["violations"]],
-        candidates=[_finding_from_json(f, "candidate") for f in obj.get("candidates", [])],
-        truncated=obj["truncated"],
-        elapsed_s=obj["elapsed_s"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # Instance serialization for witnesses
 # ---------------------------------------------------------------------------
@@ -427,9 +410,7 @@ def _check_zero_one_characterization(idx, d, ctx, verdicts):
     # the character of every instance, though a verdict reads only one per
     # multiset: perfbench/tracer.py sums ``weyl.principal_sum`` over these
     # calls and perfbench/expected.json pins the sum, so folding the call
-    # into ``decide`` waits on a declared benchmark change (ROADMAP item 1).
-    # The cap does not need it: whether a character exceeds the cap depends
-    # only on its column multiset, whose first instance ``decide`` meets.
+    # into ``decide`` waits on a declared benchmark change (ROADMAP item 1)
     chi = dual_character(d, ctx["cap"])
     key = column_multiset(d), d.n
     on_hit, on_miss = verdicts.get(key) or verdicts.decide(key, d, chi)
@@ -444,25 +425,16 @@ def _check_upper_bound(idx, d, ctx):
     if total > below:
         findings.append(Finding(idx, _show_instance(d), str(total), str(below), "all-ones value above the ideal size"))
     equal = total == below
-    nw_pattern = ctx.get("northwest_pattern")
-    if nw_pattern is not None and is_northwest(d):
-        hit = contains_pattern(d, nw_pattern)
+    # the northwest criterion is proved for northwest diagrams; the general one is open
+    for name, pattern, severity in (("northwest", ctx.get("northwest_pattern"), "violation"),
+                                    ("general", ctx.get("general_pattern"), "candidate")):
+        if pattern is None or name == "northwest" and not is_northwest(d):
+            continue
+        hit = contains_pattern(d, pattern)
         if equal == hit:
-            findings.append(
-                Finding(idx, _show_instance(d), str(total), str(below),
-                        "northwest equality criterion failed: "
-                        + ("equality with a pattern hit" if hit else "strict without a pattern hit"))
-            )
-    general = ctx.get("general_pattern")
-    if general is not None:
-        hit = contains_pattern(d, general)
-        if equal == hit:
-            findings.append(
-                Finding(idx, _show_instance(d), str(total), str(below),
-                        "general equality criterion failed: "
-                        + ("equality with a pattern hit" if hit else "strict without a pattern hit"),
-                        severity="candidate")
-            )
+            outcome = "equality with a pattern hit" if hit else "strict without a pattern hit"
+            findings.append(Finding(idx, _show_instance(d), str(total), str(below),
+                                    f"{name} equality criterion failed: {outcome}", severity))
     return findings
 
 
@@ -560,7 +532,7 @@ def _write_checkpoint(path, check_name, family, ctx, cursor, findings, elapsed_s
         "members": _members_digest(family),
         "ctx": _fingerprint(ctx),
         "cap": ctx["cap"],
-        "shard_cursor": cursor,
+        "cursor": cursor,
         "elapsed_s": elapsed_s,
         "findings": [dict(f.to_json_obj(), severity=f.severity) for f in findings],
     }
@@ -605,10 +577,11 @@ def _load_checkpoint(path, check_name, family, ctx):
     before the cursor might truncate; a larger cap is fine, since no
     instance before the cursor truncated.  A checkpoint without a time
     reads as 0 seconds, and a ``checked`` field, which checkpoints once
-    carried beside the cursor, is ignored.  A malformed one is refused
-    too: the cap must be a count, the cursor a count no larger than the
-    family, the time a finite number of seconds, and the findings a list
-    of findings.
+    carried beside the cursor, is ignored.  One with a ``shard_cursor``
+    is refused: that cursor counted a grid's instances one by one, not
+    its column multisets.  A malformed one is refused too: the cap must
+    be a count, the cursor a count no larger than the family, the time a
+    finite number of seconds, and the findings a list of findings.
     """
     if not path or not os.path.exists(path):
         return 0, [], 0.0
@@ -627,12 +600,14 @@ def _load_checkpoint(path, check_name, family, ctx):
         raise ValueError(f"checkpoint {path}: cap must be a count")
     if payload["cap"] > ctx["cap"]:
         raise ValueError(f"checkpoint {path} belongs to a different run")
-    cursor = payload.get("shard_cursor")
+    if "shard_cursor" in payload:
+        raise ValueError(f"checkpoint {path} has a shard_cursor, from an older walk, and cannot be resumed")
+    cursor = payload.get("cursor")
     if not _is_count(cursor):
-        raise ValueError(f"checkpoint {path}: shard_cursor must be a count")
+        raise ValueError(f"checkpoint {path}: cursor must be a count")
     size = family.size()
     if cursor > size:
-        raise ValueError(f"checkpoint {path}: shard_cursor {cursor} is past the family's {size} instances")
+        raise ValueError(f"checkpoint {path}: cursor {cursor} is past the family's {size} instances")
     elapsed_s = payload.get("elapsed_s", 0.0)
     if not (type(elapsed_s) in (int, float) and 0 <= elapsed_s < float("inf")):
         raise ValueError(f"checkpoint {path}: elapsed_s must be a finite number of seconds")
@@ -643,87 +618,110 @@ def _load_checkpoint(path, check_name, family, ctx):
     return cursor, findings, elapsed_s
 
 
-# A support-only grid sweep reads the checkpoint clock once per this many
-# instances of its shard.
-CHUNK = 4096
+def _reads_column_order(check_name, ctx) -> bool:
+    """Whether a check must see every column order of a multiset, not only its first.
 
-
-class _SupportVerdicts(dict):
-    """Sorted column ids of a grid diagram -> whether it needs its own check, filled on first lookup.
-
-    The ids of empty columns (0) stay in the key, so a key names one
-    column multiset.  A diagram needs its check when its support count
-    is below rank + 1, or when counting exceeds the cap: its check then
-    raises again and truncates the sweep at it.  A miss asks the
-    module-level ``_support_and_bound``, once per multiset a sweep meets.
+    The other checks read a diagram only through its column multiset, so
+    when the first order has no finding, no order has one.  The patterns
+    of ``upper_bound`` read column positions, and so do the ``columnswap:
+    false`` ones of ``zero_one_characterization``, which also calls
+    ``dual_character`` once per instance for the benchmark's tracer.
     """
-
-    def __init__(self, column, cap):
-        super().__init__()
-        self.column, self.cap = column, cap
-
-    def __missing__(self, ids):
-        columns = tuple(sorted(self.column[i] for i in ids if i))
-        try:
-            support, bound = _support_and_bound(columns, self.cap)
-            needed = support < bound
-        except CapExceeded:
-            needed = True
-        self[ids] = needed
-        return needed
+    if check_name == "upper_bound":
+        return ctx.get("northwest_pattern") is not None or ctx.get("general_pattern") is not None
+    return check_name == "zero_one_characterization"
 
 
-def _instance_runs(family, first, nshards):
-    """Runs of one instance each, every ``nshards``-th from index ``first`` on, each with the index past it."""
-    for idx, payload in itertools.islice(family.instances(), first, None, nshards):
-        yield idx + 1, ((idx, payload),)
+def _grid_index(family):
+    """A grid family's instance index as a function of the box mask, or None where it is the mask.
+
+    Under ``max_boxes`` the index is the number of smaller masks with at
+    most that many boxes: a set bit ``k`` with ``j`` set bits above it
+    counts the masks that agree above ``k``, clear it, and set at most
+    ``max_boxes - j`` of the ``k`` bits below.
+    """
+    if family.max_boxes is None:
+        return None
+    cells = range(family.n * family.n)
+    below = [[sum(math.comb(k, t) for t in range(family.max_boxes - j + 1)) for j in cells] for k in cells]
+    return lambda mask: sum(below[k][j] for j, k in enumerate(k for k in reversed(cells) if mask >> k & 1))
 
 
-def _support_grid_runs(family, ctx, first, nshards):
-    """Runs of ``CHUNK`` instances of a support-only lower bound on a grid, as ``_instance_runs``.
+@lru_cache(maxsize=None)
+def _later_orders(equal):
+    """Getters of every order of a sorted tuple but the first, ascending: pairs of the order and its reverse.
 
-    The diagrams stream as tuples of column ids through C-level
-    itertools, and a run yields only its instances whose column
-    multiset ``_SupportVerdicts`` flags, built as diagrams; every other
-    instance has no finding and is counted without being built.
+    ``equal[k]`` says whether entries k and k + 1 of the tuple are equal,
+    which fixes the distinct orders and how they sort.
+    """
+    values = list(itertools.accumulate((not e for e in equal), initial=0))
+    firsts = {}
+    for p in itertools.permutations(range(len(values))):
+        firsts.setdefault(tuple(map(values.__getitem__, p)), p)
+    return [(operator.itemgetter(*p), operator.itemgetter(*p[::-1])) for _, p in sorted(firsts.items())[1:]]
+
+
+def _instance_runs(family, check, ctx):
+    """Each instance's index, with a thunk that returns its findings."""
+    for idx, payload in family.instances():
+        yield idx, partial(check, idx, payload, ctx)
+
+
+def _grid_runs(family, check, ctx, every_order):
+    """Each column multiset of a grid family: its first instance's index, with a thunk as ``_instance_runs``.
+
+    A multiset is a sorted tuple from ``combinations_with_replacement``.
+    Read as column ids from column n down, that is as the digits of a box
+    mask, it is the multiset's first instance, the order with the
+    smallest mask, and these first instances ascend.  The thunk checks
+    the first instance; it checks the other orders, by ascending mask,
+    only when that one has a finding or ``every_order`` is set.  A check
+    that reads only the multiset then decides it once, and a cap, which
+    also depends only on the multiset, is exceeded at its first instance.
     """
     n = family.n
     column = _grid_columns(n)
-    needed = _SupportVerdicts(column, ctx["cap"])
-    grids = itertools.islice(_grid_product(family, range(1 << n)), first, None, nshards)
-    while block := list(itertools.islice(grids, CHUNK)):
-        picked = itertools.compress(range(len(block)), map(needed.__getitem__, map(tuple, map(sorted, block))))
-        yield first + (len(block) - 1) * nshards + 1, _picked_diagrams(block, picked, first, nshards, column, n)
-        first += len(block) * nshards
+    shifts = [n * k for k in reversed(range(n))]
+    index = _grid_index(family)
 
+    def findings(idx, ids):
+        columns = tuple(map(column.__getitem__, ids))
+        found = check(idx, Diagram(columns[::-1], n), ctx)
+        if found or every_order:
+            for order, reverse in _later_orders(tuple(map(operator.eq, ids, ids[1:]))):
+                mask = sum(map(operator.lshift, order(ids), shifts))
+                found += check(mask if index is None else index(mask), Diagram(reverse(columns), n), ctx)
+        return found
 
-def _picked_diagrams(block, picked, first, nshards, column, n):
-    """(index, diagram) of each position ``k`` of ``block`` in ``picked``; ``block`` starts at index ``first``."""
-    for k in picked:
-        yield first + k * nshards, Diagram(tuple(map(column.__getitem__, block[k][::-1])), n)
+    multisets = itertools.combinations_with_replacement(range(1 << n), n)
+    if family.max_boxes is not None:
+        sizes = [bits.bit_count() for bits in range(1 << n)]
+        multisets = (ids for ids in multisets if sum(map(sizes.__getitem__, ids)) <= family.max_boxes)
+    for ids in multisets:
+        mask = sum(map(operator.lshift, ids, shifts))
+        idx = mask if index is None else index(mask)
+        yield idx, partial(findings, idx, ids)
 
 
 def _walk(check_name, family, ctx, shard, nshards, checkpoint_path):
-    """Check every ``nshards``-th instance from index ``shard`` on.
+    """Check every ``nshards``-th run from run ``shard`` on.
 
     Returns (stop, findings, seconds spent before this walk): ``stop`` is
     the index of the instance that exceeded the cap, or ``family.size()``
     if none did, so every instance of this shard below ``stop`` has been
-    checked.  Instances come in runs, each yielded with the index past
-    its last instance.  A support-only ``lower_bound`` on an
-    ``all_diagrams`` family takes runs of ``CHUNK`` instances from
-    ``_support_grid_runs``, which builds and checks only the diagrams
-    whose column multiset has a finding or exceeds the cap; every other
-    sweep takes runs of one instance.  A zero-one characterization
-    decides each column multiset once, in a ``_ZeroOneVerdicts`` that
-    lives for this walk.  Only a serial run, shard 0 of 1,
-    passes a checkpoint path: it resumes from that checkpoint and
-    rewrites it after each run that ends ``CHECKPOINT_INTERVAL_S`` or
-    more seconds after the walk began or the checkpoint was last
-    written.  The checkpoint is removed only once the family has been
-    walked to the end; a run cut short by the cap keeps it, with the
-    cursor at the instance that truncated, so a rerun with a larger cap
-    resumes there.
+    checked.  An ``all_diagrams`` family is walked in runs of one column
+    multiset (``_grid_runs``), any other in runs of one instance.  A
+    zero-one characterization decides each column multiset once, in a
+    ``_ZeroOneVerdicts`` that lives for this walk.  Only a serial run,
+    shard 0 of 1, passes a checkpoint path.  It resumes at the first run
+    that starts at or past the cursor.  Before any later run that starts
+    ``CHECKPOINT_INTERVAL_S`` or more seconds after the walk began or the
+    checkpoint was last written, it rewrites the checkpoint with that
+    run's start as the cursor.  So every run that starts below the cursor
+    is done, with all its findings saved, even those past the cursor.
+    The checkpoint is removed only once the family has been walked to
+    the end; a run cut short by the cap keeps it, with the cursor at the
+    instance that truncated, so a rerun with a larger cap resumes there.
     """
     check = _CHECKS[check_name]
     if check_name == "zero_one_characterization":
@@ -739,21 +737,19 @@ def _walk(check_name, family, ctx, shard, nshards, checkpoint_path):
             _write_checkpoint(checkpoint_path, check_name, family, ctx, cursor, findings, elapsed_s)
             saved = time.perf_counter()
 
-    # this shard's first index at or after the cursor
-    origin = start + (shard - start) % nshards
-    if check_name == "lower_bound" and ctx.get("support_only") and family.kind == "all_diagrams":
-        runs = _support_grid_runs(family, ctx, origin, nshards)
+    if family.kind == "all_diagrams":
+        runs = _grid_runs(family, check, ctx, _reads_column_order(check_name, ctx))
     else:
-        runs = _instance_runs(family, origin, nshards)
-    for end, instances in runs:
-        for idx, payload in instances:
-            try:
-                findings.extend(check(idx, payload, ctx))
-            except CapExceeded:
-                save(idx)
-                return idx, findings, resumed_s
-        if checkpoint_path and time.perf_counter() - saved >= CHECKPOINT_INTERVAL_S:
-            save(end)
+        runs = _instance_runs(family, check, ctx)
+    runs = itertools.dropwhile(lambda run: run[0] < start, runs)
+    for idx, run in itertools.islice(runs, shard, None, nshards):
+        if checkpoint_path and idx > start and time.perf_counter() - saved >= CHECKPOINT_INTERVAL_S:
+            save(idx)
+        try:
+            findings.extend(run())
+        except CapExceeded:
+            save(idx)
+            return idx, findings, resumed_s
     if checkpoint_path and os.path.exists(checkpoint_path):
         os.unlink(checkpoint_path)
     return family.size(), findings, resumed_s
@@ -769,7 +765,8 @@ def run_check(
 ) -> VerificationReport:
     """Run one named check over a family and assemble the report.
 
-    ``workers`` processes each walk an interleaved shard of the family.
+    ``workers`` processes each walk an interleaved shard of the family's
+    runs, so each column multiset of a grid is decided in one worker.
     The report stops at the first instance that exceeded the cap in any
     shard: every shard has checked each of its instances below it, so
     ``checked`` and the findings are the serial run's at any worker

@@ -422,9 +422,9 @@ def test_module_entry_point():
 @pytest.mark.parametrize(
     "fields, message",
     [
-        ({"shard_cursor": "3"}, "shard_cursor must be a count"),
-        ({"shard_cursor": -5}, "shard_cursor must be a count"),
-        ({"shard_cursor": 99}, "shard_cursor 99 is past the family's 16 instances"),
+        ({"cursor": "3"}, "cursor must be a count"),
+        ({"cursor": -5}, "cursor must be a count"),
+        ({"cursor": 99}, "cursor 99 is past the family's 16 instances"),
         ({"cap": "5"}, "cap must be a count"),
         ({"cap": None}, "cap must be a count"),
     ],
@@ -437,7 +437,7 @@ def test_malformed_checkpoint_exits_2(capsys, tmp_path, fields, message):
         "family": "AllDiagrams(n=2, max_boxes=None)",
         "ctx": {"support_only": True},
         "cap": 200000,
-        "shard_cursor": 8,
+        "cursor": 8,
         "findings": [],
         **fields,
     }))
@@ -448,3 +448,22 @@ def test_malformed_checkpoint_exits_2(capsys, tmp_path, fields, message):
     assert (code, out) == (2, "")
     assert message in err
 
+
+
+def test_checkpoint_of_an_older_walk_exits_2(capsys, tmp_path):
+    """A checkpoint with a ``shard_cursor`` counted instances, not column multisets, so it is refused."""
+    path = tmp_path / "old.json"
+    payload = {
+        "check": "lower_bound",
+        "family": "AllDiagrams(n=2, max_boxes=None)",
+        "ctx": {"support_only": True},
+        "cap": 200000,
+        "shard_cursor": 9,
+        "findings": [],
+    }
+    path.write_text(json.dumps(payload))
+    argv = ["sweep", "lower-bound", "--family", "all-diagrams", "--n", "2", "--support-only", "--checkpoint", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "shard_cursor" in err and "cannot be resumed" in err
+    assert json.loads(path.read_text()) == payload

@@ -45,7 +45,6 @@ from weylchar.verify import (
     all_rothe,
     all_skyline,
     explicit_list,
-    report_from_json_obj,
     run_check,
     verify_equality_iff_unstable,
     verify_key_identities,
@@ -226,11 +225,6 @@ def test_report_json_schema_and_round_trip():
         "rhs": "2",
         "witness": "why",
     }
-    back = report_from_json_obj(json.loads(json.dumps(obj)))
-    assert back.violations == report.violations
-    assert back.candidates == report.candidates
-    assert back.candidates[0].severity == "candidate"
-    assert back.violations[0].severity == "violation"
     assert not report.ok
 
 
@@ -610,9 +604,14 @@ def test_zero_one_verdicts_truncate_and_resume_where_a_check_per_instance_does(t
     path = tmp_path / "cut.json"
     verify_zero_one_characterization(fam, patterns, cap=cap, checkpoint_path=str(path))
     saved = json.loads(path.read_text())
-    assert saved["shard_cursor"] == checked
+    assert saved["cursor"] == checked
     fields = ("instance_index", "instance", "lhs", "rhs", "witness", "severity")
-    assert sorted(tuple(f[k] for k in fields) for f in saved["findings"]) == findings
+    kept = sorted(tuple(f[k] for k in fields) for f in saved["findings"])
+    # the multisets below the cut are saved whole, orders past it included
+    first = _first_instances(fam)
+    assert all(first[f[0]] < checked for f in kept)
+    assert [f for f in kept if f[0] < checked] == findings
+    assert any(f[0] > checked for f in kept)
     resumed = verify_zero_one_characterization(fam, patterns, checkpoint_path=str(path))
     assert _as_reference(resumed) == _zero_one_reference(fam, patterns)
     assert not path.exists()
@@ -729,15 +728,20 @@ def test_worker_parity_with_findings():
 def test_checkpoint_resume_matches_full_run(tmp_path):
     fam = all_diagrams(2)
     full = verify_zero_one_characterization(fam, [ALL_FREE_2])
+    # every multiset whose first instance is below the cursor is done, all
+    # of its orders included: instance 9 is the second order of the
+    # multiset first met at 6
     cursor = 8
-    prefix = [f for f in full.violations if f.instance_index < cursor]
+    first = _first_instances(fam)
+    prefix = [f for f in full.violations if first[f.instance_index] < cursor]
+    assert any(f.instance_index > cursor for f in prefix)
     path = tmp_path / "resume.json"
     path.write_text(json.dumps({
         "check": "zero_one_characterization",
         "family": fam.describe(),
         "ctx": {"patterns": [render_pattern(ALL_FREE_2)]},
         "cap": DEFAULT_CAP,
-        "shard_cursor": cursor,
+        "cursor": cursor,
         "findings": [dict(f.to_json_obj(), severity=f.severity) for f in prefix],
     }))
     resumed = verify_zero_one_characterization(
@@ -753,7 +757,7 @@ def test_checkpoint_for_other_run_rejected(tmp_path):
     path.write_text(json.dumps({
         "check": "lower_bound",
         "family": "AllDiagrams(n=9, max_boxes=None)",
-        "shard_cursor": 4,
+        "cursor": 4,
         "findings": [],
     }))
     with pytest.raises(ValueError):
@@ -761,7 +765,7 @@ def test_checkpoint_for_other_run_rejected(tmp_path):
     path.write_text(json.dumps({
         "check": "upper_bound",
         "family": fam.describe(),
-        "shard_cursor": 4,
+        "cursor": 4,
         "findings": [],
     }))
     with pytest.raises(ValueError):
@@ -817,7 +821,7 @@ def test_checkpoint_is_on_disk_before_it_is_renamed(tmp_path, monkeypatch):
     path = tmp_path / "durable.json"
     verify._write_checkpoint(str(path), "lower_bound", all_diagrams(2), {"cap": DEFAULT_CAP}, 4, [])
     assert calls == ["fsync", "replace"]
-    assert json.loads(path.read_text())["shard_cursor"] == 4
+    assert json.loads(path.read_text())["cursor"] == 4
 
 
 def test_checkpoint_fingerprint_covers_patterns(tmp_path):
@@ -841,7 +845,7 @@ def test_truncated_run_keeps_its_checkpoint(tmp_path):
     cut = verify_lower_bound(fam, cap=6, checkpoint_path=str(path))
     assert cut.truncated and cut.checked == 36
     saved = json.loads(path.read_text())
-    assert saved["shard_cursor"] == 36 and saved["cap"] == 6 and "checked" not in saved
+    assert saved["cursor"] == 36 and saved["cap"] == 6 and "checked" not in saved
     assert saved["elapsed_s"] > 0
     resumed = verify_lower_bound(fam, checkpoint_path=str(path))
     assert not path.exists()
@@ -857,7 +861,7 @@ def test_resumed_report_counts_earlier_segments(tmp_path):
         "family": fam.describe(),
         "ctx": {"support_only": False},
         "cap": DEFAULT_CAP,
-        "shard_cursor": 8,
+        "cursor": 8,
         "elapsed_s": 1000.0,
         "findings": [],
     }))
@@ -933,7 +937,14 @@ def test_checkpoint_written_and_cleared(tmp_path, monkeypatch):
     path = tmp_path / "steps.json"
     report = verify_lower_bound(all_diagrams(2), checkpoint_path=str(path))
     assert report.checked == 16
-    assert cursors == list(range(1, 17))
+    # before each column multiset but the first, at its first instance
+    assert cursors == [1, 2, 3, 5, 6, 7, 10, 11, 15]
+    assert not path.exists()
+    cursors.clear()
+    fam = explicit_list(d for _, d in all_diagrams(2).instances())
+    assert verify_lower_bound(fam, checkpoint_path=str(path)).checked == 16
+    # before each instance but the first
+    assert cursors == list(range(1, 16))
     assert not path.exists()
 
 
@@ -942,6 +953,7 @@ def test_interrupted_run_resumes_from_its_last_instance(tmp_path, monkeypatch):
     fam = all_diagrams(2)
     full = verify_zero_one_characterization(fam, [ALL_FREE_2])
     path = tmp_path / "interrupted.json"
+    # instance 9 is the second order of the multiset first met at 6
     k = 9
     check = verify._CHECKS["zero_one_characterization"]
 
@@ -955,7 +967,7 @@ def test_interrupted_run_resumes_from_its_last_instance(tmp_path, monkeypatch):
         with pytest.raises(RuntimeError):
             verify_zero_one_characterization(fam, [ALL_FREE_2], checkpoint_path=str(path))
     saved = json.loads(path.read_text())
-    assert saved["shard_cursor"] == k
+    assert saved["cursor"] == _first_instances(fam)[k] == 6
     assert saved["findings"]
     resumed = verify_zero_one_characterization(fam, [ALL_FREE_2], checkpoint_path=str(path))
     assert not path.exists()
@@ -997,7 +1009,7 @@ def _valid_checkpoint(fam):
         "family": fam.describe(),
         "ctx": {"support_only": True},
         "cap": DEFAULT_CAP,
-        "shard_cursor": 8,
+        "cursor": 8,
         "elapsed_s": 0.5,
         "findings": [],
     }
@@ -1034,10 +1046,20 @@ GOOD_FINDING = {"instance_index": 3, "instance": "{}", "lhs": "1", "rhs": "2", "
         ("cap", True),
         ("cap", -1),
         ("cap", 5.0),
+        ("cursor", "3"),
+        ("cursor", -1),
+        ("cursor", True),
+        ("cursor", 8.0),
+        ("cursor", 99),
+        ("cursor", None),
+        ("cursor", False),
+        ("cursor", [8]),
+        ("cursor", 17),
     ],
 )
 @pytest.mark.parametrize("support_only", [True, False], ids=["grid-runs", "instance-runs"])
 def test_malformed_checkpoint_is_refused(tmp_path, field, value, support_only):
+    """A malformed field is refused, and so is any ``shard_cursor``, the cursor of an older walk."""
     fam = all_diagrams(2)
     payload = _valid_checkpoint(fam)
     payload["ctx"]["support_only"] = support_only
@@ -1097,7 +1119,7 @@ def test_checkpoint_cursor_past_the_family_is_refused(tmp_path, check, fam, ctx)
     path = tmp_path / "cursor.json"
     size = fam.size()
     verify._write_checkpoint(str(path), check, fam, ctx, size + 1, [])
-    with pytest.raises(ValueError, match=f"shard_cursor {size + 1} is past the family's {size} instances"):
+    with pytest.raises(ValueError, match=f"cursor {size + 1} is past the family's {size} instances"):
         run_check(check, fam, ctx, checkpoint_path=str(path))
     assert path.exists()
     verify._write_checkpoint(str(path), check, fam, ctx, size, [])
@@ -1128,7 +1150,7 @@ def test_checkpoint_that_is_not_an_object_is_refused(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Support-only grid sweeps: runs of CHUNK instances, decided per multiset
+# Grid sweeps: one run per column multiset
 # ---------------------------------------------------------------------------
 
 def _flag_some_multisets(monkeypatch):
@@ -1153,20 +1175,74 @@ def _outcome(report):
     return obj
 
 
+def _first_instances(fam):
+    """Each instance's index -> the index of the first instance of its column multiset."""
+    first = {}
+    return {idx: first.setdefault(column_multiset(d), idx) for idx, d in fam.instances()}
+
+
 def test_support_grid_sweep_reads_no_family_instances(monkeypatch):
+    """No sweep of a grid family, support-only or not, builds the family's instances."""
     def refuse(family):
         raise AssertionError("instances() was iterated")
 
     monkeypatch.setattr(DiagramFamily, "instances", refuse)
-    assert verify_lower_bound(all_diagrams(3), support_only=True).checked == 512
+    for check, sweep in SWEEPS.items():
+        if check not in ("schubert_identities", "key_identities"):
+            assert sweep().checked == 512, check
     with pytest.raises(AssertionError):
-        verify_lower_bound(all_diagrams(2), support_only=False)
+        verify_lower_bound(all_rothe(3))
+
+
+# Checks of the paper, forced to find something on many multisets, and the
+# families and caps they are swept at.  Each forced value, like the real
+# one, reads a diagram only through its column multiset.
+GRID_SWEEPS = {
+    "support": lambda fam, **run: verify_lower_bound(fam, support_only=True, **run),
+    "lower-bound": lambda fam, **run: verify_lower_bound(fam, **run),
+    "equality": lambda fam, **run: verify_equality_iff_unstable(fam, **run),
+    "implication": lambda fam, **run: verify_zero_one_implication(fam, **run),
+    "upper": lambda fam, **run: verify_upper_bound(fam, **run),
+    "upper-patterns": lambda fam, **run: verify_upper_bound(fam, MATCH_ANYTHING, FIXED_CORNER, **run),
+    "zero-one": lambda fam, **run: verify_zero_one_characterization(fam, [WITNESS, FIXED_CORNER], **run),
+}
+GRID_FAMILIES = [all_diagrams(n, max_boxes=m) for n in range(4) for m in [None, *range(n * n + 1)]]
+
+
+def _force_findings(monkeypatch):
+    _flag_some_multisets(monkeypatch)
+    _force_some_witnesses(monkeypatch)
+
+    def total(d):
+        return principal_specialization(dual_character(d))
+
+    # rank + 1 meets the all-ones value on odd multisets, and the ideal
+    # size falls below it or meets it on two thirds of them
+    monkeypatch.setattr(verify, "rank", lambda d: total(d) - 1 if d.box_count % 2 else rank(d))
+    monkeypatch.setattr(
+        verify, "count_below", lambda d: (count_below(d), total(d) - 1, total(d))[d.box_count % 3]
+    )
+
+
+@pytest.mark.parametrize("sweep", sorted(GRID_SWEEPS))
+def test_grid_walk_matches_a_check_per_instance(monkeypatch, sweep):
+    """Every grid report, truncated or not, is the report of the same diagrams swept one by one."""
+    _force_findings(monkeypatch)
+    run = GRID_SWEEPS[sweep]
+    found = 0
+    for fam in GRID_FAMILIES:
+        for cap in (DEFAULT_CAP, 0, 3, 6, 20, 100):
+            expected = _outcome(run(_as_explicit(fam), cap=cap))
+            found += len(expected["violations"]) + len(expected["candidates"])
+            assert _outcome(run(fam, cap=cap)) == expected, (fam, cap)
+            if fam.n == 3 and fam.max_boxes in (None, 4):
+                assert _outcome(run(fam, cap=cap, workers=2)) == expected, (fam, cap)
+    assert found
 
 
 @pytest.mark.parametrize("max_boxes", [None, 0, 4, 9])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_support_grid_findings_match_instance_runs(monkeypatch, max_boxes, workers):
-    monkeypatch.setattr(verify, "CHUNK", 37)
     _flag_some_multisets(monkeypatch)
     fam = all_diagrams(3, max_boxes=max_boxes)
     grid = verify_lower_bound(fam, support_only=True, workers=workers)
@@ -1179,9 +1255,25 @@ def test_support_grid_findings_match_instance_runs(monkeypatch, max_boxes, worke
         assert f.instance == verify._show_instance(dict(fam.instances())[f.instance_index])
 
 
+@pytest.mark.parametrize("n, max_boxes", [(n, m) for n in range(4) for m in [None, *range(n * n + 1)]])
+def test_grid_index_counts_the_smaller_instances(n, max_boxes):
+    fam = all_diagrams(n, max_boxes=max_boxes)
+    index = verify._grid_index(fam) or (lambda mask: mask)
+    masks = [mask for mask in range(1 << n * n) if max_boxes is None or mask.bit_count() <= max_boxes]
+    assert [index(mask) for mask in masks] == list(range(fam.size()))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_later_orders_are_the_sorted_distinct_orders(n):
+    for ids in itertools.combinations_with_replacement(range(4), n):
+        getters = verify._later_orders(tuple(a == b for a, b in zip(ids, ids[1:])))
+        orders = sorted(set(itertools.permutations(ids)))[1:]
+        assert [order(ids) for order, _ in getters] == orders, ids
+        assert [reverse(ids) for _, reverse in getters] == [order[::-1] for order in orders], ids
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_support_grid_truncates_where_instance_runs_do(tmp_path, monkeypatch, workers):
-    monkeypatch.setattr(verify, "CHUNK", 37)
     _flag_some_multisets(monkeypatch)
     fam = all_diagrams(3)
     for cap in (0, 3, 6, 10):
@@ -1194,18 +1286,17 @@ def test_support_grid_truncates_where_instance_runs_do(tmp_path, monkeypatch, wo
         path = tmp_path / f"{name}.json"
         cut = verify_lower_bound(sweep_fam, support_only=True, cap=6, checkpoint_path=str(path))
         saved = json.loads(path.read_text())
-        assert saved["shard_cursor"] == cut.checked
-        cursors[name] = saved["shard_cursor"]
+        assert saved["cursor"] == cut.checked
+        cursors[name] = saved["cursor"]
         resumed = verify_lower_bound(sweep_fam, support_only=True, checkpoint_path=str(path))
         assert _outcome(resumed) == _outcome(verify_lower_bound(sweep_fam, support_only=True))
     assert cursors["grid"] == cursors["explicit"] > 0
 
 
 def test_support_grid_resumes_from_every_checkpoint(tmp_path, monkeypatch):
-    monkeypatch.setattr(verify, "CHECKPOINT_INTERVAL_S", 0)
-    monkeypatch.setattr(verify, "CHUNK", 37)
     _flag_some_multisets(monkeypatch)
     fam = all_diagrams(3)
+    first = _first_instances(fam)
     full = verify_lower_bound(fam, support_only=True)
     snapshots = []
     write = verify._write_checkpoint
@@ -1216,23 +1307,26 @@ def test_support_grid_resumes_from_every_checkpoint(tmp_path, monkeypatch):
             snapshots.append(handle.read())
 
     with monkeypatch.context() as patched:
+        patched.setattr(verify, "CHECKPOINT_INTERVAL_S", 0)
         patched.setattr(verify, "_write_checkpoint", keep)
+        # writes are synced to disk in test_checkpoint_is_on_disk_before_it_is_renamed;
+        # syncing all 119 here would take seconds
+        patched.setattr(os, "fsync", lambda fd: None)
         path = tmp_path / "every.json"
         assert stable_json(verify_lower_bound(fam, support_only=True, checkpoint_path=str(path))) == stable_json(full)
-    cursors = [json.loads(s)["shard_cursor"] for s in snapshots]
-    assert cursors == [*range(37, 512, 37), 512]
+    cursors = [json.loads(s)["cursor"] for s in snapshots]
+    # one write before each multiset but the first, at its first instance
+    assert cursors == sorted(set(first.values()))[1:]
     for snapshot in snapshots:
         saved = json.loads(snapshot)
-        assert [f["instance_index"] for f in saved["findings"]] == [
-            f.instance_index for f in full.violations if f.instance_index < saved["shard_cursor"]
+        # every multiset below the cursor is saved whole, orders past it included
+        assert sorted(f["instance_index"] for f in saved["findings"]) == [
+            f.instance_index for f in full.violations if first[f.instance_index] < saved["cursor"]
         ]
         path.write_text(snapshot)
         resumed = verify_lower_bound(fam, support_only=True, checkpoint_path=str(path))
         assert stable_json(resumed) == stable_json(full)
         assert not path.exists()
-
-
-FULL_4_GRID_SUPPORT_DIGEST = "3660f54bbf54ea15bca3af67124efecfa656000e669e27e84358ee13e9cd2c21"
 
 
 def _digest(report):
@@ -1243,43 +1337,47 @@ def _digest(report):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-def test_full_4_grid_support_digest_serial_sharded_and_resumed(tmp_path, monkeypatch):
-    fam = all_diagrams(4)
-    assert _digest(verify_lower_bound(fam, support_only=True)) == FULL_4_GRID_SUPPORT_DIGEST
-    assert _digest(verify_lower_bound(fam, support_only=True, workers=2)) == FULL_4_GRID_SUPPORT_DIGEST
-    monkeypatch.setattr(verify, "CHECKPOINT_INTERVAL_S", 0)
-    path = tmp_path / "half.json"
-    write = verify._write_checkpoint
-
-    def interrupt_at_half(path, check_name, family, ctx, cursor, *rest):
-        write(path, check_name, family, ctx, cursor, *rest)
-        if cursor >= 1 << 15:
-            raise KeyboardInterrupt
-
-    with monkeypatch.context() as patched:
-        patched.setattr(verify, "_write_checkpoint", interrupt_at_half)
-        with pytest.raises(KeyboardInterrupt):
-            verify_lower_bound(fam, support_only=True, checkpoint_path=str(path))
-    assert json.loads(path.read_text())["shard_cursor"] == 1 << 15
-    resumed = verify_lower_bound(fam, support_only=True, checkpoint_path=str(path))
-    assert _digest(resumed) == FULL_4_GRID_SUPPORT_DIGEST
-    assert not path.exists()
-
-
-FULL_4_GRID_ZERO_ONE_DIGEST = "7e3cd7d014fd0d4ac3d626d1cf5169465fa2d7c4fbb371f116d89e8f81351ac2"
 WITNESS_FILE = Path(__file__).resolve().parent.parent / "patterns" / "multiplicity-witness.txt"
+# The report digests of the full 4-grid, and the sweeps that give them.
+FULL_4_GRID = {
+    "lower_bound": (
+        "3660f54bbf54ea15bca3af67124efecfa656000e669e27e84358ee13e9cd2c21",
+        lambda fam, **run: verify_lower_bound(fam, **run),
+    ),
+    "support_only": (
+        "3660f54bbf54ea15bca3af67124efecfa656000e669e27e84358ee13e9cd2c21",
+        lambda fam, **run: verify_lower_bound(fam, support_only=True, **run),
+    ),
+    "equality_iff_unstable": (
+        "b1ec505cea6ffad12ae4593bac70924c2a840b0eb9b5b5c19767c5caf5126712",
+        lambda fam, **run: verify_equality_iff_unstable(fam, **run),
+    ),
+    "zero_one_implication": (
+        "d7bbf119218d70ffd258455e9aeef5f4ab9a32c2a4f6612155ad9130ea596f6d",
+        lambda fam, **run: verify_zero_one_implication(fam, **run),
+    ),
+    "upper_bound": (
+        "29da993baf1459a18a467c35ad011d60d3e31f7028d717545d42a621f58e8e59",
+        lambda fam, **run: verify_upper_bound(fam, **run),
+    ),
+    "zero_one_patterns": (
+        "7e3cd7d014fd0d4ac3d626d1cf5169465fa2d7c4fbb371f116d89e8f81351ac2",
+        lambda fam, **run: verify_zero_one_characterization(fam, [parse_pattern(WITNESS_FILE.read_text())], **run),
+    ),
+}
 
 
-def test_full_4_grid_zero_one_patterns_digest_serial_sharded_and_resumed(tmp_path, monkeypatch):
-    fam, patterns = all_diagrams(4), [parse_pattern(WITNESS_FILE.read_text())]
-    assert _digest(verify_zero_one_characterization(fam, patterns)) == FULL_4_GRID_ZERO_ONE_DIGEST
-    assert _digest(verify_zero_one_characterization(fam, patterns, workers=2)) == FULL_4_GRID_ZERO_ONE_DIGEST
+def _digest_serial_sharded_and_resumed(tmp_path, monkeypatch, name):
+    digest, sweep = FULL_4_GRID[name]
+    fam = all_diagrams(4)
+    assert _digest(sweep(fam)) == digest
+    assert _digest(sweep(fam, workers=2)) == digest
     path = tmp_path / "half.json"
     write = verify._write_checkpoint
 
     def interrupt_at_half(path, check_name, family, ctx, cursor, *rest):
-        # this walk takes runs of one instance: writing each would serialize
-        # every finding so far 32,768 times
+        # written only here: writing before every multiset would serialize
+        # every finding so far thousands of times
         if cursor >= 1 << 15:
             write(path, check_name, family, ctx, cursor, *rest)
             raise KeyboardInterrupt
@@ -1288,8 +1386,22 @@ def test_full_4_grid_zero_one_patterns_digest_serial_sharded_and_resumed(tmp_pat
         patched.setattr(verify, "CHECKPOINT_INTERVAL_S", 0)
         patched.setattr(verify, "_write_checkpoint", interrupt_at_half)
         with pytest.raises(KeyboardInterrupt):
-            verify_zero_one_characterization(fam, patterns, checkpoint_path=str(path))
-    assert json.loads(path.read_text())["shard_cursor"] == 1 << 15
-    resumed = verify_zero_one_characterization(fam, patterns, checkpoint_path=str(path))
-    assert _digest(resumed) == FULL_4_GRID_ZERO_ONE_DIGEST
+            sweep(fam, checkpoint_path=str(path))
+    # the first multiset at or past half the grid is 8888 in hex, the first instance of (8, 8, 8, 8)
+    assert json.loads(path.read_text())["cursor"] == 0x8888
+    resumed = sweep(fam, checkpoint_path=str(path))
+    assert _digest(resumed) == digest
     assert not path.exists()
+
+
+def test_full_4_grid_support_digest_serial_sharded_and_resumed(tmp_path, monkeypatch):
+    _digest_serial_sharded_and_resumed(tmp_path, monkeypatch, "support_only")
+
+
+def test_full_4_grid_zero_one_patterns_digest_serial_sharded_and_resumed(tmp_path, monkeypatch):
+    _digest_serial_sharded_and_resumed(tmp_path, monkeypatch, "zero_one_patterns")
+
+
+@pytest.mark.parametrize("name", ["lower_bound", "equality_iff_unstable", "zero_one_implication", "upper_bound"])
+def test_full_4_grid_digest_serial_sharded_and_resumed(tmp_path, monkeypatch, name):
+    _digest_serial_sharded_and_resumed(tmp_path, monkeypatch, name)
