@@ -123,7 +123,7 @@ def diagram(columns, n: int | None = None) -> Diagram:
 
 
 def column_multiset(d: Diagram) -> tuple:
-    """The sorted non-empty columns of ``d``, on which its character and support are memoized.
+    """The sorted non-empty columns of ``d``, on which its character is memoized.
 
     >>> column_multiset(diagram([(2, 3), (), (1, 3)]))
     ((1, 3), (2, 3))
@@ -457,7 +457,10 @@ def has_unstable_pair(d: Diagram):
     column; otherwise their ranks must sum to at least 3.  Returns the
     pair of boxes, or None.
     """
-    positive = [(i, j, rank_box(d, i, j)) for (i, j) in d.boxes() if rank_box(d, i, j) >= 1]
+    # the k-th box of a column, at row i, has i - k vacant rows above it
+    positive = [
+        (i, j, i - k) for j, col in enumerate(d.columns, start=1) for k, i in enumerate(col, start=1) if i > k
+    ]
     for a in range(len(positive)):
         ia, ja, ra = positive[a]
         for b in range(a + 1, len(positive)):
@@ -471,12 +474,18 @@ def has_unstable_pair(d: Diagram):
 
 
 def is_northwest(d: Diagram) -> bool:
-    """Whether every southwest/northeast box pair closes its northwest corner."""
-    boxes = list(d.boxes())
-    for (i, j) in boxes:
-        for (i2, j2) in boxes:
-            if i > i2 and j < j2 and not d.contains_box(i2, j):
+    """Whether every southwest/northeast box pair closes its northwest corner.
+
+    Read right to left: a column must hold every row above its lowest box
+    that some column to its right holds (bit i of a mask is row i).
+    """
+    right = 0
+    for col in reversed(d.columns):
+        if col:
+            rows = sum(map((1).__lshift__, col))
+            if right & ~rows & ((1 << col[-1]) - 1):
                 return False
+            right |= rows
     return True
 
 

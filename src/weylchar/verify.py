@@ -15,6 +15,7 @@ import math
 import operator
 import os
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -25,7 +26,6 @@ from weylchar.diagrams import (
     Diagram,
     PatternGrid,
     check_cap,
-    column_multiset,
     contains_pattern,
     count_132,
     count_below,
@@ -295,55 +295,65 @@ def _show_instance(payload) -> str:
 # Per-instance checks
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
-def _support_and_bound(columns, cap) -> tuple:
-    """``(len(character_support(d, cap)), rank(d) + 1)`` for any ``d`` with this column multiset.
+_VERDICTS_KEPT = 4096
 
-    The weight set is a Minkowski sum over the columns, so it does not
-    depend on their order and an empty column adds nothing.  The cap
-    check is order-free too: every column ideal is non-empty, so the
-    partial sums never shrink, and the support raises exactly when the
-    diagram has a box and the final set exceeds the cap.  Only the count
-    is kept, never the set, and a call that raises ``CapExceeded`` is not
-    stored.  The weights are counted as the kernel returns them, with
-    no monomials built.  The rank is a sum over the columns, so one
-    lookup serves the whole lower-bound comparison.
+
+class _Verdicts(OrderedDict):
+    """A diagram's sorted columns -> a check's verdict on every diagram with them, decided once per walk.
+
+    The key holds the column multiset and, through its empty columns, n,
+    which a zero-one pattern can match.  χ_D is a product over the
+    columns, so every column order shares its all-ones value and
+    coefficients; rank(D), the distinct-weight count, the number of
+    diagrams below and whether an unstable pair exists ignore the order
+    too.  What reads column positions (an unstable pair's boxes,
+    ``is_northwest``, patterns that keep their column order) is left to
+    each order's findings.  A walk's memo holds at most ``_VERDICTS_KEPT``
+    multisets, forgetting the oldest first, and no verdict that raises,
+    such as one past the cap.
     """
-    return len(_kernels.weight_support(columns, cap)), _kernels.rank_columns(columns) + 1
+
+    def of(self, d, decide, *args):
+        """The verdict on ``d``, from ``decide(d, *args)`` when its multiset has none."""
+        key = tuple(sorted(d.columns))
+        verdict = self.get(key)
+        if verdict is None:
+            verdict = self[key] = decide(d, *args)
+            if len(self) > _VERDICTS_KEPT:
+                self.popitem(last=False)
+        return verdict
 
 
-@lru_cache(maxsize=4096)
-def _order_free(value, columns, n):
-    """``value(d)`` for any ``d`` with this column multiset, for an order-free ``value``.
+def _lower_bound_verdict(d, ctx):
+    """Distinct-weight count, rank + 1, and all-ones value (None when ``support_only``).
 
-    ``count_below`` is a product over the columns, and whether
-    ``has_unstable_pair`` finds a pair does not read the order of the
-    columns either: a box's rank, like whether two boxes share a row or
-    a column, survives any reordering.  The pair itself names box
-    positions, which do move, so a finding asks ``has_unstable_pair``
-    for its own witness and only ``is not None`` is read from here.
-    Each miss computes just the one value asked for.
+    The weights are counted over the sorted columns, which sum faster than
+    the grid walk's order, with no monomials built.  Every column ideal is
+    non-empty, so a count past the cap is past it in every column order.
     """
-    return value(Diagram(columns + ((),) * (n - len(columns)), n))
+    support = len(_kernels.weight_support(sorted(d.columns), ctx["cap"]))
+    total = None if ctx.get("support_only") else principal_specialization(dual_character(d, ctx["cap"]))
+    return support, rank(d) + 1, total
 
 
-def _check_lower_bound(idx, d, ctx):
+def _check_lower_bound(idx, d, ctx, verdicts):
+    support, bound, total = verdicts.of(d, _lower_bound_verdict, ctx)
     findings = []
-    support, bound = _support_and_bound(column_multiset(d), ctx["cap"])
     if support < bound:
         findings.append(Finding(idx, _show_instance(d), str(support), str(bound), "distinct weights below the bound"))
-    if not ctx.get("support_only"):
-        total = principal_specialization(dual_character(d, ctx["cap"]))
-        if total < bound:
-            findings.append(Finding(idx, _show_instance(d), str(total), str(bound), "all-ones value below the bound"))
+    if total is not None and total < bound:
+        findings.append(Finding(idx, _show_instance(d), str(total), str(bound), "all-ones value below the bound"))
     return findings
 
 
-def _check_equality_iff_unstable(idx, d, ctx):
-    bound = rank(d) + 1
-    unstable = _order_free(has_unstable_pair, column_multiset(d), d.n) is not None
-    total = principal_specialization(dual_character(d, ctx["cap"]))
+def _equality_verdict(d, ctx):
+    return rank(d) + 1, principal_specialization(dual_character(d, ctx["cap"])), has_unstable_pair(d) is not None
+
+
+def _check_equality_iff_unstable(idx, d, ctx, verdicts):
+    bound, total, unstable = verdicts.of(d, _equality_verdict, ctx)
     if total == bound and unstable:
+        # the pair names box positions, which move with the column order
         return [Finding(idx, _show_instance(d), str(total), str(bound),
                         f"equality despite unstable pair {has_unstable_pair(d)}")]
     if total != bound and not unstable:
@@ -351,77 +361,66 @@ def _check_equality_iff_unstable(idx, d, ctx):
     return []
 
 
-def _check_zero_one_implication(idx, d, ctx):
-    bound = rank(d) + 1
+def _implication_verdict(d, ctx):
+    """The lhs, rhs and witness of the finding, or ``()`` for none."""
     chi = dual_character(d, ctx["cap"])
-    total = principal_specialization(chi)
-    if total == bound:
-        offender = zero_one_witness(chi)
-        if offender is not None:
-            m, c = offender
-            return [
-                Finding(idx, _show_instance(d), str(total), str(bound),
-                        f"coefficient {c} at {render_monomial(m)} despite equality")
-            ]
-    return []
+    total, bound = principal_specialization(chi), rank(d) + 1
+    offender = zero_one_witness(chi) if total == bound else None
+    if offender is None:
+        return ()
+    m, c = offender
+    return str(total), str(bound), f"coefficient {c} at {render_monomial(m)} despite equality"
 
 
-class _ZeroOneVerdicts(dict):
-    """(column multiset, n) -> the zero-one verdict of every diagram with them, decided on first lookup.
+def _check_zero_one_implication(idx, d, ctx, verdicts):
+    fields = verdicts.of(d, _implication_verdict, ctx)
+    return [Finding(idx, _show_instance(d), *fields)] if fields else []
 
-    A verdict is a pair ``(on_hit, on_miss)``: the lhs, rhs, witness and
-    severity of the finding when some pattern matches the diagram, and
-    when none does, with ``()`` for no finding.  The witness reads only
-    the character, which depends only on the column multiset.  A
-    swap-allowed pattern matches regardless of column order, since
-    matching tries every order of its columns; ``n`` stays in the key
-    because it fixes the number of empty columns, which a column of
-    ``x`` and ``.`` cells can match.  When a swap-allowed pattern
-    matches, ``on_miss`` is ``on_hit``.  Otherwise the patterns that keep
-    their column order are matched against each diagram by ``fixed_hit``.
+
+def _zero_one_verdict(d, ctx, chi):
+    """``(on_hit, on_miss)``: the finding's lhs, rhs, witness and severity if a pattern matches, and if none does.
+
+    ``()`` is no finding.  The witness reads only the character, and a
+    swap-allowed pattern, matched in every order of its columns, hits all
+    orders of a multiset or none; when one hits, ``on_miss`` is ``on_hit``.
+    With no other pattern left to match, ``on_hit`` is ``on_miss``.
     """
-
-    def __init__(self, patterns):
-        super().__init__()
-        self.swap = [p for p in patterns if p.column_swap_allowed]
-        self.fixed = [p for p in patterns if not p.column_swap_allowed]
-
-    def decide(self, key, d, chi):
-        offender = zero_one_witness(chi)
-        if offender is None:
-            on_hit = ("zero-one", "pattern hit", "contains a flagged configuration yet has zero-one character",
-                      "violation")
-            on_miss = ()
-        else:
-            m, c = offender
-            on_hit = ()
-            on_miss = (f"coefficient {c} at {render_monomial(m)}", "no pattern hit",
-                       "not zero-one yet matches no supplied configuration", "candidate")
-        if any(contains_pattern(d, p) for p in self.swap):
-            on_miss = on_hit
-        verdict = self[key] = on_hit, on_miss
-        return verdict
-
-    def fixed_hit(self, d):
-        return any(contains_pattern(d, p) for p in self.fixed)
+    offender = zero_one_witness(chi)
+    if offender is None:
+        on_hit = ("zero-one", "pattern hit", "contains a flagged configuration yet has zero-one character", "violation")
+        on_miss = ()
+    else:
+        m, c = offender
+        on_hit = ()
+        on_miss = (f"coefficient {c} at {render_monomial(m)}", "no pattern hit",
+                   "not zero-one yet matches no supplied configuration", "candidate")
+    if any(contains_pattern(d, p) for p in ctx["patterns"] if p.column_swap_allowed):
+        on_miss = on_hit
+    elif all(p.column_swap_allowed for p in ctx["patterns"]):
+        on_hit = on_miss
+    return on_hit, on_miss
 
 
 def _check_zero_one_characterization(idx, d, ctx, verdicts):
     # the character of every instance, though a verdict reads only one per
     # multiset: perfbench/tracer.py sums ``weyl.principal_sum`` over these
-    # calls and perfbench/expected.json pins the sum, so folding the call
-    # into ``decide`` waits on a declared benchmark change (ROADMAP item 1)
+    # calls and perfbench/expected.json pins the sum, so reading it only on
+    # a miss waits on a declared benchmark change (ROADMAP item 1)
     chi = dual_character(d, ctx["cap"])
-    key = column_multiset(d), d.n
-    on_hit, on_miss = verdicts.get(key) or verdicts.decide(key, d, chi)
-    fields = on_hit if on_hit != on_miss and verdicts.fixed_hit(d) else on_miss
+    on_hit, on_miss = verdicts.of(d, _zero_one_verdict, ctx, chi)
+    # patterns that keep their column order are matched against each order
+    hit = on_hit != on_miss and any(contains_pattern(d, p) for p in ctx["patterns"] if not p.column_swap_allowed)
+    fields = on_hit if hit else on_miss
     return [Finding(idx, _show_instance(d), *fields)] if fields else []
 
 
-def _check_upper_bound(idx, d, ctx):
+def _upper_bound_verdict(d, ctx):
+    return principal_specialization(dual_character(d, ctx["cap"])), count_below(d)
+
+
+def _check_upper_bound(idx, d, ctx, verdicts):
     findings = []
-    total = principal_specialization(dual_character(d, ctx["cap"]))
-    below = _order_free(count_below, column_multiset(d), d.n)
+    total, below = verdicts.of(d, _upper_bound_verdict, ctx)
     if total > below:
         findings.append(Finding(idx, _show_instance(d), str(total), str(below), "all-ones value above the ideal size"))
     equal = total == below
@@ -438,7 +437,7 @@ def _check_upper_bound(idx, d, ctx):
     return findings
 
 
-def _check_schubert(idx, w, ctx):
+def _check_schubert(idx, w, ctx, verdicts):
     findings = []
     p132 = count_132(w)
     dw = rothe(w)
@@ -464,7 +463,7 @@ def _check_schubert(idx, w, ctx):
     return findings
 
 
-def _check_key(idx, alpha, ctx):
+def _check_key(idx, alpha, ctx, verdicts):
     findings = []
     k = key(alpha)
     if k != dual_character(skyline(alpha), ctx["cap"]):
@@ -480,6 +479,8 @@ def _check_key(idx, alpha, ctx):
     return findings
 
 
+# Every check takes the walk's verdict memo; the Schubert and key checks,
+# whose instances never share a column multiset, leave it unread.
 _CHECKS = {
     "lower_bound": _check_lower_bound,
     "equality_iff_unstable": _check_equality_iff_unstable,
@@ -710,22 +711,20 @@ def _walk(check_name, family, ctx, shard, nshards, checkpoint_path):
     the index of the instance that exceeded the cap, or ``family.size()``
     if none did, so every instance of this shard below ``stop`` has been
     checked.  An ``all_diagrams`` family is walked in runs of one column
-    multiset (``_grid_runs``), any other in runs of one instance.  A
-    zero-one characterization decides each column multiset once, in a
-    ``_ZeroOneVerdicts`` that lives for this walk.  Only a serial run,
-    shard 0 of 1, passes a checkpoint path.  It resumes at the first run
-    that starts at or past the cursor.  Before any later run that starts
-    ``CHECKPOINT_INTERVAL_S`` or more seconds after the walk began or the
-    checkpoint was last written, it rewrites the checkpoint with that
-    run's start as the cursor.  So every run that starts below the cursor
-    is done, with all its findings saved, even those past the cursor.
-    The checkpoint is removed only once the family has been walked to
-    the end; a run cut short by the cap keeps it, with the cursor at the
-    instance that truncated, so a rerun with a larger cap resumes there.
+    multiset (``_grid_runs``), any other in runs of one instance, and the
+    check decides each multiset in a ``_Verdicts`` made for this walk.
+    Only a serial run, shard 0 of 1, passes a checkpoint path.  It
+    resumes at the first run that starts at or past the cursor.  Before
+    any later run that starts ``CHECKPOINT_INTERVAL_S`` or more seconds
+    after the walk began or the checkpoint was last written, it rewrites
+    the checkpoint with that run's start as the cursor.  So every run
+    that starts below the cursor is done, with all its findings saved,
+    even those past the cursor.  The checkpoint is removed only once the
+    family has been walked to the end; a run cut short by the cap keeps
+    it, with the cursor at the instance that truncated, so a rerun with
+    a larger cap resumes there.
     """
-    check = _CHECKS[check_name]
-    if check_name == "zero_one_characterization":
-        check = partial(check, verdicts=_ZeroOneVerdicts(ctx["patterns"]))
+    check = partial(_CHECKS[check_name], verdicts=_Verdicts())
     start, findings, resumed_s = _load_checkpoint(checkpoint_path, check_name, family, ctx)
     saved = time.perf_counter()
     began = saved - resumed_s

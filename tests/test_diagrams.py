@@ -259,6 +259,44 @@ def test_is_northwest():
         assert is_northwest(rothe(w))
 
 
+def _has_unstable_pair_by_box_pairs(d):
+    """The unstable-pair search as first written: two ``rank_box`` calls per box."""
+    positive = [(i, j, rank_box(d, i, j)) for (i, j) in d.boxes() if rank_box(d, i, j) >= 1]
+    for a in range(len(positive)):
+        ia, ja, ra = positive[a]
+        for b in range(a + 1, len(positive)):
+            ib, jb, rb = positive[b]
+            if ia == ib or ja == jb:
+                if ra + rb >= 3:
+                    return ((ia, ja), (ib, jb))
+            else:
+                return ((ia, ja), (ib, jb))
+    return None
+
+
+def _is_northwest_by_box_pairs(d):
+    """The northwest test as first written: every southwest/northeast box pair."""
+    boxes = list(d.boxes())
+    for (i, j) in boxes:
+        for (i2, j2) in boxes:
+            if i > i2 and j < j2 and not d.contains_box(i2, j):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_column_reads_match_the_box_pair_forms_on_the_full_grid(n):
+    """Same unstable pair, witness included, and same northwest verdict on every diagram of the n-grid."""
+    columns = [tuple(i for i in range(1, n + 1) if bits >> (i - 1) & 1) for bits in range(1 << n)]
+    northwest = 0
+    for cols in itertools.product(columns, repeat=n):
+        d = Diagram(cols, n)
+        assert has_unstable_pair(d) == _has_unstable_pair_by_box_pairs(d), d
+        assert is_northwest(d) == _is_northwest_by_box_pairs(d), d
+        northwest += is_northwest(d)
+    assert 0 < northwest < len(columns) ** n
+
+
 def test_text_round_trip():
     d = diagram([(1, 3), (2, 3), ()])
     text = diagram_to_text(d)

@@ -279,25 +279,28 @@ def _column_orders(d):
 
 
 def _support_count(d, cap):
-    return verify._support_and_bound(column_multiset(d), cap)[0]
+    """The distinct-weight count of the lower-bound verdict on ``d``."""
+    return verify._lower_bound_verdict(d, {"cap": cap, "support_only": True})[0]
 
 
 def test_support_count_matches_uncached_count_in_every_column_order():
-    verify._support_and_bound.cache_clear()
+    """A multiset's verdict is decided on whichever order the walk meets first, so every order must agree."""
     for _, d in all_diagrams(3).instances():
+        expected = len(character_support(d, DEFAULT_CAP))
         for e in _column_orders(d):
-            assert _support_count(e, DEFAULT_CAP) == len(character_support(e, DEFAULT_CAP)), e
+            assert _support_count(e, DEFAULT_CAP) == expected, e
 
 
 def test_support_count_raises_exactly_when_the_uncached_call_does():
-    verify._support_and_bound.cache_clear()
     for _, d in all_diagrams(3).instances():
         size = len(character_support(d))
         for cap in range(size + 2):
+            try:
+                expected = len(character_support(d, cap))
+            except CapExceeded:
+                expected = None
             for e in _column_orders(d):
-                try:
-                    expected = len(character_support(e, cap))
-                except CapExceeded:
+                if expected is None:
                     with pytest.raises(CapExceeded):
                         _support_count(e, cap)
                 else:
@@ -320,7 +323,6 @@ def test_support_count_matches_enumeration_on_the_5_grid():
 
 
 def test_column_orders_share_one_support_computation(monkeypatch):
-    verify._support_and_bound.cache_clear()
     calls = []
     support = weyl._kernels.weight_support
 
@@ -330,25 +332,20 @@ def test_column_orders_share_one_support_computation(monkeypatch):
 
     monkeypatch.setattr(weyl._kernels, "weight_support", counting)
     d = diagram([(1, 3), (2, 3), (), (2,)])
-    count = _support_count(d, DEFAULT_CAP)
-    assert _support_count(diagram([(2,), (), (2, 3), (1, 3)]), DEFAULT_CAP) == count
-    assert _support_count(diagram([(), (2, 3), (2,), (1, 3)]), DEFAULT_CAP) == count
+    orders = _column_orders(d)
+    report = verify_lower_bound(explicit_list(orders), support_only=True)
+    assert report.checked == 24 and report.ok
     assert len(calls) == 1
-    # the cap stays part of the key; the grid size does not, since packed weights never read it
-    assert _support_count(diagram(d.columns, n=5), DEFAULT_CAP) == count
-    assert len(calls) == 1
-    _support_count(d, DEFAULT_CAP - 1)
-    assert len(calls) == 2
+    # the next walk decides the multiset again, and the grid size is part of the key
+    report = verify_lower_bound(explicit_list([*orders, diagram(d.columns, n=5)]), support_only=True)
+    assert report.checked == 25
+    assert len(calls) == 3
     # a miss that raises is not stored, so it is computed again
+    verdicts = verify._Verdicts()
     for _ in range(2):
         with pytest.raises(CapExceeded):
-            _support_count(d, 1)
-    assert len(calls) == 4
-    # a support-only sweep keys every column order the same way
-    verify._support_and_bound.cache_clear()
-    report = verify_lower_bound(explicit_list(_column_orders(d)), support_only=True)
-    assert report.checked == 24
-    assert len(calls) == 5
+            verdicts.of(d, verify._lower_bound_verdict, {"cap": 1, "support_only": True})
+    assert len(calls) == 5 and not verdicts
 
 
 def _orbit_sample_4grid():
@@ -359,15 +356,18 @@ def _orbit_sample_4grid():
 
 
 def test_memoized_values_match_their_per_diagram_functions():
-    verify._support_and_bound.cache_clear()
-    verify._order_free.cache_clear()
+    """A verdict decided on one column order holds the per-diagram values of every other order."""
+    ctx = {"cap": DEFAULT_CAP, "support_only": False}
+    verdicts = {decide: verify._Verdicts() for decide in ("lower_bound", "equality", "upper_bound")}
     grid = [d for _, d in all_diagrams(3).instances()]
     for d in grid + list(_orbit_sample_4grid()):
-        key = column_multiset(d)
-        assert verify._support_and_bound(key, DEFAULT_CAP)[1] == rank(d) + 1, d
-        assert verify._order_free(count_below, key, d.n) == count_below(d), d
-        unstable = verify._order_free(has_unstable_pair, key, d.n) is not None
-        assert unstable == (has_unstable_pair(d) is not None), d
+        total = principal_specialization(dual_character(d))
+        bound = rank(d) + 1
+        support = len(character_support(d))
+        unstable = has_unstable_pair(d) is not None
+        assert verdicts["lower_bound"].of(d, verify._lower_bound_verdict, ctx) == (support, bound, total), d
+        assert verdicts["equality"].of(d, verify._equality_verdict, ctx) == (bound, total, unstable), d
+        assert verdicts["upper_bound"].of(d, verify._upper_bound_verdict, ctx) == (total, count_below(d)), d
 
 
 def test_clean_sweep_renders_no_instance(monkeypatch):
@@ -387,8 +387,7 @@ def test_clean_sweep_renders_no_instance(monkeypatch):
 
 @pytest.mark.parametrize("support_only", [True, False])
 def test_findings_render_their_instance(monkeypatch, support_only):
-    support_and_bound = verify._support_and_bound
-    monkeypatch.setattr(verify, "_support_and_bound", lambda *key: (support_and_bound(*key)[0], 10 ** 6))
+    monkeypatch.setattr(verify, "rank", lambda d: 10 ** 6)
     fam = all_diagrams(2)
     report = verify_lower_bound(fam, support_only=support_only)
     diagrams = dict(fam.instances())
@@ -510,26 +509,105 @@ def _force_some_witnesses(monkeypatch):
     )
 
 
-def _zero_one_reference(fam, patterns, cap=DEFAULT_CAP):
-    """The zero-one characterization, decided per instance in a serial walk: (checked, findings, truncated)."""
+def _show(d):
+    return json.dumps(diagram_to_json_obj(d), separators=(",", ":"))
+
+
+# Each diagram check decided on one instance from the public math helpers,
+# with no memo: the fields (lhs, rhs, witness, severity) of its findings.
+# ``rank``, ``count_below`` and ``zero_one_witness`` are read from ``verify``,
+# so that the values tests force there hold here too.
+
+def _lower_bound_reference(d, ctx):
+    bound = verify.rank(d) + 1
+    support = len(character_support(d, ctx["cap"]))
+    found = []
+    if support < bound:
+        found.append((str(support), str(bound), "distinct weights below the bound", "violation"))
+    if not ctx["support_only"]:
+        total = principal_specialization(dual_character(d, ctx["cap"]))
+        if total < bound:
+            found.append((str(total), str(bound), "all-ones value below the bound", "violation"))
+    return found
+
+
+def _equality_reference(d, ctx):
+    bound = verify.rank(d) + 1
+    total = principal_specialization(dual_character(d, ctx["cap"]))
+    pair = has_unstable_pair(d)
+    if total == bound and pair is not None:
+        return [(str(total), str(bound), f"equality despite unstable pair {pair}", "violation")]
+    if total != bound and pair is None:
+        return [(str(total), str(bound), "strict inequality without an unstable pair", "violation")]
+    return []
+
+
+def _implication_reference(d, ctx):
+    chi = dual_character(d, ctx["cap"])
+    total, bound = principal_specialization(chi), verify.rank(d) + 1
+    offender = verify.zero_one_witness(chi)
+    if total != bound or offender is None:
+        return []
+    m, c = offender
+    return [(str(total), str(bound), f"coefficient {c} at {render_monomial(m)} despite equality", "violation")]
+
+
+def _zero_one_characterization_reference(d, ctx):
+    offender = verify.zero_one_witness(dual_character(d, ctx["cap"]))
+    hit = any(contains_pattern(d, p) for p in ctx["patterns"])
+    if hit and offender is None:
+        return [("zero-one", "pattern hit", "contains a flagged configuration yet has zero-one character",
+                 "violation")]
+    if offender is not None and not hit:
+        m, c = offender
+        return [(f"coefficient {c} at {render_monomial(m)}", "no pattern hit",
+                 "not zero-one yet matches no supplied configuration", "candidate")]
+    return []
+
+
+def _upper_bound_reference(d, ctx):
+    total = principal_specialization(dual_character(d, ctx["cap"]))
+    below = verify.count_below(d)
+    found = []
+    if total > below:
+        found.append((str(total), str(below), "all-ones value above the ideal size", "violation"))
+    if ctx["northwest_pattern"] is not None and is_northwest(d):
+        hit = contains_pattern(d, ctx["northwest_pattern"])
+        if (total == below) == hit:
+            outcome = "equality with a pattern hit" if hit else "strict without a pattern hit"
+            found.append((str(total), str(below), f"northwest equality criterion failed: {outcome}", "violation"))
+    if ctx["general_pattern"] is not None:
+        hit = contains_pattern(d, ctx["general_pattern"])
+        if (total == below) == hit:
+            outcome = "equality with a pattern hit" if hit else "strict without a pattern hit"
+            found.append((str(total), str(below), f"general equality criterion failed: {outcome}", "candidate"))
+    return found
+
+
+REFERENCES = {
+    "lower_bound": _lower_bound_reference,
+    "equality_iff_unstable": _equality_reference,
+    "zero_one_implication": _implication_reference,
+    "zero_one_characterization": _zero_one_characterization_reference,
+    "upper_bound": _upper_bound_reference,
+}
+
+
+def _reference(check, fam, ctx):
+    """A diagram check decided per instance in a serial walk: (checked, findings, truncated)."""
     checked, findings = 0, []
     for idx, d in fam.instances():
         try:
-            chi = dual_character(d, cap)
+            found = REFERENCES[check](d, ctx)
         except CapExceeded:
             return checked, sorted(findings), True
-        offender = verify.zero_one_witness(chi)
-        hit = any(contains_pattern(d, p) for p in patterns)
-        instance = json.dumps(diagram_to_json_obj(d), separators=(",", ":"))
-        if hit and offender is None:
-            findings.append((idx, instance, "zero-one", "pattern hit",
-                             "contains a flagged configuration yet has zero-one character", "violation"))
-        if offender is not None and not hit:
-            m, c = offender
-            findings.append((idx, instance, f"coefficient {c} at {render_monomial(m)}", "no pattern hit",
-                             "not zero-one yet matches no supplied configuration", "candidate"))
+        findings += [(idx, _show(d), *f) for f in found]
         checked += 1
     return checked, sorted(findings), False
+
+
+def _zero_one_reference(fam, patterns, cap=DEFAULT_CAP):
+    return _reference("zero_one_characterization", fam, {"cap": cap, "patterns": tuple(patterns)})
 
 
 def _as_reference(report):
@@ -1155,13 +1233,7 @@ def test_checkpoint_that_is_not_an_object_is_refused(tmp_path):
 
 def _flag_some_multisets(monkeypatch):
     """Raise the bound on every multiset of an odd number of boxes, so those instances are violations."""
-    support_and_bound = verify._support_and_bound
-
-    def forced(columns, cap):
-        support, bound = support_and_bound(columns, cap)
-        return support, bound + 10 ** 6 * (sum(map(len, columns)) % 2)
-
-    monkeypatch.setattr(verify, "_support_and_bound", forced)
+    monkeypatch.setattr(verify, "rank", lambda d: rank(d) + 10 ** 6 * (d.box_count % 2))
 
 
 def _as_explicit(fam):
@@ -1210,15 +1282,15 @@ GRID_FAMILIES = [all_diagrams(n, max_boxes=m) for n in range(4) for m in [None, 
 
 
 def _force_findings(monkeypatch):
-    _flag_some_multisets(monkeypatch)
     _force_some_witnesses(monkeypatch)
 
     def total(d):
         return principal_specialization(dual_character(d))
 
-    # rank + 1 meets the all-ones value on odd multisets, and the ideal
-    # size falls below it or meets it on two thirds of them
-    monkeypatch.setattr(verify, "rank", lambda d: total(d) - 1 if d.box_count % 2 else rank(d))
+    # by the number of boxes mod 3, rank is left alone, set so that rank + 1
+    # meets the all-ones value, or raised past every count; the ideal size
+    # is left alone, set one below the all-ones value, or set to it
+    monkeypatch.setattr(verify, "rank", lambda d: (rank(d), total(d) - 1, rank(d) + 10 ** 6)[d.box_count % 3])
     monkeypatch.setattr(
         verify, "count_below", lambda d: (count_below(d), total(d) - 1, total(d))[d.box_count % 3]
     )
@@ -1327,6 +1399,97 @@ def test_support_grid_resumes_from_every_checkpoint(tmp_path, monkeypatch):
         resumed = verify_lower_bound(fam, support_only=True, checkpoint_path=str(path))
         assert stable_json(resumed) == stable_json(full)
         assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# Verdicts: one memo per walk, for every diagram check
+# ---------------------------------------------------------------------------
+
+# Each diagram check with the ctx its ``verify_*`` entry point builds;
+# ``upper-patterns`` reads column order through both of its patterns.
+DIAGRAM_CHECKS = {
+    "support": ("lower_bound", {"cap": DEFAULT_CAP, "support_only": True}),
+    "lower-bound": ("lower_bound", {"cap": DEFAULT_CAP, "support_only": False}),
+    "equality": ("equality_iff_unstable", {"cap": DEFAULT_CAP}),
+    "implication": ("zero_one_implication", {"cap": DEFAULT_CAP}),
+    "upper": ("upper_bound", {"cap": DEFAULT_CAP, "northwest_pattern": None, "general_pattern": None}),
+    "upper-patterns": (
+        "upper_bound", {"cap": DEFAULT_CAP, "northwest_pattern": FIXED_CORNER, "general_pattern": WITNESS}
+    ),
+    "zero-one": ("zero_one_characterization", {"cap": DEFAULT_CAP, "patterns": (WITNESS, FIXED_CORNER)}),
+}
+# orders of one multiset far apart in the list, and one multiset at several grid sizes
+REPEATS = explicit_list(
+    [d for idx, d in all_diagrams(3).instances() if idx % 7 < 2] + [d for _, d in MIXED_GRID_SIZES.instances()]
+)
+
+
+def _spy_on_decisions(monkeypatch):
+    """Record every verdict a walk stores, as its key and the memo's size just before."""
+    stored = []
+    store = verify._Verdicts.__setitem__
+
+    def spy(self, key, verdict):
+        stored.append((key, len(self)))
+        store(self, key, verdict)
+
+    monkeypatch.setattr(verify._Verdicts, "__setitem__", spy)
+    return stored
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fam", [REPEATS, all_diagrams(3)], ids=["repeats-mixed-n", "3-grid"])
+@pytest.mark.parametrize("sweep", sorted(DIAGRAM_CHECKS))
+def test_diagram_checks_match_their_per_instance_reference(monkeypatch, sweep, fam, workers):
+    """Reports, truncated ones included, equal the check decided per instance with no memo."""
+    _force_findings(monkeypatch)
+    check, ctx = DIAGRAM_CHECKS[sweep]
+    found = truncated = 0
+    for cap in (DEFAULT_CAP, 6, 20):
+        expected = _reference(check, fam, dict(ctx, cap=cap))
+        found += len(expected[1])
+        truncated += expected[2]
+        assert _as_reference(run_check(check, fam, dict(ctx, cap=cap), workers=workers)) == expected, cap
+    assert found and truncated
+
+
+@pytest.mark.parametrize("fam", [REPEATS, all_diagrams(3)], ids=["repeats-mixed-n", "3-grid"])
+@pytest.mark.parametrize("sweep", sorted(DIAGRAM_CHECKS))
+def test_a_verdict_does_not_outlive_its_walk(monkeypatch, sweep, fam):
+    """Values forced between two sweeps, with no cache cleared, decide the second sweep's report."""
+    check, ctx = DIAGRAM_CHECKS[sweep]
+    before = _as_reference(run_check(check, fam, ctx))
+    assert before == _reference(check, fam, ctx)
+    _force_findings(monkeypatch)
+    assert _as_reference(run_check(check, fam, ctx)) == _reference(check, fam, ctx) != before
+
+
+@pytest.mark.parametrize("sweep", sorted(DIAGRAM_CHECKS))
+def test_each_multiset_is_decided_once_per_walk(monkeypatch, sweep):
+    _force_findings(monkeypatch)
+    stored = _spy_on_decisions(monkeypatch)
+    check, ctx = DIAGRAM_CHECKS[sweep]
+    for fam in (all_diagrams(3), _as_explicit(all_diagrams(3)), REPEATS):
+        keys = {tuple(sorted(d.columns)) for _, d in fam.instances()}
+        assert len(keys) < fam.size()
+        for _ in range(2):  # the next walk decides them all again
+            stored.clear()
+            assert run_check(check, fam, ctx).checked == fam.size()
+            assert sorted(key for key, _ in stored) == sorted(keys), fam
+
+
+@pytest.mark.parametrize("sweep", sorted(DIAGRAM_CHECKS))
+def test_the_verdict_memo_holds_at_most_its_bound(monkeypatch, sweep):
+    _force_findings(monkeypatch)
+    stored = _spy_on_decisions(monkeypatch)
+    monkeypatch.setattr(verify, "_VERDICTS_KEPT", 8)
+    check, ctx = DIAGRAM_CHECKS[sweep]
+    for fam in (all_diagrams(3), _as_explicit(all_diagrams(3))):
+        stored.clear()
+        assert _as_reference(run_check(check, fam, ctx)) == _reference(check, fam, ctx)
+        assert max(size for _, size in stored) == 8
+    # in mask order the orders of a multiset lie far apart, so a forgotten verdict is decided again
+    assert len(stored) > 120
 
 
 def _digest(report):
