@@ -131,6 +131,18 @@ def column_multiset(d: Diagram) -> tuple:
     return tuple(sorted(filter(None, d.columns)))
 
 
+# one memo for the whole process, of every distinct set of rows it is given
+@lru_cache(maxsize=None)
+def _row_mask(col) -> int:
+    """The rows of a column as a bitmask: bit i - 1 is row i."""
+    return sum(1 << (i - 1) for i in col)
+
+
+def _grid_columns(n) -> list:
+    """The column table of the n-grid: column id ``bits`` is the column whose ``_row_mask`` is ``bits``."""
+    return [tuple(i for i in range(1, n + 1) if bits >> (i - 1) & 1) for bits in range(1 << n)]
+
+
 def diagram_leq(c: Diagram, d: Diagram) -> bool:
     """Columnwise componentwise comparison; grids are padded to match."""
     ncols = max(c.n, d.n)
@@ -477,13 +489,13 @@ def is_northwest(d: Diagram) -> bool:
     """Whether every southwest/northeast box pair closes its northwest corner.
 
     Read right to left: a column must hold every row above its lowest box
-    that some column to its right holds (bit i of a mask is row i).
+    that some column to its right holds, as row masks (``_row_mask``).
     """
     right = 0
     for col in reversed(d.columns):
         if col:
-            rows = sum(map((1).__lshift__, col))
-            if right & ~rows & ((1 << col[-1]) - 1):
+            rows = _row_mask(col)
+            if right & ~rows & ((1 << (col[-1] - 1)) - 1):
                 return False
             right |= rows
     return True
@@ -552,25 +564,21 @@ def _pattern_masks(p: PatternGrid, n: int) -> tuple:
     """The distinct placements of ``p`` on the rows of an n-row grid, as row masks.
 
     A placement fixes a row selection and an allowed order of the
-    pattern's columns.  Row i is bit i - 1, and each pattern column
-    becomes a pair ``(required, care)``: a diagram column with row mask
-    ``m`` matches it when ``m & care == required``.
+    pattern's columns.  Each pattern column becomes a pair ``(required,
+    care)`` of row masks: a diagram column with row mask ``m`` matches it
+    when ``m & care == required``.
     """
     if p.column_swap_allowed:
         orders = list(itertools.permutations(range(p.cols)))
     else:
         orders = [tuple(range(p.cols))]
     variants = set()
-    for rowsel in itertools.combinations(range(n), p.rows):
+    for rowsel in itertools.combinations(range(1, n + 1), p.rows):
         columns = []
         for b in range(p.cols):
-            required = care = 0
-            for row, bit in zip(p.cells, rowsel):
-                if row[b] is not Cell.FREE:
-                    care |= 1 << bit
-                    if row[b] is Cell.REQUIRED:
-                        required |= 1 << bit
-            columns.append((required, care))
+            required = tuple(i for row, i in zip(p.cells, rowsel) if row[b] is Cell.REQUIRED)
+            care = tuple(i for row, i in zip(p.cells, rowsel) if row[b] is not Cell.FREE)
+            columns.append((_row_mask(required), _row_mask(care)))
         variants.update(tuple(columns[k] for k in order) for order in orders)
     return tuple(variants)
 
@@ -586,7 +594,7 @@ def contains_pattern(d: Diagram, p: PatternGrid) -> bool:
     """
     if p.rows > d.n or p.cols > d.n:
         return False
-    masks = [sum(1 << (i - 1) for i in col) for col in d.columns]
+    masks = list(map(_row_mask, d.columns))
     for variant in _pattern_masks(p, d.n):
         b = 0
         for m in masks:

@@ -15,7 +15,6 @@ import math
 import operator
 import os
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -25,6 +24,7 @@ from weylchar.diagrams import (
     DEFAULT_CAP,
     Diagram,
     PatternGrid,
+    _grid_columns,
     check_cap,
     contains_pattern,
     count_132,
@@ -114,11 +114,6 @@ class DiagramFamily:
         """Iterate (index, payload) pairs in the family's canonical order."""
         _, payloads, _ = self._kind()
         return enumerate(payloads(self))
-
-
-def _grid_columns(n):
-    """The column table of the n-grid: column id ``bits`` holds the rows of its set bits."""
-    return [tuple(i for i in range(1, n + 1) if bits >> (i - 1) & 1) for bits in range(1 << n)]
 
 
 def _grid_subsets(family):
@@ -295,33 +290,25 @@ def _show_instance(payload) -> str:
 # Per-instance checks
 # ---------------------------------------------------------------------------
 
-_VERDICTS_KEPT = 4096
+class _Verdict:
+    """A check's verdict on the diagrams of one run, decided by the first of them that asks.
 
-
-class _Verdicts(OrderedDict):
-    """A diagram's sorted columns -> a check's verdict on every diagram with them, decided once per walk.
-
-    The key holds the column multiset and, through its empty columns, n,
-    which a zero-one pattern can match.  χ_D is a product over the
+    They share their column multiset and n.  χ_D is a product over the
     columns, so every column order shares its all-ones value and
     coefficients; rank(D), the distinct-weight count, the number of
     diagrams below and whether an unstable pair exists ignore the order
     too.  What reads column positions (an unstable pair's boxes,
     ``is_northwest``, patterns that keep their column order) is left to
-    each order's findings.  A walk's memo holds at most ``_VERDICTS_KEPT``
-    multisets, forgetting the oldest first, and no verdict that raises,
-    such as one past the cap.
+    each order's findings.
     """
 
+    value = None
+
     def of(self, d, decide, *args):
-        """The verdict on ``d``, from ``decide(d, *args)`` when its multiset has none."""
-        key = tuple(sorted(d.columns))
-        verdict = self.get(key)
-        if verdict is None:
-            verdict = self[key] = decide(d, *args)
-            if len(self) > _VERDICTS_KEPT:
-                self.popitem(last=False)
-        return verdict
+        """The verdict, from ``decide(d, *args)`` when it has none yet."""
+        if self.value is None:
+            self.value = decide(d, *args)
+        return self.value
 
 
 def _lower_bound_verdict(d, ctx):
@@ -336,8 +323,8 @@ def _lower_bound_verdict(d, ctx):
     return support, rank(d) + 1, total
 
 
-def _check_lower_bound(idx, d, ctx, verdicts):
-    support, bound, total = verdicts.of(d, _lower_bound_verdict, ctx)
+def _check_lower_bound(idx, d, ctx, verdict):
+    support, bound, total = verdict.of(d, _lower_bound_verdict, ctx)
     findings = []
     if support < bound:
         findings.append(Finding(idx, _show_instance(d), str(support), str(bound), "distinct weights below the bound"))
@@ -350,8 +337,8 @@ def _equality_verdict(d, ctx):
     return rank(d) + 1, principal_specialization(dual_character(d, ctx["cap"])), has_unstable_pair(d) is not None
 
 
-def _check_equality_iff_unstable(idx, d, ctx, verdicts):
-    bound, total, unstable = verdicts.of(d, _equality_verdict, ctx)
+def _check_equality_iff_unstable(idx, d, ctx, verdict):
+    bound, total, unstable = verdict.of(d, _equality_verdict, ctx)
     if total == bound and unstable:
         # the pair names box positions, which move with the column order
         return [Finding(idx, _show_instance(d), str(total), str(bound),
@@ -372,8 +359,8 @@ def _implication_verdict(d, ctx):
     return str(total), str(bound), f"coefficient {c} at {render_monomial(m)} despite equality"
 
 
-def _check_zero_one_implication(idx, d, ctx, verdicts):
-    fields = verdicts.of(d, _implication_verdict, ctx)
+def _check_zero_one_implication(idx, d, ctx, verdict):
+    fields = verdict.of(d, _implication_verdict, ctx)
     return [Finding(idx, _show_instance(d), *fields)] if fields else []
 
 
@@ -401,13 +388,13 @@ def _zero_one_verdict(d, ctx, chi):
     return on_hit, on_miss
 
 
-def _check_zero_one_characterization(idx, d, ctx, verdicts):
+def _check_zero_one_characterization(idx, d, ctx, verdict):
     # the character of every instance, though a verdict reads only one per
     # multiset: perfbench/tracer.py sums ``weyl.principal_sum`` over these
     # calls and perfbench/expected.json pins the sum, so reading it only on
     # a miss waits on a declared benchmark change (ROADMAP item 1)
     chi = dual_character(d, ctx["cap"])
-    on_hit, on_miss = verdicts.of(d, _zero_one_verdict, ctx, chi)
+    on_hit, on_miss = verdict.of(d, _zero_one_verdict, ctx, chi)
     # patterns that keep their column order are matched against each order
     hit = on_hit != on_miss and any(contains_pattern(d, p) for p in ctx["patterns"] if not p.column_swap_allowed)
     fields = on_hit if hit else on_miss
@@ -418,9 +405,9 @@ def _upper_bound_verdict(d, ctx):
     return principal_specialization(dual_character(d, ctx["cap"])), count_below(d)
 
 
-def _check_upper_bound(idx, d, ctx, verdicts):
+def _check_upper_bound(idx, d, ctx, verdict):
     findings = []
-    total, below = verdicts.of(d, _upper_bound_verdict, ctx)
+    total, below = verdict.of(d, _upper_bound_verdict, ctx)
     if total > below:
         findings.append(Finding(idx, _show_instance(d), str(total), str(below), "all-ones value above the ideal size"))
     equal = total == below
@@ -437,7 +424,7 @@ def _check_upper_bound(idx, d, ctx, verdicts):
     return findings
 
 
-def _check_schubert(idx, w, ctx, verdicts):
+def _check_schubert(idx, w, ctx, verdict):
     findings = []
     p132 = count_132(w)
     dw = rothe(w)
@@ -463,7 +450,7 @@ def _check_schubert(idx, w, ctx, verdicts):
     return findings
 
 
-def _check_key(idx, alpha, ctx, verdicts):
+def _check_key(idx, alpha, ctx, verdict):
     findings = []
     k = key(alpha)
     if k != dual_character(skyline(alpha), ctx["cap"]):
@@ -479,8 +466,8 @@ def _check_key(idx, alpha, ctx, verdicts):
     return findings
 
 
-# Every check takes the walk's verdict memo; the Schubert and key checks,
-# whose instances never share a column multiset, leave it unread.
+# Every check takes its run's verdict; the Schubert and key checks, whose
+# runs hold one instance each, leave it unread.
 _CHECKS = {
     "lower_bound": _check_lower_bound,
     "equality_iff_unstable": _check_equality_iff_unstable,
@@ -533,6 +520,7 @@ def _write_checkpoint(path, check_name, family, ctx, cursor, findings, elapsed_s
         "members": _members_digest(family),
         "ctx": _fingerprint(ctx),
         "cap": ctx["cap"],
+        "walk": "column multisets",
         "cursor": cursor,
         "elapsed_s": elapsed_s,
         "findings": [dict(f.to_json_obj(), severity=f.severity) for f in findings],
@@ -578,11 +566,11 @@ def _load_checkpoint(path, check_name, family, ctx):
     before the cursor might truncate; a larger cap is fine, since no
     instance before the cursor truncated.  A checkpoint without a time
     reads as 0 seconds, and a ``checked`` field, which checkpoints once
-    carried beside the cursor, is ignored.  One with a ``shard_cursor``
-    is refused: that cursor counted a grid's instances one by one, not
-    its column multisets.  A malformed one is refused too: the cap must
-    be a count, the cursor a count no larger than the family, the time a
-    finite number of seconds, and the findings a list of findings.
+    carried beside the cursor, is ignored.  One with no ``walk`` is
+    refused: an older walk's cursor may count instances one by one.  A
+    malformed one is refused too: the cap must be a count, the cursor a
+    count no larger than the family, the time a finite number of
+    seconds, and the findings a list of findings.
     """
     if not path or not os.path.exists(path):
         return 0, [], 0.0
@@ -601,8 +589,8 @@ def _load_checkpoint(path, check_name, family, ctx):
         raise ValueError(f"checkpoint {path}: cap must be a count")
     if payload["cap"] > ctx["cap"]:
         raise ValueError(f"checkpoint {path} belongs to a different run")
-    if "shard_cursor" in payload:
-        raise ValueError(f"checkpoint {path} has a shard_cursor, from an older walk, and cannot be resumed")
+    if payload.get("walk") != "column multisets":
+        raise ValueError(f"checkpoint {path} is from an older walk and cannot be resumed")
     cursor = payload.get("cursor")
     if not _is_count(cursor):
         raise ValueError(f"checkpoint {path}: cursor must be a count")
@@ -662,37 +650,26 @@ def _later_orders(equal):
     return [(operator.itemgetter(*p), operator.itemgetter(*p[::-1])) for _, p in sorted(firsts.items())[1:]]
 
 
-def _instance_runs(family, check, ctx):
-    """Each instance's index, with a thunk that returns its findings."""
-    for idx, payload in family.instances():
-        yield idx, partial(check, idx, payload, ctx)
-
-
-def _grid_runs(family, check, ctx, every_order):
-    """Each column multiset of a grid family: its first instance's index, with a thunk as ``_instance_runs``.
+def _grid_runs(family):
+    """Each column multiset of a grid family: its first instance's index, and its instances.
 
     A multiset is a sorted tuple from ``combinations_with_replacement``.
     Read as column ids from column n down, that is as the digits of a box
     mask, it is the multiset's first instance, the order with the
-    smallest mask, and these first instances ascend.  The thunk checks
-    the first instance; it checks the other orders, by ascending mask,
-    only when that one has a finding or ``every_order`` is set.  A check
-    that reads only the multiset then decides it once, and a cap, which
-    also depends only on the multiset, is exceeded at its first instance.
+    smallest mask, and these first instances ascend.  The other orders
+    follow by ascending mask; each diagram is built as it is reached.
     """
     n = family.n
     column = _grid_columns(n)
     shifts = [n * k for k in reversed(range(n))]
     index = _grid_index(family)
 
-    def findings(idx, ids):
+    def instances(idx, ids):
         columns = tuple(map(column.__getitem__, ids))
-        found = check(idx, Diagram(columns[::-1], n), ctx)
-        if found or every_order:
-            for order, reverse in _later_orders(tuple(map(operator.eq, ids, ids[1:]))):
-                mask = sum(map(operator.lshift, order(ids), shifts))
-                found += check(mask if index is None else index(mask), Diagram(reverse(columns), n), ctx)
-        return found
+        yield idx, Diagram(columns[::-1], n)
+        for order, reverse in _later_orders(tuple(map(operator.eq, ids, ids[1:]))):
+            mask = sum(map(operator.lshift, order(ids), shifts))
+            yield mask if index is None else index(mask), Diagram(reverse(columns), n)
 
     multisets = itertools.combinations_with_replacement(range(1 << n), n)
     if family.max_boxes is not None:
@@ -701,7 +678,16 @@ def _grid_runs(family, check, ctx, every_order):
     for ids in multisets:
         mask = sum(map(operator.lshift, ids, shifts))
         idx = mask if index is None else index(mask)
-        yield idx, partial(findings, idx, ids)
+        yield idx, instances(idx, ids)
+
+
+def _explicit_runs(family):
+    """As ``_grid_runs``, for an explicit list: its members by sorted columns, empty ones too, by first appearance."""
+    runs = {}
+    for idx, (columns, _) in enumerate(family.members):
+        runs.setdefault(tuple(sorted(columns)), []).append(idx)
+    for indices in runs.values():
+        yield indices[0], ((idx, Diagram(*family.members[idx])) for idx in indices)
 
 
 def _walk(check_name, family, ctx, shard, nshards, checkpoint_path):
@@ -710,21 +696,25 @@ def _walk(check_name, family, ctx, shard, nshards, checkpoint_path):
     Returns (stop, findings, seconds spent before this walk): ``stop`` is
     the index of the instance that exceeded the cap, or ``family.size()``
     if none did, so every instance of this shard below ``stop`` has been
-    checked.  An ``all_diagrams`` family is walked in runs of one column
-    multiset (``_grid_runs``), any other in runs of one instance, and the
-    check decides each multiset in a ``_Verdicts`` made for this walk.
-    Only a serial run, shard 0 of 1, passes a checkpoint path.  It
-    resumes at the first run that starts at or past the cursor.  Before
-    any later run that starts ``CHECKPOINT_INTERVAL_S`` or more seconds
-    after the walk began or the checkpoint was last written, it rewrites
-    the checkpoint with that run's start as the cursor.  So every run
-    that starts below the cursor is done, with all its findings saved,
-    even those past the cursor.  The checkpoint is removed only once the
-    family has been walked to the end; a run cut short by the cap keeps
-    it, with the cursor at the instance that truncated, so a rerun with
-    a larger cap resumes there.
+    checked.  A run is a column multiset of a grid (``_grid_runs``) or an
+    explicit list (``_explicit_runs``), or one instance of any other
+    family; runs start at ascending indices.  A run checks its first
+    instance, and the others only when that one has a finding or the
+    check reads column order, all with one ``_Verdict``: a check that
+    reads only the multiset decides it once, and a cap, which depends
+    only on the multiset, is exceeded at a run's first instance.  Only a
+    serial run, shard 0 of 1, passes a checkpoint path.  It resumes at
+    the first run that starts at or past the cursor, and rewrites the
+    checkpoint, with a run's start as the cursor, before each later run
+    that starts ``CHECKPOINT_INTERVAL_S`` or more seconds after the walk
+    began or last wrote one: every run that starts below the cursor is
+    done, with all its findings saved, even those past the cursor.  The
+    checkpoint is removed only once the family has been walked to the
+    end; a walk cut short by the cap keeps it, with the cursor at the
+    run that truncated, so a rerun with a larger cap resumes there.
     """
-    check = partial(_CHECKS[check_name], verdicts=_Verdicts())
+    check = _CHECKS[check_name]
+    every_order = _reads_column_order(check_name, ctx)
     start, findings, resumed_s = _load_checkpoint(checkpoint_path, check_name, family, ctx)
     saved = time.perf_counter()
     began = saved - resumed_s
@@ -737,18 +727,26 @@ def _walk(check_name, family, ctx, shard, nshards, checkpoint_path):
             saved = time.perf_counter()
 
     if family.kind == "all_diagrams":
-        runs = _grid_runs(family, check, ctx, _reads_column_order(check_name, ctx))
+        runs = _grid_runs(family)
+    elif family.kind == "explicit":
+        runs = _explicit_runs(family)
     else:
-        runs = _instance_runs(family, check, ctx)
+        runs = ((idx, [(idx, payload)]) for idx, payload in family.instances())
     runs = itertools.dropwhile(lambda run: run[0] < start, runs)
-    for idx, run in itertools.islice(runs, shard, None, nshards):
-        if checkpoint_path and idx > start and time.perf_counter() - saved >= CHECKPOINT_INTERVAL_S:
-            save(idx)
+    for first, instances in itertools.islice(runs, shard, None, nshards):
+        if checkpoint_path and first > start and time.perf_counter() - saved >= CHECKPOINT_INTERVAL_S:
+            save(first)
+        verdict = _Verdict()
+        found = []
         try:
-            findings.extend(run())
+            for idx, payload in instances:
+                found += check(idx, payload, ctx, verdict=verdict)
+                if not (found or every_order):
+                    break
         except CapExceeded:
-            save(idx)
-            return idx, findings, resumed_s
+            save(first)
+            return first, findings, resumed_s
+        findings += found
     if checkpoint_path and os.path.exists(checkpoint_path):
         os.unlink(checkpoint_path)
     return family.size(), findings, resumed_s
@@ -765,7 +763,8 @@ def run_check(
     """Run one named check over a family and assemble the report.
 
     ``workers`` processes each walk an interleaved shard of the family's
-    runs, so each column multiset of a grid is decided in one worker.
+    runs, so each column multiset of a grid or an explicit list is
+    decided in one worker.
     The report stops at the first instance that exceeded the cap in any
     shard: every shard has checked each of its instances below it, so
     ``checked`` and the findings are the serial run's at any worker

@@ -158,7 +158,7 @@ def _grow(spaces, col, wanted=None) -> dict:
     """
     grown = {}
     for ch, shift in zip(_kernels.column_ideal(col), _kernels.column_weights(col)):
-        factor = mono, blocks, lead = _factors(col, ch)
+        factor = _factors(col, ch)
         for weight, keys in spaces.items():
             w = weight + shift
             if wanted is not None and w not in wanted:
@@ -166,12 +166,8 @@ def _grow(spaces, col, wanted=None) -> dict:
             products = grown.get(w)
             if products is None:
                 grown[w] = products = {}
-            if blocks:
-                for key in keys:
-                    products[_times(key, factor)] = None
-            else:  # the common case, inlined: no blocks to merge
-                for m, b, ld in keys:
-                    products[m + mono, b, ld + lead] = None
+            for key in keys:
+                products[_times(key, factor)] = None
     return grown
 
 
@@ -192,10 +188,9 @@ def _dimensions(columns, wanted) -> dict:
     span(A) * m = span{a * m : a in A} for each of its minors m, so a
     product whose prefix depends on the kept ones is a combination of
     kept products with the same suffix and the same weight.  Products
-    are keys (see ``_factors``), deduplicated by key; a class that
-    ``_certified`` cannot vouch for is expanded and chosen from, or
-    ranked at the last column, by the sparse echelon, unless a class of
-    its shape was ranked before (see ``_SHAPES``).  Expansions are memoized by
+    are keys (see ``_factors``), deduplicated by key, and every class,
+    the last column's too, is cut to a basis by ``_basis``; at the last
+    column only the basis's size is read.  Expansions are memoized by
     their blocks while this call runs.  ``wanted`` is a set of packed
     weights, by which the result is keyed; ``columns`` must not be
     empty, and there must be fewer than 256 of them, as the weight
@@ -205,10 +200,7 @@ def _dimensions(columns, wanted) -> dict:
     spaces = {0: [_ONE]}
     for col in columns[:-1]:
         spaces = {w: _basis(keys, memo) for w, keys in _grow(spaces, col).items()}
-    dims = {}
-    for w, keys in _grow(spaces, columns[-1], wanted).items():
-        dims[w] = len(keys) if _certified(keys) else len(_kept(sorted(keys), memo))
-    return dims
+    return {w: len(_basis(keys, memo)) for w, keys in _grow(spaces, columns[-1], wanted).items()}
 
 
 # Ranked shapes, one memo for the whole process.  Let a class's keys be

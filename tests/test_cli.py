@@ -437,6 +437,7 @@ def test_malformed_checkpoint_exits_2(capsys, tmp_path, fields, message):
         "family": "AllDiagrams(n=2, max_boxes=None)",
         "ctx": {"support_only": True},
         "cap": 200000,
+        "walk": "column multisets",
         "cursor": 8,
         "findings": [],
         **fields,
@@ -451,19 +452,24 @@ def test_malformed_checkpoint_exits_2(capsys, tmp_path, fields, message):
 
 
 def test_checkpoint_of_an_older_walk_exits_2(capsys, tmp_path):
-    """A checkpoint with a ``shard_cursor`` counted instances, not column multisets, so it is refused."""
-    path = tmp_path / "old.json"
-    payload = {
-        "check": "lower_bound",
-        "family": "AllDiagrams(n=2, max_boxes=None)",
-        "ctx": {"support_only": True},
-        "cap": 200000,
-        "shard_cursor": 9,
-        "findings": [],
-    }
-    path.write_text(json.dumps(payload))
-    argv = ["sweep", "lower-bound", "--family", "all-diagrams", "--n", "2", "--support-only", "--checkpoint", str(path)]
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert "shard_cursor" in err and "cannot be resumed" in err
-    assert json.loads(path.read_text()) == payload
+    """A checkpoint with no ``walk`` is refused: its cursor may count instances, not column multisets."""
+    from weylchar.verify import _members_digest, explicit_list
+
+    common = {"check": "lower_bound", "ctx": {"support_only": True}, "cap": 200000, "findings": []}
+    sweeps = [
+        # a grid walk's shard_cursor
+        (["--family", "all-diagrams", "--n", "2"],
+         dict(common, family="AllDiagrams(n=2, max_boxes=None)", shard_cursor=9)),
+        # an explicit list's cursor, which counted its members one by one
+        (["--family", "explicit", "--diagram", WORKED_INLINE, "--diagram", "2,3;1,3;"],
+         dict(common, family="ExplicitList(2 diagrams)", cursor=1,
+              members=_members_digest(explicit_list([WORKED, diagram([(2, 3), (1, 3), ()])])))),
+    ]
+    for family_args, payload in sweeps:
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        argv = ["sweep", "lower-bound", *family_args, "--support-only", "--checkpoint", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), err
+        assert "older walk" in err and "cannot be resumed" in err
+        assert json.loads(path.read_text()) == payload

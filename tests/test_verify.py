@@ -340,12 +340,12 @@ def test_column_orders_share_one_support_computation(monkeypatch):
     report = verify_lower_bound(explicit_list([*orders, diagram(d.columns, n=5)]), support_only=True)
     assert report.checked == 25
     assert len(calls) == 3
-    # a miss that raises is not stored, so it is computed again
-    verdicts = verify._Verdicts()
+    # a verdict that raises is not held, so it is decided again
+    verdict = verify._Verdict()
     for _ in range(2):
         with pytest.raises(CapExceeded):
-            verdicts.of(d, verify._lower_bound_verdict, {"cap": 1, "support_only": True})
-    assert len(calls) == 5 and not verdicts
+            verdict.of(d, verify._lower_bound_verdict, {"cap": 1, "support_only": True})
+    assert len(calls) == 5 and verdict.value is None
 
 
 def _orbit_sample_4grid():
@@ -358,16 +358,17 @@ def _orbit_sample_4grid():
 def test_memoized_values_match_their_per_diagram_functions():
     """A verdict decided on one column order holds the per-diagram values of every other order."""
     ctx = {"cap": DEFAULT_CAP, "support_only": False}
-    verdicts = {decide: verify._Verdicts() for decide in ("lower_bound", "equality", "upper_bound")}
+    held = {}
     grid = [d for _, d in all_diagrams(3).instances()]
     for d in grid + list(_orbit_sample_4grid()):
+        lower, equality, upper = held.setdefault(tuple(sorted(d.columns)), [verify._Verdict() for _ in range(3)])
         total = principal_specialization(dual_character(d))
         bound = rank(d) + 1
         support = len(character_support(d))
         unstable = has_unstable_pair(d) is not None
-        assert verdicts["lower_bound"].of(d, verify._lower_bound_verdict, ctx) == (support, bound, total), d
-        assert verdicts["equality"].of(d, verify._equality_verdict, ctx) == (bound, total, unstable), d
-        assert verdicts["upper_bound"].of(d, verify._upper_bound_verdict, ctx) == (total, count_below(d)), d
+        assert lower.of(d, verify._lower_bound_verdict, ctx) == (support, bound, total), d
+        assert equality.of(d, verify._equality_verdict, ctx) == (bound, total, unstable), d
+        assert upper.of(d, verify._upper_bound_verdict, ctx) == (total, count_below(d)), d
 
 
 def test_clean_sweep_renders_no_instance(monkeypatch):
@@ -819,6 +820,7 @@ def test_checkpoint_resume_matches_full_run(tmp_path):
         "family": fam.describe(),
         "ctx": {"patterns": [render_pattern(ALL_FREE_2)]},
         "cap": DEFAULT_CAP,
+        "walk": "column multisets",
         "cursor": cursor,
         "findings": [dict(f.to_json_obj(), severity=f.severity) for f in prefix],
     }))
@@ -939,6 +941,7 @@ def test_resumed_report_counts_earlier_segments(tmp_path):
         "family": fam.describe(),
         "ctx": {"support_only": False},
         "cap": DEFAULT_CAP,
+        "walk": "column multisets",
         "cursor": 8,
         "elapsed_s": 1000.0,
         "findings": [],
@@ -1021,8 +1024,8 @@ def test_checkpoint_written_and_cleared(tmp_path, monkeypatch):
     cursors.clear()
     fam = explicit_list(d for _, d in all_diagrams(2).instances())
     assert verify_lower_bound(fam, checkpoint_path=str(path)).checked == 16
-    # before each instance but the first
-    assert cursors == list(range(1, 16))
+    # an explicit list is walked by column multiset too, so it writes the grid's cursors
+    assert cursors == [1, 2, 3, 5, 6, 7, 10, 11, 15]
     assert not path.exists()
 
 
@@ -1087,6 +1090,7 @@ def _valid_checkpoint(fam):
         "family": fam.describe(),
         "ctx": {"support_only": True},
         "cap": DEFAULT_CAP,
+        "walk": "column multisets",
         "cursor": 8,
         "elapsed_s": 0.5,
         "findings": [],
@@ -1137,16 +1141,33 @@ GOOD_FINDING = {"instance_index": 3, "instance": "{}", "lhs": "1", "rhs": "2", "
 )
 @pytest.mark.parametrize("support_only", [True, False], ids=["grid-runs", "instance-runs"])
 def test_malformed_checkpoint_is_refused(tmp_path, field, value, support_only):
-    """A malformed field is refused, and so is any ``shard_cursor``, the cursor of an older walk."""
+    """A malformed field is refused, and so is a ``shard_cursor``, which only an older walk wrote."""
     fam = all_diagrams(2)
     payload = _valid_checkpoint(fam)
     payload["ctx"]["support_only"] = support_only
     payload[field] = value
+    if field == "shard_cursor":
+        del payload["walk"]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match="older walk" if field == "shard_cursor" else field):
         verify_lower_bound(fam, support_only=support_only, checkpoint_path=str(path))
     assert path.exists()
+
+
+@pytest.mark.parametrize("fam", [all_diagrams(2), explicit_list(d for _, d in all_diagrams(2).instances())],
+                         ids=["grid", "explicit"])
+def test_checkpoint_of_an_older_walk_is_refused(tmp_path, fam):
+    """A checkpoint with no ``walk`` is refused: an explicit list's cursor once counted instances one by one."""
+    ctx = {"cap": DEFAULT_CAP, "support_only": True}
+    path = tmp_path / "old.json"
+    verify._write_checkpoint(str(path), "lower_bound", fam, ctx, 9, [])
+    payload = json.loads(path.read_text())
+    payload.pop("walk", None)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="older walk"):
+        verify_lower_bound(fam, support_only=True, checkpoint_path=str(path))
+    assert json.loads(path.read_text()) == payload
 
 
 @pytest.mark.parametrize("checked", [-5, "8", False, 9])
@@ -1237,7 +1258,7 @@ def _flag_some_multisets(monkeypatch):
 
 
 def _as_explicit(fam):
-    """The same diagrams in the same order, swept one instance at a time."""
+    """The same diagrams in the same order, as an explicit list, whose runs are grouped from its members."""
     return explicit_list([d for _, d in fam.instances()])
 
 
@@ -1402,7 +1423,7 @@ def test_support_grid_resumes_from_every_checkpoint(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Verdicts: one memo per walk, for every diagram check
+# Verdicts: one per run, for every diagram check
 # ---------------------------------------------------------------------------
 
 # Each diagram check with the ctx its ``verify_*`` entry point builds;
@@ -1425,16 +1446,17 @@ REPEATS = explicit_list(
 
 
 def _spy_on_decisions(monkeypatch):
-    """Record every verdict a walk stores, as its key and the memo's size just before."""
-    stored = []
-    store = verify._Verdicts.__setitem__
+    """Record the sorted columns of each diagram that a verdict is decided on."""
+    decided = []
+    for name in ("_lower_bound_verdict", "_equality_verdict", "_implication_verdict", "_zero_one_verdict",
+                 "_upper_bound_verdict"):
 
-    def spy(self, key, verdict):
-        stored.append((key, len(self)))
-        store(self, key, verdict)
+        def spy(d, *args, decide=getattr(verify, name)):
+            decided.append(tuple(sorted(d.columns)))
+            return decide(d, *args)
 
-    monkeypatch.setattr(verify._Verdicts, "__setitem__", spy)
-    return stored
+        monkeypatch.setattr(verify, name, spy)
+    return decided
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1467,29 +1489,32 @@ def test_a_verdict_does_not_outlive_its_walk(monkeypatch, sweep, fam):
 @pytest.mark.parametrize("sweep", sorted(DIAGRAM_CHECKS))
 def test_each_multiset_is_decided_once_per_walk(monkeypatch, sweep):
     _force_findings(monkeypatch)
-    stored = _spy_on_decisions(monkeypatch)
+    decided = _spy_on_decisions(monkeypatch)
     check, ctx = DIAGRAM_CHECKS[sweep]
     for fam in (all_diagrams(3), _as_explicit(all_diagrams(3)), REPEATS):
         keys = {tuple(sorted(d.columns)) for _, d in fam.instances()}
         assert len(keys) < fam.size()
         for _ in range(2):  # the next walk decides them all again
-            stored.clear()
+            decided.clear()
             assert run_check(check, fam, ctx).checked == fam.size()
-            assert sorted(key for key, _ in stored) == sorted(keys), fam
+            assert sorted(decided) == sorted(keys), fam
 
 
 @pytest.mark.parametrize("sweep", sorted(DIAGRAM_CHECKS))
-def test_the_verdict_memo_holds_at_most_its_bound(monkeypatch, sweep):
+def test_shards_of_an_explicit_list_decide_each_multiset_once(monkeypatch, sweep):
+    """Between them, the two shards of a list that repeats multisets decide each multiset once."""
     _force_findings(monkeypatch)
-    stored = _spy_on_decisions(monkeypatch)
-    monkeypatch.setattr(verify, "_VERDICTS_KEPT", 8)
     check, ctx = DIAGRAM_CHECKS[sweep]
-    for fam in (all_diagrams(3), _as_explicit(all_diagrams(3))):
-        stored.clear()
-        assert _as_reference(run_check(check, fam, ctx)) == _reference(check, fam, ctx)
-        assert max(size for _, size in stored) == 8
-    # in mask order the orders of a multiset lie far apart, so a forgotten verdict is decided again
-    assert len(stored) > 120
+    fam = explicit_list(_orbit_sample_4grid())
+    keys = {tuple(sorted(d.columns)) for _, d in fam.instances()}
+    assert (len(keys), fam.size()) == (243, 4152)
+    decided = _spy_on_decisions(monkeypatch)
+    for shard in range(2):
+        verify._walk(check, fam, ctx, shard, 2, None)
+    assert sorted(decided) == sorted(keys)
+    expected = _reference(check, fam, ctx)
+    assert expected[1]
+    assert _as_reference(run_check(check, fam, ctx, workers=2)) == _as_reference(run_check(check, fam, ctx)) == expected
 
 
 def _digest(report):
