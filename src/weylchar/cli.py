@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from weylchar.diagrams import (
@@ -42,14 +43,6 @@ from weylchar.verify import (
 )
 from weylchar.weyl import dual_character
 
-_DIAGRAM_CHECKS = (
-    "lower-bound",
-    "equality-unstable",
-    "zero-one-implication",
-    "zero-one-patterns",
-    "upper-bound",
-)
-
 
 def _read_diagram(text: str):
     """Inline column lists, or a grid file via ``@path``."""
@@ -67,6 +60,41 @@ def _read_patterns(paths):
     return patterns
 
 
+def _explicit(diagram):
+    return explicit_list(map(_read_diagram, diagram))
+
+
+def _zero_one_patterns(family, patterns, **run):
+    return verify_zero_one_characterization(family, _read_patterns(patterns), **run)
+
+
+def _upper_bound(family, patterns=(), **run):
+    if len(patterns) > 2:
+        raise ValueError("upper-bound takes at most two pattern files")
+    return verify_upper_bound(family, *_read_patterns(patterns), **run)
+
+
+# Each sweep check and each family: the function it calls, the sweep
+# arguments it needs and those it may take.  The function gets each of them
+# that is set under the argument's own name; a check that needs ``family``
+# gets the family built from its row.
+_SWEEPS = {
+    "lower-bound": (verify_lower_bound, ("family",), ("support_only",)),
+    "equality-unstable": (verify_equality_iff_unstable, ("family",), ()),
+    "zero-one-implication": (verify_zero_one_implication, ("family",), ()),
+    "zero-one-patterns": (_zero_one_patterns, ("family", "patterns"), ()),
+    "upper-bound": (_upper_bound, ("family",), ("patterns",)),
+    "schubert": (verify_schubert_identities, ("n",), ()),
+    "key": (verify_key_identities, ("max_part", "max_len"), ()),
+}
+_FAMILIES = {
+    "all-diagrams": (all_diagrams, ("n",), ("max_boxes",)),
+    "all-rothe": (all_rothe, ("n",), ()),
+    "all-skyline": (all_skyline, ("max_part", "max_len"), ()),
+    "explicit": (_explicit, ("diagram",), ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylchar",
@@ -76,11 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="enumeration cap (default %(default)s)")
     common.add_argument("--json", action="store_true", help="emit JSON")
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                        help="enumeration cap (default %(default)s)")
 
-    p = sub.add_parser("chi", parents=[common],
+    p = sub.add_parser("chi", parents=[capped],
                        help="character of a diagram plus its all-ones value")
     p.add_argument("diagram", help='column list like "1,3;2,3;" or @gridfile')
 
@@ -103,20 +132,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("skyline", parents=[common], help="skyline diagram of a composition")
     p.add_argument("composition")
 
-    p = sub.add_parser("sweep", parents=[common], help="run a verification sweep")
-    p.add_argument("check", choices=_DIAGRAM_CHECKS + ("schubert", "key"))
-    p.add_argument("--family",
-                   choices=("all-diagrams", "all-rothe", "all-skyline", "explicit"),
+    # every sweep argument that a row reads defaults to None, which means unset
+    p = sub.add_parser("sweep", parents=[capped], help="run a verification sweep")
+    p.add_argument("check", choices=_SWEEPS)
+    p.add_argument("--family", choices=_FAMILIES,
                    help="instance family for diagram checks")
     p.add_argument("--n", type=int, help="grid size / symmetric group degree")
     p.add_argument("--max-boxes", type=int, help="box-count cap for all-diagrams")
     p.add_argument("--max-part", type=int, help="largest composition part")
     p.add_argument("--max-len", type=int, help="composition length")
-    p.add_argument("--diagram", action="append", default=[],
+    p.add_argument("--diagram", action="append",
                    help="member of an explicit family (repeatable)")
-    p.add_argument("--support-only", action="store_true",
+    p.add_argument("--support-only", action="store_true", default=None,
                    help="lower-bound check: count weights, skip the character")
-    p.add_argument("--patterns", nargs="+", default=[], metavar="FILE",
+    p.add_argument("--patterns", nargs="+", metavar="FILE",
                    help="pattern files; for upper-bound: northwest then general")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--checkpoint", metavar="FILE",
@@ -127,89 +156,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the family arguments each diagram family reads, and those that the
-# schubert and key sweeps read for their own families
-_FAMILY_ARGS = {
-    "all-diagrams": ("n", "max_boxes"),
-    "all-rothe": ("n",),
-    "all-skyline": ("max_part", "max_len"),
-    "explicit": ("diagram",),
-    "schubert": ("n",),
-    "key": ("max_part", "max_len"),
-}
+def _reads(rows, name):
+    return any(name in needs + takes for _, needs, takes in rows)
 
 
-def _reject_unread_family_args(args):
-    """Exit-2 error for a family argument that the chosen family would ignore."""
-    if args.check in _DIAGRAM_CHECKS:
-        if args.family is None:
-            return  # _family_from_args asks for --family
-        owner, read = f"the {args.family} family", {"family", *_FAMILY_ARGS[args.family]}
-    else:
-        owner, read = f"the {args.check} sweep", set(_FAMILY_ARGS[args.check])
-    for name in ("family", "n", "max_boxes", "max_part", "max_len", "diagram"):
-        if name not in read and getattr(args, name) not in (None, []):
-            raise ValueError(f"--{name.replace('_', '-')} does not apply to {owner}")
-
-
-def _family_from_args(args):
-    if args.family == "all-diagrams":
-        if args.n is None:
-            raise ValueError("all-diagrams needs --n")
-        return all_diagrams(args.n, args.max_boxes)
-    if args.family == "all-rothe":
-        if args.n is None:
-            raise ValueError("all-rothe needs --n")
-        return all_rothe(args.n)
-    if args.family == "all-skyline":
-        if args.max_part is None or args.max_len is None:
-            raise ValueError("all-skyline needs --max-part and --max-len")
-        return all_skyline(args.max_part, args.max_len)
-    if args.family == "explicit":
-        if not args.diagram:
-            raise ValueError("explicit family needs at least one --diagram")
-        return explicit_list(_read_diagram(text) for text in args.diagram)
-    raise ValueError("diagram checks need --family")
+def _call(row, given, **run):
+    function, needs, takes = row
+    return function(**{name: given[name] for name in needs + takes if name in given}, **run)
 
 
 def _cmd_sweep(args) -> int:
-    if args.support_only and args.check != "lower-bound":
-        raise ValueError("--support-only applies only to the lower-bound check")
-    if args.patterns and args.check not in ("zero-one-patterns", "upper-bound"):
-        raise ValueError(f"--patterns does not apply to the {args.check} check")
-    _reject_unread_family_args(args)
-    run = {
-        "workers": args.workers,
-        "checkpoint_path": args.checkpoint,
-        "cap": args.cap,
-    }
-    if args.check in _DIAGRAM_CHECKS:
-        family = _family_from_args(args)
-        if args.check == "lower-bound":
-            report = verify_lower_bound(family, support_only=args.support_only, **run)
-        elif args.check == "equality-unstable":
-            report = verify_equality_iff_unstable(family, **run)
-        elif args.check == "zero-one-implication":
-            report = verify_zero_one_implication(family, **run)
-        elif args.check == "zero-one-patterns":
-            report = verify_zero_one_characterization(
-                family, _read_patterns(args.patterns), **run
-            )
-        else:
-            patterns = _read_patterns(args.patterns)
-            if len(patterns) > 2:
-                raise ValueError("upper-bound takes at most two pattern files")
-            northwest = patterns[0] if patterns else None
-            general = patterns[1] if len(patterns) > 1 else None
-            report = verify_upper_bound(family, northwest, general, **run)
-    elif args.check == "schubert":
-        if args.n is None:
-            raise ValueError("schubert sweep needs --n")
-        report = verify_schubert_identities(args.n, **run)
-    else:
-        if args.max_part is None or args.max_len is None:
-            raise ValueError("key sweep needs --max-part and --max-len")
-        report = verify_key_identities(args.max_part, args.max_len, **run)
+    chosen = {f"the {args.check} check": _SWEEPS[args.check]}
+    if _reads(chosen.values(), "family") and args.family is not None:
+        chosen[f"the {args.family} family"] = _FAMILIES[args.family]
+    missing = [name for _, needs, _ in chosen.values() for name in needs if getattr(args, name) is None]
+    if missing:
+        flags = " and ".join(f"--{name.replace('_', '-')}" for name in missing)
+        raise ValueError(f"{' on '.join(chosen)} needs {flags}")
+    rows = [*_SWEEPS.values(), *_FAMILIES.values()]
+    given = {name: value for name, value in vars(args).items() if value is not None and _reads(rows, name)}
+    for name in given:
+        if not _reads(chosen.values(), name):
+            # the family refuses what some family reads, the check all else
+            owner = list(chosen)[-1 if _reads(_FAMILIES.values(), name) else 0]
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to {owner}")
+    if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
+        raise ValueError(f"output {args.output}: its directory does not exist")
+    if "family" in given:
+        given["family"] = _call(_FAMILIES[args.family], given)
+    report = _call(
+        _SWEEPS[args.check], given, workers=args.workers, checkpoint_path=args.checkpoint, cap=args.cap
+    )
 
     if args.json:
         print(json.dumps(report.to_json_obj(), indent=2))

@@ -138,6 +138,21 @@ def test_negative_cap_is_a_usage_error(capsys):
     assert code == 3 and "cap exceeded" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rank", WORKED_INLINE],
+    ["count-below", WORKED_INLINE],
+    ["schubert", "321"],
+    ["key", "0,1"],
+    ["rothe", "31542"],
+    ["skyline", "1,2"],
+], ids=lambda argv: argv[0])
+def test_cap_is_refused_where_nothing_reads_it(capsys, argv):
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv, "--cap", "5")
+    assert (code, out) == (2, "")
+    assert "--cap" in err
+
+
 def test_sweep_clean_run(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "lower-bound", "--family", "all-diagrams", "--n", "2"
@@ -314,6 +329,25 @@ def test_sweep_missing_family_arguments(capsys):
     assert code == 2 and "--n" in err
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["lower-bound", "--family", "all-rothe"], ["--n"]),
+    (["lower-bound", "--family", "all-skyline"], ["--max-part", "--max-len"]),
+    (["lower-bound", "--family", "all-skyline", "--max-len", "2"], ["--max-part"]),
+    (["lower-bound", "--family", "explicit"], ["--diagram"]),
+    (["key"], ["--max-part", "--max-len"]),
+    (["key", "--max-part", "1"], ["--max-len"]),
+    (["zero-one-patterns", "--family", "all-diagrams", "--n", "2"], ["--patterns"]),
+    (["zero-one-patterns", "--family", "all-skyline"], ["--patterns", "--max-part", "--max-len"]),
+], ids=["all-rothe", "all-skyline", "all-skyline-max-len", "explicit", "key", "key-max-part",
+        "zero-one-patterns", "zero-one-patterns-all-skyline"])
+def test_sweep_names_every_missing_argument(capsys, argv, missing):
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    flags = ("--n", "--max-part", "--max-len", "--diagram", "--patterns")
+    assert [flag for flag in flags if flag in err] == sorted(missing, key=flags.index)
+
+
 def test_sweep_truncation_exits_3(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "lower-bound", "--family", "explicit",
@@ -341,6 +375,16 @@ def test_checkpoint_in_a_missing_directory_exits_2(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "sweep", "lower-bound", "--family", "all-diagrams", "--n", "3",
         "--checkpoint", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert "directory does not exist" in err
+    assert not path.parent.exists()
+
+
+def test_output_in_a_missing_directory_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(
+        capsys, "sweep", "lower-bound", "--family", "all-diagrams", "--n", "3", "-o", str(path),
     )
     assert (code, out) == (2, "")
     assert "directory does not exist" in err

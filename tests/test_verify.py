@@ -1287,17 +1287,24 @@ def test_support_grid_sweep_reads_no_family_instances(monkeypatch):
         verify_lower_bound(all_rothe(3))
 
 
-# Checks of the paper, forced to find something on many multisets, and the
-# families and caps they are swept at.  Each forced value, like the real
-# one, reads a diagram only through its column multiset.
-GRID_SWEEPS = {
-    "support": lambda fam, **run: verify_lower_bound(fam, support_only=True, **run),
-    "lower-bound": lambda fam, **run: verify_lower_bound(fam, **run),
-    "equality": lambda fam, **run: verify_equality_iff_unstable(fam, **run),
-    "implication": lambda fam, **run: verify_zero_one_implication(fam, **run),
-    "upper": lambda fam, **run: verify_upper_bound(fam, **run),
-    "upper-patterns": lambda fam, **run: verify_upper_bound(fam, MATCH_ANYTHING, FIXED_CORNER, **run),
-    "zero-one": lambda fam, **run: verify_zero_one_characterization(fam, [WITNESS, FIXED_CORNER], **run),
+# Each diagram check with the ctx its ``verify_*`` entry point builds, for the
+# tests below to force findings on many multisets.  Each forced value, like
+# the real one, reads a diagram only through its column multiset.
+# ``upper-patterns`` and ``upper-anything`` read column order through their
+# patterns; every northwest diagram hits the northwest one of ``upper-anything``.
+DIAGRAM_CHECKS = {
+    "support": ("lower_bound", {"cap": DEFAULT_CAP, "support_only": True}),
+    "lower-bound": ("lower_bound", {"cap": DEFAULT_CAP, "support_only": False}),
+    "equality": ("equality_iff_unstable", {"cap": DEFAULT_CAP}),
+    "implication": ("zero_one_implication", {"cap": DEFAULT_CAP}),
+    "upper": ("upper_bound", {"cap": DEFAULT_CAP, "northwest_pattern": None, "general_pattern": None}),
+    "upper-patterns": (
+        "upper_bound", {"cap": DEFAULT_CAP, "northwest_pattern": FIXED_CORNER, "general_pattern": WITNESS}
+    ),
+    "upper-anything": (
+        "upper_bound", {"cap": DEFAULT_CAP, "northwest_pattern": MATCH_ANYTHING, "general_pattern": FIXED_CORNER}
+    ),
+    "zero-one": ("zero_one_characterization", {"cap": DEFAULT_CAP, "patterns": (WITNESS, FIXED_CORNER)}),
 }
 GRID_FAMILIES = [all_diagrams(n, max_boxes=m) for n in range(4) for m in [None, *range(n * n + 1)]]
 
@@ -1317,30 +1324,29 @@ def _force_findings(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("sweep", sorted(GRID_SWEEPS))
+@pytest.mark.parametrize("sweep", sorted(DIAGRAM_CHECKS))
 def test_grid_walk_matches_a_check_per_instance(monkeypatch, sweep):
-    """Every grid report, truncated or not, is the report of the same diagrams swept one by one."""
+    """Every grid report, truncated or not, is the report of the same diagrams checked one by one."""
     _force_findings(monkeypatch)
-    run = GRID_SWEEPS[sweep]
+    check, ctx = DIAGRAM_CHECKS[sweep]
     found = 0
     for fam in GRID_FAMILIES:
         for cap in (DEFAULT_CAP, 0, 3, 6, 20, 100):
-            expected = _outcome(run(_as_explicit(fam), cap=cap))
-            found += len(expected["violations"]) + len(expected["candidates"])
-            assert _outcome(run(fam, cap=cap)) == expected, (fam, cap)
+            expected = _reference(check, fam, dict(ctx, cap=cap))
+            found += len(expected[1])
+            assert _as_reference(run_check(check, fam, dict(ctx, cap=cap))) == expected, (fam, cap)
             if fam.n == 3 and fam.max_boxes in (None, 4):
-                assert _outcome(run(fam, cap=cap, workers=2)) == expected, (fam, cap)
+                assert _as_reference(run_check(check, fam, dict(ctx, cap=cap), workers=2)) == expected, (fam, cap)
     assert found
 
 
 @pytest.mark.parametrize("max_boxes", [None, 0, 4, 9])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_support_grid_findings_match_instance_runs(monkeypatch, max_boxes, workers):
+def test_support_grid_findings_match_a_check_per_instance(monkeypatch, max_boxes, workers):
     _flag_some_multisets(monkeypatch)
     fam = all_diagrams(3, max_boxes=max_boxes)
     grid = verify_lower_bound(fam, support_only=True, workers=workers)
-    one_by_one = verify_lower_bound(_as_explicit(fam), support_only=True, workers=workers)
-    assert _outcome(grid) == _outcome(one_by_one)
+    assert _as_reference(grid) == _reference("lower_bound", fam, DIAGRAM_CHECKS["support"][1])
     assert grid.checked == sum(1 for _ in fam.instances())
     expected = [idx for idx, d in fam.instances() if d.box_count % 2]
     assert [f.instance_index for f in grid.violations] == expected
@@ -1366,24 +1372,23 @@ def test_later_orders_are_the_sorted_distinct_orders(n):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_support_grid_truncates_where_instance_runs_do(tmp_path, monkeypatch, workers):
+def test_support_grid_truncates_where_a_check_per_instance_does(tmp_path, monkeypatch, workers):
     _flag_some_multisets(monkeypatch)
     fam = all_diagrams(3)
+    _, ctx = DIAGRAM_CHECKS["support"]
     for cap in (0, 3, 6, 10):
         grid = verify_lower_bound(fam, support_only=True, cap=cap, workers=workers)
-        one_by_one = verify_lower_bound(_as_explicit(fam), support_only=True, cap=cap)
-        assert grid.truncated and one_by_one.truncated
-        assert _outcome(grid) == _outcome(one_by_one), cap
-    cursors = {}
+        expected = _reference("lower_bound", fam, dict(ctx, cap=cap))
+        assert grid.truncated and expected[2]
+        assert _as_reference(grid) == expected, cap
+    checked, _, _ = _reference("lower_bound", fam, dict(ctx, cap=6))
+    assert checked > 0
     for name, sweep_fam in (("grid", fam), ("explicit", _as_explicit(fam))):
         path = tmp_path / f"{name}.json"
         cut = verify_lower_bound(sweep_fam, support_only=True, cap=6, checkpoint_path=str(path))
-        saved = json.loads(path.read_text())
-        assert saved["cursor"] == cut.checked
-        cursors[name] = saved["cursor"]
+        assert json.loads(path.read_text())["cursor"] == cut.checked == checked
         resumed = verify_lower_bound(sweep_fam, support_only=True, checkpoint_path=str(path))
-        assert _outcome(resumed) == _outcome(verify_lower_bound(sweep_fam, support_only=True))
-    assert cursors["grid"] == cursors["explicit"] > 0
+        assert _as_reference(resumed) == _reference("lower_bound", sweep_fam, ctx)
 
 
 def test_support_grid_resumes_from_every_checkpoint(tmp_path, monkeypatch):
@@ -1426,19 +1431,6 @@ def test_support_grid_resumes_from_every_checkpoint(tmp_path, monkeypatch):
 # Verdicts: one per run, for every diagram check
 # ---------------------------------------------------------------------------
 
-# Each diagram check with the ctx its ``verify_*`` entry point builds;
-# ``upper-patterns`` reads column order through both of its patterns.
-DIAGRAM_CHECKS = {
-    "support": ("lower_bound", {"cap": DEFAULT_CAP, "support_only": True}),
-    "lower-bound": ("lower_bound", {"cap": DEFAULT_CAP, "support_only": False}),
-    "equality": ("equality_iff_unstable", {"cap": DEFAULT_CAP}),
-    "implication": ("zero_one_implication", {"cap": DEFAULT_CAP}),
-    "upper": ("upper_bound", {"cap": DEFAULT_CAP, "northwest_pattern": None, "general_pattern": None}),
-    "upper-patterns": (
-        "upper_bound", {"cap": DEFAULT_CAP, "northwest_pattern": FIXED_CORNER, "general_pattern": WITNESS}
-    ),
-    "zero-one": ("zero_one_characterization", {"cap": DEFAULT_CAP, "patterns": (WITNESS, FIXED_CORNER)}),
-}
 # orders of one multiset far apart in the list, and one multiset at several grid sizes
 REPEATS = explicit_list(
     [d for idx, d in all_diagrams(3).instances() if idx % 7 < 2] + [d for _, d in MIXED_GRID_SIZES.instances()]
