@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 when an assertion-grade sweep found violations,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -147,9 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lower-bound check: count weights, skip the character")
     p.add_argument("--patterns", nargs="+", metavar="FILE",
                    help="pattern files; for upper-bound: northwest then general")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes that check batches of consecutive runs (default %(default)s)")
     p.add_argument("--checkpoint", metavar="FILE",
-                   help="resume file for serial sweeps")
+                   help="resume file, written at any worker count and removed when the sweep ends")
     p.add_argument("-o", "--output", metavar="FILE",
                    help="also write the JSON report here")
 
@@ -184,18 +186,26 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"output {args.output}: its directory does not exist")
     if "family" in given:
         given["family"] = _call(_FAMILIES[args.family], given)
-    report = _call(
-        _SWEEPS[args.check], given, workers=args.workers, checkpoint_path=args.checkpoint, cap=args.cap
-    )
-
-    if args.json:
-        print(json.dumps(report.to_json_obj(), indent=2))
-    else:
-        print(report.render())
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report.to_json_obj(), handle, indent=2)
-            handle.write("\n")
+    # opened before the sweep, so a path that cannot be written fails first;
+    # "a" leaves a file that was there intact until the report replaces it
+    created = args.output and not os.path.exists(args.output)
+    with open(args.output, "a") if args.output else contextlib.nullcontext() as output:
+        try:
+            report = _call(
+                _SWEEPS[args.check], given, workers=args.workers, checkpoint_path=args.checkpoint, cap=args.cap
+            )
+        except BaseException:
+            if created:
+                os.unlink(args.output)
+            raise
+        if args.json:
+            print(json.dumps(report.to_json_obj(), indent=2))
+        else:
+            print(report.render())
+        if output:
+            output.truncate(0)
+            json.dump(report.to_json_obj(), output, indent=2)
+            output.write("\n")
     if report.violations:
         return 1
     if report.truncated:

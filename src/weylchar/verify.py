@@ -3,9 +3,9 @@
 Each check runs over a deterministic enumeration, collecting findings
 instead of raising: assertion-grade failures ("violation" severity,
 statements with proofs) and conjecture-grade ones ("candidate" severity,
-open directions where a hit is a discovery, not a bug).  Families shard
-deterministically across worker processes, and serial runs can
-checkpoint and resume; either way, a report is the serial run's.
+open directions where a hit is a discovery, not a bug).  Worker processes
+may check batches of runs, but one loop holds the cursor and checkpoint,
+so a report is the serial run's at any worker count.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import math
 import operator
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -262,17 +263,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _finding_from_json(obj, severity) -> Finding:
-    return Finding(
-        instance_index=obj["instance_index"],
-        instance=obj["instance"],
-        lhs=obj["lhs"],
-        rhs=obj["rhs"],
-        witness=obj["witness"],
-        severity=severity,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Instance serialization for witnesses
 # ---------------------------------------------------------------------------
@@ -490,6 +480,8 @@ _CHECKS = {
 # its instance count, and a sweep shorter than the interval writes none.
 CHECKPOINT_INTERVAL_S = 5.0
 
+BATCH_RUNS = 256  # consecutive runs handed to a worker process at a time
+
 
 def _fingerprint(ctx) -> dict:
     """Every ctx field except the cap, in JSON form; patterns are rendered."""
@@ -603,7 +595,8 @@ def _load_checkpoint(path, check_name, family, ctx):
     found = payload.get("findings")
     if not (isinstance(found, list) and all(map(_is_finding, found))):
         raise ValueError(f"checkpoint {path}: findings must be a list of findings")
-    findings = [_finding_from_json(f, f.get("severity", "violation")) for f in found]
+    findings = [Finding(**{name: f[name] for name in _FINDING_FIELDS}, severity=f.get("severity", "violation"))
+                for f in found]
     return cursor, findings, elapsed_s
 
 
@@ -650,15 +643,28 @@ def _later_orders(equal):
     return [(operator.itemgetter(*p), operator.itemgetter(*p[::-1])) for _, p in sorted(firsts.items())[1:]]
 
 
-def _grid_runs(family):
-    """Each column multiset of a grid family: its first instance's index, and its instances.
+def _runs(family):
+    """The family's runs as picklable ``(first index, data)`` pairs, and ``instances(first, data)``.
 
-    A multiset is a sorted tuple from ``combinations_with_replacement``.
-    Read as column ids from column n down, that is as the digits of a box
-    mask, it is the multiset's first instance, the order with the
-    smallest mask, and these first instances ascend.  The other orders
-    follow by ascending mask; each diagram is built as it is reached.
+    Runs start at ascending indices, and ``instances`` rebuilds a run's
+    (index, payload) pairs in whichever process checks it.  A run of an
+    explicit list is the indices of its members with one sorted column
+    tuple, empty ones too, by first appearance; that of another non-grid
+    family is one instance, with its payload as data.  A grid's run is a
+    column multiset, with its column ids as data: a sorted tuple from
+    ``combinations_with_replacement``.  Read from column n down, as the
+    digits of a box mask, they are the multiset's first instance, the
+    order with the smallest mask, and these first instances ascend.  The
+    other orders follow by ascending mask; each diagram is built as it is
+    reached.
     """
+    if family.kind == "explicit":
+        runs = {}
+        for idx, (columns, _) in enumerate(family.members):
+            runs.setdefault(tuple(sorted(columns)), []).append(idx)
+        return ((run[0], run) for run in runs.values()), lambda _, run: ((i, Diagram(*family.members[i])) for i in run)
+    if family.kind != "all_diagrams":
+        return family.instances(), lambda idx, payload: ((idx, payload),)
     n = family.n
     column = _grid_columns(n)
     shifts = [n * k for k in reversed(range(n))]
@@ -671,50 +677,90 @@ def _grid_runs(family):
             mask = sum(map(operator.lshift, order(ids), shifts))
             yield mask if index is None else index(mask), Diagram(reverse(columns), n)
 
+    def runs(multisets):
+        for ids in multisets:
+            mask = sum(map(operator.lshift, ids, shifts))
+            yield mask if index is None else index(mask), ids
+
     multisets = itertools.combinations_with_replacement(range(1 << n), n)
     if family.max_boxes is not None:
         sizes = [bits.bit_count() for bits in range(1 << n)]
         multisets = (ids for ids in multisets if sum(map(sizes.__getitem__, ids)) <= family.max_boxes)
-    for ids in multisets:
-        mask = sum(map(operator.lshift, ids, shifts))
-        idx = mask if index is None else index(mask)
-        yield idx, instances(idx, ids)
+    return runs(multisets), instances
 
 
-def _explicit_runs(family):
-    """As ``_grid_runs``, for an explicit list: its members by sorted columns, empty ones too, by first appearance."""
-    runs = {}
-    for idx, (columns, _) in enumerate(family.members):
-        runs.setdefault(tuple(sorted(columns)), []).append(idx)
-    for indices in runs.values():
-        yield indices[0], ((idx, Diagram(*family.members[idx])) for idx in indices)
+def _check_run(check, ctx, every_order, instances):
+    """A run's findings, or None when it exceeded the cap.
 
-
-def _walk(check_name, family, ctx, shard, nshards, checkpoint_path):
-    """Check every ``nshards``-th run from run ``shard`` on.
-
-    Returns (stop, findings, seconds spent before this walk): ``stop`` is
-    the index of the instance that exceeded the cap, or ``family.size()``
-    if none did, so every instance of this shard below ``stop`` has been
-    checked.  A run is a column multiset of a grid (``_grid_runs``) or an
-    explicit list (``_explicit_runs``), or one instance of any other
-    family; runs start at ascending indices.  A run checks its first
-    instance, and the others only when that one has a finding or the
-    check reads column order, all with one ``_Verdict``: a check that
-    reads only the multiset decides it once, and a cap, which depends
-    only on the multiset, is exceeded at a run's first instance.  Only a
-    serial run, shard 0 of 1, passes a checkpoint path.  It resumes at
-    the first run that starts at or past the cursor, and rewrites the
-    checkpoint, with a run's start as the cursor, before each later run
-    that starts ``CHECKPOINT_INTERVAL_S`` or more seconds after the walk
-    began or last wrote one: every run that starts below the cursor is
-    done, with all its findings saved, even those past the cursor.  The
-    checkpoint is removed only once the family has been walked to the
-    end; a walk cut short by the cap keeps it, with the cursor at the
-    run that truncated, so a rerun with a larger cap resumes there.
+    It checks its first instance, and the others only when that one has a
+    finding or the check reads column order, all with one ``_Verdict``.  A
+    cap depends only on the multiset, so a run exceeds it at its first.
     """
-    check = _CHECKS[check_name]
-    every_order = _reads_column_order(check_name, ctx)
+    verdict = _Verdict()
+    found = []
+    try:
+        for idx, payload in instances:
+            found += check(idx, payload, ctx, verdict=verdict)
+            if not (found or every_order):
+                break
+    except CapExceeded:
+        return None
+    return found
+
+
+def _join_walk(check_name, family, ctx):
+    """The pool's initializer: set ``_worker_walk``, sent to each worker process once, not with every batch."""
+    global _worker_walk
+    _worker_walk = _CHECKS[check_name], ctx, _reads_column_order(check_name, ctx), _runs(family)[1]
+
+
+def _check_batch(batch):
+    check, ctx, every_order, instances = _worker_walk
+    return [(first, _check_run(check, ctx, every_order, instances(first, data))) for first, data in batch]
+
+
+def _checked_in_order(pool, window, runs):
+    """Each run's ``(first, findings or None)`` in order, from batches of consecutive runs, ``window`` in flight."""
+    batches = iter(lambda: list(itertools.islice(runs, BATCH_RUNS)), [])
+    pending = deque(pool.submit(_check_batch, batch) for batch in itertools.islice(batches, window))
+    while pending:
+        results = pending.popleft().result()
+        pending.extend(pool.submit(_check_batch, batch) for batch in itertools.islice(batches, 1))
+        yield from results
+
+
+def run_check(
+    check_name: str,
+    family: DiagramFamily,
+    ctx: dict,
+    *,
+    workers: int = 1,
+    checkpoint_path: str | None = None,
+) -> VerificationReport:
+    """Run one named check over a family's runs (``_runs``), in order, and assemble the report.
+
+    With ``workers`` above 1, that many processes check batches of
+    ``BATCH_RUNS`` consecutive runs, at most ``2 * workers`` in flight.
+    Either way one loop here takes each run's findings in order, up to
+    the first run that exceeded the cap, and alone holds the cursor, so
+    the report and any checkpoint are the serial run's at any worker
+    count.  A run given ``checkpoint_path`` resumes at the first run at or
+    past its cursor.  About every ``CHECKPOINT_INTERVAL_S`` seconds, before
+    it takes a run, it writes that run's start as the cursor, with the
+    findings of every run before it.  A walk cut short by the cap keeps
+    the checkpoint, at the run that truncated, for a rerun with a larger
+    cap; one that ends removes it.  ``elapsed_s`` spans every resumed run.
+    """
+    if check_name not in _CHECKS:
+        raise ValueError(f"unknown check {check_name!r}")
+    check_cap(ctx["cap"])
+    if type(workers) is not int:
+        raise ValueError(f"workers must be an integer, got {workers!r}")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if checkpoint_path and not os.path.isdir(os.path.dirname(os.path.abspath(checkpoint_path))):
+        raise ValueError(f"checkpoint {checkpoint_path}: its directory does not exist")
+    check_run = partial(_check_run, _CHECKS[check_name], ctx, _reads_column_order(check_name, ctx))
     start, findings, resumed_s = _load_checkpoint(checkpoint_path, check_name, family, ctx)
     saved = time.perf_counter()
     began = saved - resumed_s
@@ -726,79 +772,33 @@ def _walk(check_name, family, ctx, shard, nshards, checkpoint_path):
             _write_checkpoint(checkpoint_path, check_name, family, ctx, cursor, findings, elapsed_s)
             saved = time.perf_counter()
 
-    if family.kind == "all_diagrams":
-        runs = _grid_runs(family)
-    elif family.kind == "explicit":
-        runs = _explicit_runs(family)
-    else:
-        runs = ((idx, [(idx, payload)]) for idx, payload in family.instances())
+    runs, instances = _runs(family)
     runs = itertools.dropwhile(lambda run: run[0] < start, runs)
-    for first, instances in itertools.islice(runs, shard, None, nshards):
-        if checkpoint_path and first > start and time.perf_counter() - saved >= CHECKPOINT_INTERVAL_S:
-            save(first)
-        verdict = _Verdict()
-        found = []
-        try:
-            for idx, payload in instances:
-                found += check(idx, payload, ctx, verdict=verdict)
-                if not (found or every_order):
-                    break
-        except CapExceeded:
-            save(first)
-            return first, findings, resumed_s
-        findings += found
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        os.unlink(checkpoint_path)
-    return family.size(), findings, resumed_s
-
-
-def run_check(
-    check_name: str,
-    family: DiagramFamily,
-    ctx: dict,
-    *,
-    workers: int = 1,
-    checkpoint_path: str | None = None,
-) -> VerificationReport:
-    """Run one named check over a family and assemble the report.
-
-    ``workers`` processes each walk an interleaved shard of the family's
-    runs, so each column multiset of a grid or an explicit list is
-    decided in one worker.
-    The report stops at the first instance that exceeded the cap in any
-    shard: every shard has checked each of its instances below it, so
-    ``checked`` and the findings are the serial run's at any worker
-    count.  A serial run given ``checkpoint_path`` resumes from that file
-    and rewrites it about every ``CHECKPOINT_INTERVAL_S`` seconds; its
-    ``elapsed_s`` spans every resumed segment.
-    """
-    if check_name not in _CHECKS:
-        raise ValueError(f"unknown check {check_name!r}")
-    check_cap(ctx["cap"])
-    if type(workers) is not int:
-        raise ValueError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if workers > 1 and checkpoint_path:
-        raise ValueError("checkpointing requires a serial run")
-    if checkpoint_path and not os.path.isdir(os.path.dirname(os.path.abspath(checkpoint_path))):
-        raise ValueError(f"checkpoint {checkpoint_path}: its directory does not exist")
-    began = time.perf_counter()
-    walk = partial(_walk, check_name, family, ctx, nshards=workers, checkpoint_path=checkpoint_path)
-    if workers == 1:
-        parts = [walk(0)]
-    else:
+    pool = None
+    if workers > 1:
         # here, not at the top: importing the pool machinery adds about 25 ms to every start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(walk, range(workers)))
-    stops, findings, resumed_s = zip(*parts)
-    stop = min(stops)
-    kept = sorted(
-        (f for part in findings for f in part if f.instance_index < stop),
-        key=lambda f: (f.instance_index, f.witness),
-    )
+        pool = ProcessPoolExecutor(workers, initializer=_join_walk, initargs=(check_name, family, ctx))
+        runs = _checked_in_order(pool, 2 * workers, runs)
+    stop = family.size()
+    try:
+        for first, run in runs:
+            if checkpoint_path and first > start and time.perf_counter() - saved >= CHECKPOINT_INTERVAL_S:
+                save(first)
+            found = run if pool else check_run(instances(first, run))
+            if found is None:
+                stop = first
+                break
+            findings += found
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    if stop < family.size():
+        save(stop)
+    elif checkpoint_path and os.path.exists(checkpoint_path):
+        os.unlink(checkpoint_path)
+    kept = sorted((f for f in findings if f.instance_index < stop), key=lambda f: (f.instance_index, f.witness))
     return VerificationReport(
         check=check_name,
         family=family.describe(),
@@ -806,7 +806,7 @@ def run_check(
         violations=[f for f in kept if f.severity == "violation"],
         candidates=[f for f in kept if f.severity == "candidate"],
         truncated=stop < family.size(),
-        elapsed_s=sum(resumed_s) + time.perf_counter() - began,
+        elapsed_s=time.perf_counter() - began,
     )
 
 

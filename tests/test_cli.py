@@ -191,12 +191,16 @@ def test_sweep_json_output(capsys):
 
 def test_sweep_report_file(capsys, tmp_path):
     out_path = tmp_path / "report.json"
-    code, out, _ = run_cli(
-        capsys, "sweep", "equality-unstable", "--family", "explicit",
-        "--diagram", WORKED_INLINE, "--json", "-o", str(out_path),
-    )
-    assert code == 0
-    assert json.loads(out_path.read_text()) == json.loads(out)
+    # a new file, then a longer file that the report replaces
+    for before in (None, "x" * 10000):
+        if before:
+            out_path.write_text(before)
+        code, out, _ = run_cli(
+            capsys, "sweep", "equality-unstable", "--family", "explicit",
+            "--diagram", WORKED_INLINE, "--json", "-o", str(out_path),
+        )
+        assert code == 0
+        assert json.loads(out_path.read_text()) == json.loads(out)
 
 
 def test_sweep_explicit_family_and_upper_bound(capsys):
@@ -389,6 +393,56 @@ def test_output_in_a_missing_directory_exits_2(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert "directory does not exist" in err
     assert not path.parent.exists()
+
+
+def test_output_that_cannot_be_written_exits_2_before_the_sweep(capsys, tmp_path):
+    """The report file is opened first, so a directory in its place stops the sweep before it prints."""
+    path = tmp_path / "dir"
+    path.mkdir()
+    code, out, err = run_cli(
+        capsys, "sweep", "lower-bound", "--family", "explicit", "--diagram", "3;3;3", "--cap", "5",
+        "-o", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert "Is a directory" in err
+    assert path.is_dir() and not any(path.iterdir())
+
+
+def test_a_sweep_that_fails_leaves_no_output_behind(capsys, tmp_path):
+    """A sweep that exits 2 removes the report file it created, and leaves one that was there as it was."""
+    checkpoint = tmp_path / "other.json"
+    checkpoint.write_text(json.dumps({"check": "upper_bound"}))
+    argv = ["sweep", "lower-bound", "--family", "all-diagrams", "--n", "2", "--checkpoint", str(checkpoint)]
+    new = tmp_path / "new.json"
+    code, out, err = run_cli(capsys, *argv, "-o", str(new))
+    assert (code, out) == (2, "")
+    assert "belongs to a different run" in err
+    assert not new.exists()
+    old = tmp_path / "old.json"
+    old.write_text("kept\n")
+    assert run_cli(capsys, *argv, "-o", str(old))[:2] == (2, "")
+    assert old.read_text() == "kept\n"
+
+
+def test_a_checkpoint_with_workers_resumes_from_the_cli(capsys, tmp_path):
+    """``--workers 2 --checkpoint`` leaves the serial run's checkpoint at the cap, and resumes to its report."""
+    path = tmp_path / "ck.json"
+    argv = ["sweep", "upper-bound", "--family", "all-diagrams", "--n", "3", "--json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    serial = json.loads(out)
+    saved = []
+    for workers in ("1", "2"):
+        code, _, _ = run_cli(capsys, *argv, "--cap", "6", "--workers", workers, "--checkpoint", str(path))
+        assert code == 3
+        saved.append(json.loads(path.read_text()))
+        del saved[-1]["elapsed_s"]
+    assert saved[0] == saved[1] and saved[0]["cursor"] == 36
+    code, out, _ = run_cli(capsys, *argv, "--workers", "2", "--checkpoint", str(path))
+    assert code == 0 and not path.exists()
+    resumed = json.loads(out)
+    del serial["elapsed_s"], resumed["elapsed_s"]
+    assert resumed == serial
 
 
 def test_sweep_schubert_and_key(capsys):

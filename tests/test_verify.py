@@ -1,14 +1,15 @@
-"""Sweep engine: families, reports, sharding, checkpoints, and the checks.
+"""Sweep engine: families, reports, worker pools, checkpoints, and the checks.
 
 Where a check's expected outcome is not trivially known, an inline loop
 recomputes it from the public math helpers and the engine's report is
 compared against that, so the engine machinery (enumeration order,
-context passing, severity routing, merging) is what is under test.
+context passing, severity routing, batching) is what is under test.
 """
 import dataclasses
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -992,11 +993,44 @@ def test_truncated_upper_bound_checks_the_serial_prefix_at_any_worker_count(cap,
     assert stable_json(reports[0]) == stable_json(reports[1])
 
 
-def test_checkpoint_requires_serial_run(tmp_path):
-    with pytest.raises(ValueError):
-        verify_lower_bound(
-            all_diagrams(2), workers=2, checkpoint_path=str(tmp_path / "x.json")
-        )
+@pytest.mark.parametrize("check", sorted(verify._CHECKS))
+def test_a_checkpoint_resumes_at_any_worker_count(check, tmp_path):
+    """A capped run leaves the same checkpoint at 1, 2 and 3 workers, and any count resumes it to the full report."""
+    sweep = SWEEPS[check]
+    full = stable_json(sweep())
+    left = []
+    for workers in (1, 2, 3):
+        path = tmp_path / f"cut-{workers}.json"
+        assert sweep(cap=CUT, workers=workers, checkpoint_path=str(path)).truncated
+        saved = json.loads(path.read_text())
+        left.append((saved["cursor"], saved["findings"]))
+    assert left[0] == left[1] == left[2]
+    if check in ("zero_one_characterization", "upper_bound"):
+        assert left[0][1]
+    for wrote, resumes in itertools.product((1, 2), repeat=2):
+        path = tmp_path / f"cut-{wrote}.json"
+        sweep(cap=CUT, workers=wrote, checkpoint_path=str(path))
+        assert stable_json(sweep(workers=resumes, checkpoint_path=str(path))) == full, (wrote, resumes)
+        assert not path.exists()
+
+
+def test_a_capped_run_with_workers_pulls_few_runs_past_its_stop(monkeypatch):
+    """Past the report's stop, a 2-worker walk pulls no more runs than its window of batches holds."""
+    fam = all_diagrams(4)
+    pulled = []
+    runs = verify._runs
+
+    def counted(family):
+        found, instances = runs(family)
+        return (pulled.append(run[0]) or run for run in found), instances
+
+    # batches small enough that the window holds fewer runs than lie past the stop
+    monkeypatch.setattr(verify, "BATCH_RUNS", 4)
+    monkeypatch.setattr(verify, "_runs", counted)
+    report = verify_upper_bound(fam, cap=1000, workers=2)
+    assert report.truncated and report.checked == 44236
+    past = sum(first > report.checked for first in pulled)
+    assert 0 < past <= (2 * 2 + 1) * 4 < sum(first > report.checked for first, _ in runs(fam)[0])
 
 
 def spy_on_checkpoint_writes(monkeypatch):
@@ -1075,7 +1109,7 @@ def test_cap_exhaustion_truncates_report():
     assert report.truncated
     assert not report.ok
     assert report.checked == 0
-    # only the second shard meets the wide diagram
+    # the second run meets the wide diagram
     sharded = verify_lower_bound(explicit_list([diagram([(1,)]), wide]), cap=5, workers=2)
     assert sharded.truncated and sharded.checked == 1
 
@@ -1494,16 +1528,20 @@ def test_each_multiset_is_decided_once_per_walk(monkeypatch, sweep):
 
 @pytest.mark.parametrize("sweep", sorted(DIAGRAM_CHECKS))
 def test_shards_of_an_explicit_list_decide_each_multiset_once(monkeypatch, sweep):
-    """Between them, the two shards of a list that repeats multisets decide each multiset once."""
+    """A list that repeats multisets is handed to workers in runs that hold each multiset whole, once."""
     _force_findings(monkeypatch)
     check, ctx = DIAGRAM_CHECKS[sweep]
     fam = explicit_list(_orbit_sample_4grid())
     keys = {tuple(sorted(d.columns)) for _, d in fam.instances()}
     assert (len(keys), fam.size()) == (243, 4152)
-    decided = _spy_on_decisions(monkeypatch)
-    for shard in range(2):
-        verify._walk(check, fam, ctx, shard, 2, None)
-    assert sorted(decided) == sorted(keys)
+    runs, instances = verify._runs(fam)
+    # what a worker is sent survives the trip
+    runs = pickle.loads(pickle.dumps(list(runs)))
+    members = [list(instances(first, data)) for first, data in runs]
+    assert len(members) == 243
+    assert sorted(idx for run in members for idx, _ in run) == list(range(fam.size()))
+    multisets = [{tuple(sorted(d.columns)) for _, d in run} for run in members]
+    assert all(len(m) == 1 for m in multisets) and set().union(*multisets) == keys
     expected = _reference(check, fam, ctx)
     assert expected[1]
     assert _as_reference(run_check(check, fam, ctx, workers=2)) == _as_reference(run_check(check, fam, ctx)) == expected
