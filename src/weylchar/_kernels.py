@@ -17,6 +17,7 @@ from weylchar._core_py import (
     field,
     group_by_weight,
     rank_columns,
+    sumset_bound,
     weight_of_columns,
     weight_support,
     ymul,

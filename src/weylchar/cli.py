@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagram", action="append",
                    help="member of an explicit family (repeatable)")
     p.add_argument("--support-only", action="store_true", default=None,
-                   help="lower-bound check: count weights, skip the character")
+                   help="lower-bound check: skip the character; decide the weight count by the bound B(D)")
     p.add_argument("--patterns", nargs="+", metavar="FILE",
                    help="pattern files; for upper-bound: northwest then general")
     p.add_argument("--workers", type=int, default=1,

@@ -302,29 +302,73 @@ class _Verdict:
 
 
 def _lower_bound_verdict(d, ctx):
-    """Distinct-weight count, rank + 1, and all-ones value (None when ``support_only``).
+    """The lhs, rhs and witness of each finding: a distinct-weight count, then an all-ones value, below rank + 1.
 
-    The weights are counted over the sorted columns, which sum faster than
-    the grid walk's order, with no monomials built.  Every column ideal is
-    non-empty, so a count past the cap is past it in every column order.
+    With ``support_only`` no character is built.  B(D), from
+    ``_kernels.sumset_bound``, is a lower bound on the count, and the
+    weights are counted, over the sorted columns, only where B(D) is
+    below rank + 1 or the diagrams below outnumber the cap.  The count
+    truncates exactly when it passes the cap, since no column shrinks
+    the set of weights, so it is skipped only where the diagrams below,
+    of which there are at least as many, fit under the cap.  Without
+    ``support_only`` the character is built, which truncates where the
+    diagrams below outnumber the cap, and the count is its number of
+    terms.
     """
-    support = len(_kernels.weight_support(sorted(d.columns), ctx["cap"]))
-    total = None if ctx.get("support_only") else principal_specialization(dual_character(d, ctx["cap"]))
-    return support, rank(d) + 1, total
+    bound = rank(d) + 1
+    if ctx.get("support_only"):
+        certificate, below = _kernels.sumset_bound(d.columns)
+        if certificate >= bound and below <= ctx["cap"]:
+            return ()
+        support, total = len(_kernels.weight_support(sorted(d.columns), ctx["cap"])), None
+    else:
+        chi = dual_character(d, ctx["cap"])
+        support, total = len(chi.terms), principal_specialization(chi)
+    findings = []
+    if support < bound:
+        findings.append((str(support), str(bound), "distinct weights below the bound"))
+    if total is not None and total < bound:
+        findings.append((str(total), str(bound), "all-ones value below the bound"))
+    return tuple(findings)
 
 
 def _check_lower_bound(idx, d, ctx, verdict):
-    support, bound, total = verdict.of(d, _lower_bound_verdict, ctx)
-    findings = []
-    if support < bound:
-        findings.append(Finding(idx, _show_instance(d), str(support), str(bound), "distinct weights below the bound"))
-    if total is not None and total < bound:
-        findings.append(Finding(idx, _show_instance(d), str(total), str(bound), "all-ones value below the bound"))
-    return findings
+    return [Finding(idx, _show_instance(d), *fields) for fields in verdict.of(d, _lower_bound_verdict, ctx)]
+
+
+def _strict(d, bound, cap):
+    """Whether χ_D(1) > ``bound`` shows without the character: by B(D), or else by the distinct-weight count.
+
+    Every coefficient of χ_D is at least 1, so χ_D(1) is at least the
+    count, which is at least B(D) (``_kernels.sumset_bound``).  The count
+    stops once it passes ``bound``.  First of all, this raises
+    ``CapExceeded`` where ``dual_character(d, cap)`` would: where the
+    diagrams below outnumber the cap.
+    """
+    certificate, below = _kernels.sumset_bound(d.columns)
+    if below > cap:
+        raise CapExceeded(f"enumeration below the diagram exceeds cap {cap}", cap)
+    if certificate > bound:
+        return True
+    try:
+        _kernels.weight_support(sorted(d.columns), bound)
+    except CapExceeded:  # past ``bound`` weights at some column, so at the last
+        return True
+    return False
 
 
 def _equality_verdict(d, ctx):
-    return rank(d) + 1, principal_specialization(dual_character(d, ctx["cap"])), has_unstable_pair(d) is not None
+    """rank + 1, the all-ones value, and whether an unstable pair exists.
+
+    Where a pair exists and the value passes rank + 1 without the
+    character (``_strict``), no column order has a finding, and the
+    value is left as None.
+    """
+    bound = rank(d) + 1
+    unstable = has_unstable_pair(d) is not None
+    if unstable and _strict(d, bound, ctx["cap"]):
+        return bound, None, True
+    return bound, principal_specialization(dual_character(d, ctx["cap"])), unstable
 
 
 def _check_equality_iff_unstable(idx, d, ctx, verdict):
@@ -339,9 +383,16 @@ def _check_equality_iff_unstable(idx, d, ctx, verdict):
 
 
 def _implication_verdict(d, ctx):
-    """The lhs, rhs and witness of the finding, or ``()`` for none."""
+    """The lhs, rhs and witness of the finding, or ``()`` for none.
+
+    There is none where the all-ones value passes rank + 1 without the
+    character (``_strict``); elsewhere the character is built.
+    """
+    bound = rank(d) + 1
+    if _strict(d, bound, ctx["cap"]):
+        return ()
     chi = dual_character(d, ctx["cap"])
-    total, bound = principal_specialization(chi), rank(d) + 1
+    total = principal_specialization(chi)
     offender = zero_one_witness(chi) if total == bound else None
     if offender is None:
         return ()
@@ -823,9 +874,14 @@ def verify_lower_bound(
 ) -> VerificationReport:
     """All-ones value and distinct-weight count both reach rank + 1.
 
-    With ``support_only`` the check skips the character entirely and
-    verifies just the weight-count bound, which is what the chain
-    argument actually needs.
+    With ``support_only`` the check builds no character and verifies just
+    the weight-count bound, which is what the chain argument needs.  It
+    decides by B(D) = 1 + sum_j (|I(c_j)| - 1), a lower bound on the count
+    that is at least rank + 1, and counts the weights only where the
+    diagrams below outnumber the cap, so a sweep truncates exactly where
+    the count does.  Without it, the character is built and both bounds
+    are read from it; it truncates where the diagrams below outnumber the
+    cap.  See ``_lower_bound_verdict``.
     """
     ctx = {"cap": cap, "support_only": support_only}
     return run_check("lower_bound", family, ctx, **run)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import weylchar
 from weylchar import _core_py, _kernels
-from weylchar.diagrams import Diagram, count_below, enumerate_below
+from weylchar.diagrams import Diagram, count_below, enumerate_below, rank
+from weylchar.weyl import dual_character
 
 columns = st.lists(st.integers(1, 6), max_size=4, unique=True).map(
     lambda xs: tuple(sorted(xs))
@@ -93,6 +94,25 @@ def test_weight_support_equals_enumerated_weights():
     groups = _core_py.group_by_weight(cols, 10**6)
     assert support == set(groups)
     assert sum(len(v) for v in groups.values()) == 6
+
+
+@pytest.mark.parametrize("n, multisets, tight, support_tight", [(3, 120, 120, 70), (4, 3876, 2380, 448)])
+def test_sumset_bound_lies_between_rank_and_the_weight_count(n, multisets, tight, support_tight):
+    """On every column multiset of the n-grid: rank + 1 <= B(D) <= distinct weights = terms of χ <= diagrams below.
+
+    The rank + 1 sweeps decide most multisets by B(D) and call neither
+    the support count nor the character there, so both are checked here,
+    with how often B(D) and the count meet rank + 1.
+    """
+    table = [tuple(i for i in range(1, n + 1) if bits >> (i - 1) & 1) for bits in range(1 << n)]
+    seen = []
+    for columns in itertools.combinations_with_replacement(table, n):
+        d = Diagram(columns, n)
+        certificate, below = _kernels.sumset_bound(columns)
+        support = len(_kernels.weight_support(columns, below))
+        assert rank(d) + 1 <= certificate <= support == len(dual_character(d).terms) <= below == count_below(d), d
+        seen.append((certificate == rank(d) + 1, support == rank(d) + 1))
+    assert (len(seen), sum(b for b, _ in seen), sum(s for _, s in seen)) == (multisets, tight, support_tight)
 
 
 def test_caps_raise():
@@ -204,8 +224,9 @@ def test_grouping_caps_the_diagrams_below_not_the_members_listed():
         lambda: _core_py.column_ideal.__wrapped__((2, 3, 4)),
         lambda: _core_py.column_weights.__wrapped__((2, 3, 4)),
         lambda: _core_py.weight_support(((1, 3), (2, 3), (2, 4)), 10**6),
+        lambda: _core_py.sumset_bound(((1, 3), (2, 3), (2, 4))),
     ],
-    ids=["group_by_weight", "column_det", "column_ideal", "column_weights", "weight_support"],
+    ids=["group_by_weight", "column_det", "column_ideal", "column_weights", "weight_support", "sumset_bound"],
 )
 def test_kernels_leave_no_reference_cycles(call):
     """A kernel's buffers are freed on return, not left for the cyclic collector."""

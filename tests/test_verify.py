@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from weylchar import verify, weyl
+from weylchar import verify
 from weylchar.diagrams import (
     DEFAULT_CAP,
     CapExceeded,
@@ -279,37 +279,86 @@ def _column_orders(d):
     return [Diagram(columns, d.n) for columns in sorted(set(itertools.permutations(d.columns)))]
 
 
+FORCED_RANK = 10 ** 6
+
+
+def _force_counting(monkeypatch):
+    """Raise rank + 1 past every count, so that B(D) decides nothing and the support-only verdict counts."""
+    monkeypatch.setattr(verify, "rank", lambda d: FORCED_RANK)
+
+
 def _support_count(d, cap):
-    """The distinct-weight count of the lower-bound verdict on ``d``."""
-    return verify._lower_bound_verdict(d, {"cap": cap, "support_only": True})[0]
+    """The distinct-weight count that the support-only verdict reports on ``d`` under ``_force_counting``."""
+    (lhs, rhs, witness), = verify._lower_bound_verdict(d, {"cap": cap, "support_only": True})
+    assert (rhs, witness) == (str(FORCED_RANK + 1), "distinct weights below the bound")
+    return int(lhs)
 
 
-def test_support_count_matches_uncached_count_in_every_column_order():
-    """A multiset's verdict is decided on whichever order the walk meets first, so every order must agree."""
-    for _, d in all_diagrams(3).instances():
+def test_support_count_matches_uncached_count_in_every_column_order(monkeypatch):
+    """A multiset's verdict is decided on whichever order the walk meets first, so every order must agree.
+
+    Decided by B(D), no order has a finding; made to count, every order
+    reports the uncached count.
+    """
+    ctx = {"cap": DEFAULT_CAP, "support_only": True}
+    grid = [d for _, d in all_diagrams(3).instances()]
+    for d in grid:
+        for e in _column_orders(d):
+            assert verify._lower_bound_verdict(e, ctx) == (), e
+    _force_counting(monkeypatch)
+    for d in grid:
         expected = len(character_support(d, DEFAULT_CAP))
         for e in _column_orders(d):
             assert _support_count(e, DEFAULT_CAP) == expected, e
 
 
-def test_support_count_raises_exactly_when_the_uncached_call_does():
-    for _, d in all_diagrams(3).instances():
-        size = len(character_support(d))
-        for cap in range(size + 2):
-            try:
-                expected = len(character_support(d, cap))
-            except CapExceeded:
-                expected = None
+def _raises(call, *args):
+    try:
+        call(*args)
+    except CapExceeded:
+        return True
+    return False
+
+
+def test_support_count_raises_exactly_when_the_uncached_call_does(monkeypatch):
+    """Each rank + 1 verdict truncates at exactly the caps where the count or character it stands in for does.
+
+    The support-only verdict raises where ``character_support`` does, and
+    otherwise, made to count, reports its count; the verdicts that read
+    the character raise where ``dual_character`` does, which is where the
+    diagrams below outnumber the cap.  Every cap from 0 to one past the
+    number of diagrams below is tried, in every column order, with B(D)
+    deciding and with rank + 1 past every count.
+    """
+    verdicts = [
+        (verify._lower_bound_verdict, {"support_only": False}),
+        (verify._equality_verdict, {}),
+        (verify._implication_verdict, {}),
+    ]
+    multisets = {column_multiset(d): d for _, d in all_diagrams(3).instances()}
+    for forced, d in itertools.product((False, True), multisets.values()):
+        if forced:
+            _force_counting(monkeypatch)
+        below = count_below(d)
+        for cap in range(below + 2):
+            support = None if _raises(character_support, d, cap) else len(character_support(d, cap))
+            assert _raises(dual_character, d, cap) == (below > cap)
             for e in _column_orders(d):
-                if expected is None:
+                ctx = {"cap": cap, "support_only": True}
+                if support is None:
                     with pytest.raises(CapExceeded):
-                        _support_count(e, cap)
+                        verify._lower_bound_verdict(e, ctx)
+                elif forced:
+                    assert _support_count(e, cap) == support, (e, cap)
                 else:
-                    assert _support_count(e, cap) == expected, (e, cap)
+                    assert verify._lower_bound_verdict(e, ctx) == (), (e, cap)
+                for decide, ctx in verdicts:
+                    assert _raises(decide, e, dict(ctx, cap=cap)) == (below > cap), (decide, e, cap)
 
 
-def test_support_count_matches_enumeration_on_the_5_grid():
-    """Seeded 5 x 5 diagrams: the count is the number of distinct weights of the diagrams below."""
+def test_support_count_matches_enumeration_on_the_5_grid(monkeypatch):
+    """Seeded 5 x 5 diagrams: the count is the number of distinct weights of the diagrams below, and B(D) bounds it."""
+    _force_counting(monkeypatch)
     rng = random.Random(5)
     cells = [(i, j) for j in range(1, 6) for i in range(1, 6)]
     checked = 0
@@ -320,33 +369,42 @@ def test_support_count_matches_enumeration_on_the_5_grid():
             continue
         weights = {weight_monomial(e) for e in enumerate_below(d)}
         assert _support_count(d, DEFAULT_CAP) == len(weights), d
+        certificate, below = verify._kernels.sumset_bound(d.columns)
+        assert rank(d) + 1 <= certificate <= len(weights) <= below == count_below(d), d
         checked += 1
 
 
 def test_column_orders_share_one_support_computation(monkeypatch):
-    calls = []
-    support = weyl._kernels.weight_support
+    """Each multiset is decided once per walk: one B(D), and one count where B(D) does not decide."""
+    calls = {"sumset_bound": [], "weight_support": []}
+    for name, seen in calls.items():
+        kernel = getattr(verify._kernels, name)
 
-    def counting(columns, cap):
-        calls.append(columns)
-        return support(columns, cap)
+        def counting(columns, *rest, kernel=kernel, seen=seen):
+            seen.append(columns)
+            return kernel(columns, *rest)
 
-    monkeypatch.setattr(weyl._kernels, "weight_support", counting)
+        monkeypatch.setattr(verify._kernels, name, counting)
     d = diagram([(1, 3), (2, 3), (), (2,)])
     orders = _column_orders(d)
     report = verify_lower_bound(explicit_list(orders), support_only=True)
     assert report.checked == 24 and report.ok
-    assert len(calls) == 1
+    assert len(calls["sumset_bound"]) == 1 and calls["weight_support"] == []
     # the next walk decides the multiset again, and the grid size is part of the key
     report = verify_lower_bound(explicit_list([*orders, diagram(d.columns, n=5)]), support_only=True)
     assert report.checked == 25
-    assert len(calls) == 3
+    assert len(calls["sumset_bound"]) == 3 and calls["weight_support"] == []
+    # made to count, a walk still counts each multiset once
+    _force_counting(monkeypatch)
+    report = verify_lower_bound(explicit_list(orders), support_only=True)
+    assert len(report.violations) == 24
+    assert len(calls["sumset_bound"]) == 4 and len(calls["weight_support"]) == 1
     # a verdict that raises is not held, so it is decided again
     verdict = verify._Verdict()
     for _ in range(2):
         with pytest.raises(CapExceeded):
             verdict.of(d, verify._lower_bound_verdict, {"cap": 1, "support_only": True})
-    assert len(calls) == 5 and verdict.value is None
+    assert len(calls["weight_support"]) == 3 and verdict.value is None
 
 
 def _orbit_sample_4grid():
@@ -356,20 +414,61 @@ def _orbit_sample_4grid():
         yield from _column_orders(Diagram(multiset, 4))
 
 
-def test_memoized_values_match_their_per_diagram_functions():
-    """A verdict decided on one column order holds the per-diagram values of every other order."""
-    ctx = {"cap": DEFAULT_CAP, "support_only": False}
+def _rank_plus_one_verdicts(d):
+    """What each verdict holds for ``d``, from the public math helpers and ``verify.rank``, with no memo."""
+    chi = dual_character(d)
+    total = principal_specialization(chi)
+    bound = verify.rank(d) + 1
+    support = len(character_support(d))
+    unstable = has_unstable_pair(d) is not None
+    weights = (str(support), str(bound), "distinct weights below the bound")
+    value = (str(total), str(bound), "all-ones value below the bound")
+    implication = ()
+    if total == bound and zero_one_witness(chi) is not None:
+        m, c = zero_one_witness(chi)
+        implication = (str(total), str(bound), f"coefficient {c} at {render_monomial(m)} despite equality")
+    return [
+        ((weights,) if support < bound else ()),
+        ((weights,) if support < bound else ()) + ((value,) if total < bound else ()),
+        # the all-ones value is left out where an unstable pair exists and the count passes rank + 1
+        (bound, None if unstable and support > bound else total, unstable),
+        implication,
+        (total, count_below(d)),
+    ]
+
+
+def test_memoized_values_match_their_per_diagram_functions(monkeypatch):
+    """A verdict decided on one column order holds the per-diagram values of every other order.
+
+    Once with the true rank, then with rank + 1 raised past every count on
+    the multisets of an odd number of boxes.
+    """
+    for forced in (False, True):
+        with monkeypatch.context() as patched:
+            if forced:
+                _flag_some_multisets(patched)
+            assert _verdicts_held_per_multiset() == forced
+
+
+def _verdicts_held_per_multiset():
+    """Check each verdict against ``_rank_plus_one_verdicts``; whether any multiset was flagged."""
+    decide = [
+        (verify._lower_bound_verdict, {"cap": DEFAULT_CAP, "support_only": True}),
+        (verify._lower_bound_verdict, {"cap": DEFAULT_CAP, "support_only": False}),
+        (verify._equality_verdict, {"cap": DEFAULT_CAP}),
+        (verify._implication_verdict, {"cap": DEFAULT_CAP}),
+        (verify._upper_bound_verdict, {"cap": DEFAULT_CAP}),
+    ]
     held = {}
+    flagged = 0
     grid = [d for _, d in all_diagrams(3).instances()]
     for d in grid + list(_orbit_sample_4grid()):
-        lower, equality, upper = held.setdefault(tuple(sorted(d.columns)), [verify._Verdict() for _ in range(3)])
-        total = principal_specialization(dual_character(d))
-        bound = rank(d) + 1
-        support = len(character_support(d))
-        unstable = has_unstable_pair(d) is not None
-        assert lower.of(d, verify._lower_bound_verdict, ctx) == (support, bound, total), d
-        assert equality.of(d, verify._equality_verdict, ctx) == (bound, total, unstable), d
-        assert upper.of(d, verify._upper_bound_verdict, ctx) == (total, count_below(d)), d
+        verdicts = held.setdefault(tuple(sorted(d.columns)), [verify._Verdict() for _ in decide])
+        expected = _rank_plus_one_verdicts(d)
+        flagged += bool(expected[0])
+        for verdict, (function, ctx), value in zip(verdicts, decide, expected):
+            assert verdict.of(d, function, ctx) == value, (function, d)
+    return bool(flagged)
 
 
 def test_clean_sweep_renders_no_instance(monkeypatch):
@@ -1423,6 +1522,60 @@ def test_support_grid_truncates_where_a_check_per_instance_does(tmp_path, monkey
         assert json.loads(path.read_text())["cursor"] == cut.checked == checked
         resumed = verify_lower_bound(sweep_fam, support_only=True, checkpoint_path=str(path))
         assert _as_reference(resumed) == _reference("lower_bound", sweep_fam, ctx)
+
+
+@pytest.mark.parametrize("sweep, cap", [("support", 7), ("support", 10), ("lower-bound", 9), ("equality", 9),
+                                        ("implication", 9)])
+def test_caps_between_the_certificate_and_the_count_truncate_where_a_check_per_instance_does(
+        tmp_path, monkeypatch, sweep, cap):
+    """The rank + 1 verdicts truncate where the count or character they stand in for does, not by B(D).
+
+    At these caps on the 3-grid, the support-only sweep walks past a
+    multiset decided by B(D) whose diagrams below outnumber the cap while
+    its weights do not, and the character sweeps stop at a multiset whose
+    diagrams below outnumber the cap while B(D) and its weights do not.
+    Reports equal the per-instance reference serially, with 2 workers, and
+    resumed from a checkpoint written before that multiset.
+    """
+    _force_findings(monkeypatch)
+    check, ctx = DIAGRAM_CHECKS[sweep]
+    fam = all_diagrams(3)
+    expected = _reference(check, fam, dict(ctx, cap=cap))
+    checked, _, truncated = expected
+    assert truncated and expected[1]
+    diagrams = dict(fam.instances())
+    if ctx.get("support_only"):
+        # rank is left alone where the number of boxes is a multiple of 3
+        straddles = [idx for idx, d in diagrams.items() if idx < checked and d.box_count % 3 == 0
+                     and count_below(d) > cap >= len(character_support(d))]
+        assert straddles
+    else:
+        stop = diagrams[checked]
+        certificate, below = verify._kernels.sumset_bound(stop.columns)
+        assert below > cap > certificate and len(character_support(stop)) <= cap
+        straddles = [checked]
+    for workers in (1, 2):
+        assert _as_reference(run_check(check, fam, dict(ctx, cap=cap), workers=workers)) == expected, workers
+    path = tmp_path / "straddle.json"
+    write = verify._write_checkpoint
+
+    def interrupt_before(path, check_name, family, ctx, cursor, *rest):
+        if cursor > straddles[0] // 2:
+            write(path, check_name, family, ctx, cursor, *rest)
+            raise KeyboardInterrupt
+
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "CHECKPOINT_INTERVAL_S", 0)
+        patched.setattr(verify, "_write_checkpoint", interrupt_before)
+        with pytest.raises(KeyboardInterrupt):
+            run_check(check, fam, dict(ctx, cap=cap), checkpoint_path=str(path))
+    assert json.loads(path.read_text())["cursor"] <= straddles[0]
+    resumed = run_check(check, fam, dict(ctx, cap=cap), checkpoint_path=str(path))
+    assert _as_reference(resumed) == expected
+    assert json.loads(path.read_text())["cursor"] == checked
+    resumed = run_check(check, fam, ctx, checkpoint_path=str(path))
+    assert _as_reference(resumed) == _reference(check, fam, ctx)
+    assert not path.exists()
 
 
 def test_support_grid_resumes_from_every_checkpoint(tmp_path, monkeypatch):
