@@ -84,15 +84,6 @@ def count_column_ideal(col):
     return sum(ways)
 
 
-def rank_columns(columns):
-    """Total number of vacant rows weakly above the boxes, column by column."""
-    total = 0
-    for col in columns:
-        m = len(col)
-        total += sum(col) - m * (m + 1) // 2
-    return total
-
-
 def weight_of_columns(columns, n):
     """Exponent vector: entry ``i-1`` counts the columns containing row ``i``."""
     w = [0] * n

@@ -16,7 +16,6 @@ from weylchar._core_py import (
     count_column_ideal,
     field,
     group_by_weight,
-    rank_columns,
     sumset_bound,
     weight_of_columns,
     weight_support,

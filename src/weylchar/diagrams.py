@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from weylchar import _kernels
 from weylchar._kernels import CapExceeded
-from weylchar.polynomials import Monomial, monomial
+from weylchar.polynomials import Monomial, intern, monomial
 
 DEFAULT_CAP = 10**7
 
@@ -209,14 +209,16 @@ def parse_diagram_inline(text: str) -> Diagram:
         if not seg:
             cols.append(())
             continue
-        rows = []
-        for token in seg.split(","):
-            token = token.strip()
-            if not token.isdigit():
-                raise ValueError(f"bad row index {token!r} in column {seg!r}")
-            rows.append(int(token))
-        cols.append(tuple(rows))
+        cols.append(tuple(_ints([tok.strip() for tok in seg.split(",")], "row index", f"column {seg!r}")))
     return diagram(cols)
+
+
+def _ints(tokens: list, what: str, where: str) -> list:
+    """The tokens as ints; one that is not all ASCII digits ('١' and '²' pass ``isdigit``) is a bad ``what``."""
+    for tok in tokens:
+        if not (tok.isascii() and tok.isdigit()):
+            raise ValueError(f"bad {what} {tok!r} in {where}")
+    return [int(tok) for tok in tokens]
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +278,18 @@ def rank(d: Diagram) -> int:
     >>> rank(diagram([(1, 3), (2, 3), ()]))
     3
     """
-    return _kernels.rank_columns(d.columns)
+    total = 0
+    for col in d.columns:
+        m = len(col)
+        total += sum(col) - m * (m + 1) // 2
+    return total
 
 
 def _lower_rank_once(d: Diagram) -> Diagram:
     """Move one box of the leftmost positive-rank column up one notch."""
     for j, col in enumerate(d.columns):
-        m = len(col)
-        if sum(col) - m * (m + 1) // 2 == 0:
+        # a column has rank 0 exactly when it holds rows 1..len(col)
+        if not col or col[-1] == len(col):
             continue
         present = set(col)
         k = next(k for k in range(col[-1] - 1, 0, -1) if k not in present)
@@ -333,28 +339,8 @@ def check_permutation(w) -> tuple:
 def parse_permutation(text: str) -> tuple:
     """Parse one-line notation, either ``"31542"`` or ``"3,1,5,4,2"``."""
     text = text.strip()
-    if "," in text:
-        tokens = [tok.strip() for tok in text.split(",")]
-    else:
-        tokens = list(text)
-    values = []
-    for tok in tokens:
-        if not tok.isdigit():
-            raise ValueError(f"bad permutation token {tok!r} in {text!r}")
-        values.append(int(tok))
-    return check_permutation(values)
-
-
-# Shared column tuples: every column ``rothe`` or ``skyline`` builds maps
-# to one tuple object, as ``polynomials._CANONICAL`` does for monomials,
-# so the character memo's keys, which hold the columns of every diagram
-# they saw, share them.  Its size is bounded by the distinct columns in
-# play, at most 2^n for permutations of n.
-_COLUMNS: dict = {}
-
-
-def _shared_column(col: tuple) -> tuple:
-    return _COLUMNS.setdefault(col, col)
+    tokens = [tok.strip() for tok in text.split(",")] if "," in text else list(text)
+    return check_permutation(_ints(tokens, "permutation token", repr(text)))
 
 
 def inverse_permutation(w) -> tuple:
@@ -374,7 +360,7 @@ def rothe(w) -> Diagram:
     n = len(w)
     winv = inverse_permutation(w)
     cols = tuple(
-        _shared_column(tuple(i for i in range(1, n + 1) if i < winv[j - 1] and j < w[i - 1]))
+        intern(tuple(i for i in range(1, n + 1) if i < winv[j - 1] and j < w[i - 1]))
         for j in range(1, n + 1)
     )
     return Diagram(cols, n)
@@ -416,13 +402,7 @@ def parse_composition(text: str) -> tuple:
     text = text.strip()
     if not text:
         return ()
-    parts = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok.isdigit():
-            raise ValueError(f"bad composition part {tok!r} in {text!r}")
-        parts.append(int(tok))
-    return tuple(parts)
+    return tuple(_ints([tok.strip() for tok in text.split(",")], "composition part", repr(text)))
 
 
 def skyline(alpha) -> Diagram:
@@ -437,7 +417,7 @@ def skyline(alpha) -> Diagram:
         return Diagram((), 0)
     n = max(last, max(alpha[:last]))
     cols = tuple(
-        _shared_column(tuple(i for i in range(1, last + 1) if alpha[i - 1] >= j))
+        intern(tuple(i for i in range(1, last + 1) if alpha[i - 1] >= j))
         for j in range(1, n + 1)
     )
     return Diagram(cols, n)

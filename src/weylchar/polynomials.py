@@ -25,7 +25,14 @@ Monomial = tuple  # exponent tuple in canonical form (no trailing zeros)
 # would drop tuples that live polynomials still use.  Sharing only saves
 # memory: equality and lookups stay by value, never by identity.  Only
 # plain ints may enter, since True == 1 would otherwise be shared too.
+# Rothe and skyline columns share it through ``intern``, so the character
+# memo's keys do: at most 2^n tuples, 43 more after that n = 7 sweep.
 _CANONICAL: dict = {}
+
+
+def intern(t: tuple) -> tuple:
+    """The one shared tuple equal to ``t``, a tuple of plain ints."""
+    return _CANONICAL.setdefault(t, t)
 
 
 def _trim(t: tuple) -> Monomial:
@@ -33,8 +40,7 @@ def _trim(t: tuple) -> Monomial:
     end = len(t)
     while end and t[end - 1] == 0:
         end -= 1
-    t = t[:end]
-    return _CANONICAL.setdefault(t, t)
+    return intern(t[:end])
 
 
 def monomial(exponents) -> Monomial:
@@ -55,8 +61,7 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
     if len(a) < len(b):
         a, b = b, a
     # the longer factor's last exponent is nonzero, so the product needs no trim
-    m = tuple(x + y for x, y in zip(a, b)) + a[len(b):]
-    return _CANONICAL.setdefault(m, m)
+    return intern(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
 
 
 def invlex_less(a: Monomial, b: Monomial) -> bool:
@@ -78,8 +83,9 @@ def invlex_less(a: Monomial, b: Monomial) -> bool:
     return False
 
 
-def _invlex_key(m: Monomial, nvars: int):
-    return tuple(reversed(m + (0,) * (nvars - len(m))))
+def _invlex_key(m: Monomial):
+    """Invlex sort key of a canonical monomial: without trailing zeros, the longer is larger."""
+    return len(m), m[::-1]
 
 
 class Polynomial:
@@ -151,10 +157,6 @@ class Polynomial:
             return NotImplemented
         return self.terms == other.terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -197,10 +199,7 @@ class Polynomial:
 
     def descending_terms(self):
         """Terms sorted by invlex order, largest monomial first."""
-        nvars = max((len(m) for m in self.terms), default=0)
-        return sorted(
-            self.terms.items(), key=lambda mc: _invlex_key(mc[0], nvars), reverse=True
-        )
+        return sorted(self.terms.items(), key=lambda mc: _invlex_key(mc[0]), reverse=True)
 
     def __repr__(self):
         return f"Polynomial({render(self)!r})"
@@ -278,16 +277,14 @@ def is_zero_one(f: Polynomial) -> bool:
 def zero_one_witness(f: Polynomial):
     """Largest term (invlex) whose coefficient is not 1, or None.
 
-    Found in one pass, without sorting: a canonical monomial has no
-    trailing zeros, so a longer one is the larger in invlex, and two of
-    equal length compare as their reversed tuples.
+    Found in one pass, without sorting.
 
     >>> zero_one_witness(Polynomial.from_terms([((1,), 1), ((0, 2), 3)]))
     ((0, 2), 3)
     """
     return max(
         ((m, c) for m, c in f.terms.items() if c != 1),
-        key=lambda mc: (len(mc[0]), mc[0][::-1]),
+        key=lambda mc: _invlex_key(mc[0]),
         default=None,
     )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from weylchar.diagrams import check_composition, check_permutation
+from weylchar.diagrams import check_composition, check_permutation, inverse_permutation
 from weylchar.polynomials import (
     Polynomial,
     demazure,
@@ -132,9 +132,7 @@ def key(alpha) -> Polynomial:
 def _reduced_words_canonical(w):
     if not w or w == tuple(range(1, len(w) + 1)):
         return ((),)
-    inv = [0] * len(w)
-    for pos, v in enumerate(w, start=1):
-        inv[v - 1] = pos
+    inv = inverse_permutation(w)
     words = []
     for j in range(1, len(w)):
         if inv[j - 1] > inv[j]:

@@ -84,14 +84,6 @@ def _expand(key, memo) -> dict:
     return {k + mono: v for k, v in terms.items()}
 
 
-def _member_key(columns, member) -> tuple:
-    """The key of the product over j of the minor pairing ``columns[j]`` with ``member[j]``."""
-    key = _ONE
-    for dcol, ccol in zip(columns, member):
-        key = _times(key, _factors(dcol, ccol))
-    return key
-
-
 def _independent(polys) -> list:
     """Positions of the polynomials that stay independent when reduced shortest first.
 

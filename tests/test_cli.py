@@ -111,6 +111,21 @@ def test_malformed_inputs_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("rank", "\u0661,\u0663;", "error: bad row index"),
+        ("rank", "1,\u00b2;", "error: bad row index"),
+        ("schubert", "\u0663\u0661\u0662", "error: bad permutation token"),
+        ("key", "\u0662,0", "error: bad composition part"),
+    ],
+)
+def test_non_ascii_digits_exit_2(capsys, command, text, message):
+    code, out, err = run_cli(capsys, command, text)
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     capsys.readouterr()

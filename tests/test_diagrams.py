@@ -318,6 +318,22 @@ def test_json_round_trip():
         diagram_from_json_obj({"columns": [[1]]})
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_diagram_inline, "\u0661,\u0663;", "bad row index '\u0661' in column"),
+        (parse_diagram_inline, "1,\u00b2;", "bad row index '\u00b2' in column"),
+        (parse_permutation, "\u0663\u0661\u0662", "bad permutation token '\u0663' in"),
+        (parse_composition, "\u0662,0", "bad composition part '\u0662' in"),
+    ],
+)
+def test_parsers_refuse_non_ascii_digits(parse, text, message):
+    # str.isdigit accepts these; int reads Arabic-Indic digits and refuses superscripts
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert str(info.value).startswith(message)
+
+
 def test_inline_parsing():
     assert parse_diagram_inline("1,3;2,3;").columns == ((1, 3), (2, 3), ())
     assert parse_diagram_inline("").n == 0

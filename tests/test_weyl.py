@@ -33,6 +33,14 @@ def pack(terms):
     return {sum(1 << 8 * (j * (j - 1) // 2 + i - 1) for i, j in key): coeff for key, coeff in terms.items()}
 
 
+def _member_key(columns, member) -> tuple:
+    """The key of the product over j of the minor pairing ``columns[j]`` with ``member[j]``."""
+    key = weyl._ONE
+    for dcol, ccol in zip(columns, member):
+        key = weyl._times(key, weyl._factors(dcol, ccol))
+    return key
+
+
 def test_column_determinant_triangular_pruning():
     assert _kernels.column_det((1, 3), (1, 3)) == pack({((1, 1), (3, 3)): 1})
     assert _kernels.column_det((2, 3), (1, 2)) == pack({((1, 2), (2, 3)): 1, ((1, 3), (2, 2)): -1})
@@ -53,7 +61,7 @@ def test_worked_example_determinant_products():
     seen = set()
     for c in enumerate_below(WORKED):
         seen.add(c.columns)
-        key = weyl._member_key(WORKED.columns, c.columns)
+        key = _member_key(WORKED.columns, c.columns)
         assert weyl._expand(key, {}) == pack(expected[c.columns])
         assert reference_product(WORKED.columns, c.columns) == pack(expected[c.columns])
     assert seen == set(expected)
@@ -201,7 +209,7 @@ def test_determinant_product_is_the_engine_product():
     pairs = 0
     for members in weyl._kernels.group_by_weight(columns, DEFAULT_CAP).values():
         for member in members:
-            key = weyl._member_key(columns, member)
+            key = _member_key(columns, member)
             packed = weyl._expand(key, {})
             assert packed == reference_product(WORKED.columns, member + ((),))
             assert key[2] == min(packed)
@@ -213,7 +221,7 @@ def test_products_are_multiplied_by_the_ymul_kernel(monkeypatch):
     """``_expand`` multiplies the minors of a product's blocks through ``_kernels.ymul``, once per memo."""
     columns = ((2, 3), (2, 3), (2, 3, 4))
     member = ((1, 2), (1, 2), (1, 2, 3))
-    key = weyl._member_key(columns, member)
+    key = _member_key(columns, member)
     assert len(key[1]) == 3  # three blocks: two multiplications
     expected = reference_product(columns, member)
     calls = []
@@ -242,7 +250,7 @@ def test_grown_keys_are_the_member_keys():
             spaces = weyl._grow(spaces, col)
         expected = {}
         for weight, members in _kernels.group_by_weight(columns, DEFAULT_CAP).items():
-            expected[weight] = {weyl._member_key(columns, m) for m in members}
+            expected[weight] = {_member_key(columns, m) for m in members}
         assert {w: set(keys) for w, keys in spaces.items()} == expected, columns
         blocks += sum(len(key[1]) > 1 for keys in expected.values() for key in keys)
     assert blocks > 0  # some products merge blocks from two minors
@@ -432,7 +440,7 @@ def test_dense_sample_ranks_match_the_dense_bareiss_reference():
         columns = column_multiset(d)
         for members in _kernels.group_by_weight(columns, DEFAULT_CAP).values():
             if len(members) > 1:
-                packed = [weyl._expand(weyl._member_key(columns, m), {}) for m in members]
+                packed = [weyl._expand(_member_key(columns, m), {}) for m in members]
                 expected = reference_rank([reference_product(columns, m) for m in members])
                 assert coefficient_rank(packed) == expected, (columns, members)
                 classes += 1
@@ -444,7 +452,7 @@ def packed_products(columns):
     out = {}
     for members in _kernels.group_by_weight(columns, DEFAULT_CAP).values():
         for m in members:
-            out[m] = weyl._expand(weyl._member_key(columns, m), {})
+            out[m] = weyl._expand(_member_key(columns, m), {})
     return out
 
 
@@ -453,7 +461,7 @@ def test_an_exponent_may_reach_the_column_count():
     for m in range(1, 9):
         d = diagram([(1,)] * m)
         assert render(dual_character(d)) == ("x1" if m == 1 else f"x1^{m}")
-        assert weyl._expand(weyl._member_key(d.columns, d.columns), {}) == pack({((1, 1),) * m: 1})
+        assert weyl._expand(_member_key(d.columns, d.columns), {}) == pack({((1, 1),) * m: 1})
     # every product of minors below three columns (1, 3) has the factor y11^3
     columns = ((1, 3),) * 3
     assert weyl._character.__wrapped__(columns, 3, DEFAULT_CAP) == reference_character(columns, 3)
@@ -467,7 +475,7 @@ def test_a_weight_count_fills_its_byte_and_never_carries(capsys):
     columns = ((1,),) * 255
     assert weyl._dimensions(columns, {255}) == {255: 1}
     # y11^255 fills the y11 byte, and nothing carries into y12's
-    assert weyl._member_key(columns, columns)[0] == 255
+    assert _member_key(columns, columns)[0] == 255
     assert render(dual_character(diagram(columns))) == "x1^255"
     full = diagram([(1,)] * 256)
     for engine in (dual_character, character_support):
