@@ -95,13 +95,6 @@ def schubert(w) -> Polynomial:
     return _schubert_canonical(_canonical_perm(check_permutation(w)))
 
 
-def _canonical_composition(alpha) -> tuple:
-    alpha = tuple(alpha)
-    while alpha and alpha[-1] == 0:
-        alpha = alpha[:-1]
-    return alpha
-
-
 @lru_cache(maxsize=None)
 def _key_canonical(alpha) -> Polynomial:
     for i in range(len(alpha) - 1):
@@ -109,8 +102,8 @@ def _key_canonical(alpha) -> Polynomial:
             swapped = list(alpha)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
             # the swap can end the composition in a zero, which names the same key
-            return demazure(_key_canonical(_canonical_composition(swapped)), i + 1)
-    return Polynomial.from_exponents(monomial(alpha))
+            return demazure(_key_canonical(monomial(swapped)), i + 1)
+    return Polynomial({alpha: 1})
 
 
 def key(alpha) -> Polynomial:
@@ -125,7 +118,7 @@ def key(alpha) -> Polynomial:
     >>> render(key((2, 0)))
     'x1^2'
     """
-    return _key_canonical(_canonical_composition(check_composition(alpha)))
+    return _key_canonical(monomial(check_composition(alpha)))
 
 
 @lru_cache(maxsize=None)

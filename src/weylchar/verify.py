@@ -17,7 +17,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 from weylchar import _kernels
 from weylchar.diagrams import (
@@ -332,8 +332,8 @@ def _lower_bound_verdict(d, ctx):
     return tuple(findings)
 
 
-def _check_lower_bound(idx, d, ctx, verdict):
-    return [Finding(idx, _show_instance(d), *fields) for fields in verdict.of(d, _lower_bound_verdict, ctx)]
+def _check_lower_bound(d, ctx, verdict):
+    return verdict.of(d, _lower_bound_verdict, ctx)
 
 
 def _strict(d, bound, cap):
@@ -371,19 +371,18 @@ def _equality_verdict(d, ctx):
     return bound, principal_specialization(dual_character(d, ctx["cap"])), unstable
 
 
-def _check_equality_iff_unstable(idx, d, ctx, verdict):
+def _check_equality_iff_unstable(d, ctx, verdict):
     bound, total, unstable = verdict.of(d, _equality_verdict, ctx)
     if total == bound and unstable:
         # the pair names box positions, which move with the column order
-        return [Finding(idx, _show_instance(d), str(total), str(bound),
-                        f"equality despite unstable pair {has_unstable_pair(d)}")]
+        return [(str(total), str(bound), f"equality despite unstable pair {has_unstable_pair(d)}")]
     if total != bound and not unstable:
-        return [Finding(idx, _show_instance(d), str(total), str(bound), "strict inequality without an unstable pair")]
+        return [(str(total), str(bound), "strict inequality without an unstable pair")]
     return []
 
 
 def _implication_verdict(d, ctx):
-    """The lhs, rhs and witness of the finding, or ``()`` for none.
+    """The lhs, rhs and witness of each finding; there is at most one.
 
     There is none where the all-ones value passes rank + 1 without the
     character (``_strict``); elsewhere the character is built.
@@ -397,31 +396,31 @@ def _implication_verdict(d, ctx):
     if offender is None:
         return ()
     m, c = offender
-    return str(total), str(bound), f"coefficient {c} at {render_monomial(m)} despite equality"
+    return ((str(total), str(bound), f"coefficient {c} at {render_monomial(m)} despite equality"),)
 
 
-def _check_zero_one_implication(idx, d, ctx, verdict):
-    fields = verdict.of(d, _implication_verdict, ctx)
-    return [Finding(idx, _show_instance(d), *fields)] if fields else []
+def _check_zero_one_implication(d, ctx, verdict):
+    return verdict.of(d, _implication_verdict, ctx)
 
 
 def _zero_one_verdict(d, ctx, chi):
-    """``(on_hit, on_miss)``: the finding's lhs, rhs, witness and severity if a pattern matches, and if none does.
+    """``(on_hit, on_miss)``: the findings' lhs, rhs, witness and severity if a pattern matches, and if none does.
 
-    ``()`` is no finding.  The witness reads only the character, and a
-    swap-allowed pattern, matched in every order of its columns, hits all
-    orders of a multiset or none; when one hits, ``on_miss`` is ``on_hit``.
-    With no other pattern left to match, ``on_hit`` is ``on_miss``.
+    Each holds one finding or none.  The witness reads only the character,
+    and a swap-allowed pattern, matched in every order of its columns, hits
+    all orders of a multiset or none; when one hits, ``on_miss`` is
+    ``on_hit``.  With no other pattern left to match, ``on_hit`` is ``on_miss``.
     """
     offender = zero_one_witness(chi)
     if offender is None:
-        on_hit = ("zero-one", "pattern hit", "contains a flagged configuration yet has zero-one character", "violation")
+        on_hit = (("zero-one", "pattern hit", "contains a flagged configuration yet has zero-one character",
+                   "violation"),)
         on_miss = ()
     else:
         m, c = offender
         on_hit = ()
-        on_miss = (f"coefficient {c} at {render_monomial(m)}", "no pattern hit",
-                   "not zero-one yet matches no supplied configuration", "candidate")
+        on_miss = ((f"coefficient {c} at {render_monomial(m)}", "no pattern hit",
+                    "not zero-one yet matches no supplied configuration", "candidate"),)
     if any(contains_pattern(d, p) for p in ctx["patterns"] if p.column_swap_allowed):
         on_miss = on_hit
     elif all(p.column_swap_allowed for p in ctx["patterns"]):
@@ -429,7 +428,7 @@ def _zero_one_verdict(d, ctx, chi):
     return on_hit, on_miss
 
 
-def _check_zero_one_characterization(idx, d, ctx, verdict):
+def _check_zero_one_characterization(d, ctx, verdict):
     # the character of every instance, though a verdict reads only one per
     # multiset: perfbench/tracer.py sums ``weyl.principal_sum`` over these
     # calls and perfbench/expected.json pins the sum, so reading it only on
@@ -438,19 +437,18 @@ def _check_zero_one_characterization(idx, d, ctx, verdict):
     on_hit, on_miss = verdict.of(d, _zero_one_verdict, ctx, chi)
     # patterns that keep their column order are matched against each order
     hit = on_hit != on_miss and any(contains_pattern(d, p) for p in ctx["patterns"] if not p.column_swap_allowed)
-    fields = on_hit if hit else on_miss
-    return [Finding(idx, _show_instance(d), *fields)] if fields else []
+    return on_hit if hit else on_miss
 
 
 def _upper_bound_verdict(d, ctx):
     return principal_specialization(dual_character(d, ctx["cap"])), count_below(d)
 
 
-def _check_upper_bound(idx, d, ctx, verdict):
+def _check_upper_bound(d, ctx, verdict):
     findings = []
     total, below = verdict.of(d, _upper_bound_verdict, ctx)
     if total > below:
-        findings.append(Finding(idx, _show_instance(d), str(total), str(below), "all-ones value above the ideal size"))
+        findings.append((str(total), str(below), "all-ones value above the ideal size"))
     equal = total == below
     # the northwest criterion is proved for northwest diagrams; the general one is open
     for name, pattern, severity in (("northwest", ctx.get("northwest_pattern"), "violation"),
@@ -460,55 +458,46 @@ def _check_upper_bound(idx, d, ctx, verdict):
         hit = contains_pattern(d, pattern)
         if equal == hit:
             outcome = "equality with a pattern hit" if hit else "strict without a pattern hit"
-            findings.append(Finding(idx, _show_instance(d), str(total), str(below),
-                                    f"{name} equality criterion failed: {outcome}", severity))
+            findings.append((str(total), str(below), f"{name} equality criterion failed: {outcome}", severity))
     return findings
 
 
-def _check_schubert(idx, w, ctx, verdict):
+def _check_schubert(w, ctx, verdict):
     findings = []
     p132 = count_132(w)
     dw = rothe(w)
     r = rank(dw)
     if p132 != r:
-        findings.append(Finding(idx, _show_instance(w), str(p132), str(r), "132-count differs from diagram rank"))
+        findings.append((str(p132), str(r), "132-count differs from diagram rank"))
     total = macdonald_specialization(w)
     if total < 1 + p132:
-        findings.append(
-            Finding(idx, _show_instance(w), str(total), str(1 + p132), "all-ones value below the 132 bound")
-        )
+        findings.append((str(total), str(1 + p132), "all-ones value below the 132 bound"))
     if len(w) <= ctx["full_character_max_n"]:
         s = schubert(w)
         if s != dual_character(dw, ctx["cap"]):
-            findings.append(
-                Finding(idx, _show_instance(w), "schubert(w)", "dual_character(rothe(w))", "polynomials differ")
-            )
+            findings.append(("schubert(w)", "dual_character(rothe(w))", "polynomials differ"))
         if principal_specialization(s) != total:
-            findings.append(
-                Finding(idx, _show_instance(w), str(principal_specialization(s)), str(total),
-                        "reduced-word evaluation differs from the polynomial value")
-            )
+            findings.append((str(principal_specialization(s)), str(total),
+                             "reduced-word evaluation differs from the polynomial value"))
     return findings
 
 
-def _check_key(idx, alpha, ctx, verdict):
+def _check_key(alpha, ctx, verdict):
     findings = []
     k = key(alpha)
     if k != dual_character(skyline(alpha), ctx["cap"]):
-        findings.append(
-            Finding(idx, _show_instance(alpha), "key(alpha)", "dual_character(skyline(alpha))", "polynomials differ")
-        )
+        findings.append(("key(alpha)", "dual_character(skyline(alpha))", "polynomials differ"))
     bound = 1 + rinv_weight(alpha)
     total = principal_specialization(k)
     if total < bound:
-        findings.append(
-            Finding(idx, _show_instance(alpha), str(total), str(bound), "all-ones value below the inversion bound")
-        )
+        findings.append((str(total), str(bound), "all-ones value below the inversion bound"))
     return findings
 
 
-# Every check takes its run's verdict; the Schubert and key checks, whose
-# runs hold one instance each, leave it unread.
+# Each check maps an instance's payload, the ctx and its run's verdict to the
+# fields of its findings there, ``(lhs, rhs, witness)`` or ``(lhs, rhs,
+# witness, severity)`` tuples; ``_check_run`` makes them ``Finding``s.  The
+# Schubert and key checks, one instance per run, leave the verdict unread.
 _CHECKS = {
     "lower_bound": _check_lower_bound,
     "equality_iff_unstable": _check_equality_iff_unstable,
@@ -680,20 +669,6 @@ def _grid_index(family):
     return lambda mask: sum(below[k][j] for j, k in enumerate(k for k in reversed(cells) if mask >> k & 1))
 
 
-@lru_cache(maxsize=None)
-def _later_orders(equal):
-    """Getters of every order of a sorted tuple but the first, ascending: pairs of the order and its reverse.
-
-    ``equal[k]`` says whether entries k and k + 1 of the tuple are equal,
-    which fixes the distinct orders and how they sort.
-    """
-    values = list(itertools.accumulate((not e for e in equal), initial=0))
-    firsts = {}
-    for p in itertools.permutations(range(len(values))):
-        firsts.setdefault(tuple(map(values.__getitem__, p)), p)
-    return [(operator.itemgetter(*p), operator.itemgetter(*p[::-1])) for _, p in sorted(firsts.items())[1:]]
-
-
 def _runs(family):
     """The family's runs as picklable ``(first index, data)`` pairs, and ``instances(first, data)``.
 
@@ -721,23 +696,20 @@ def _runs(family):
     shifts = [n * k for k in reversed(range(n))]
     index = _grid_index(family)
 
-    def instances(idx, ids):
-        columns = tuple(map(column.__getitem__, ids))
-        yield idx, Diagram(columns[::-1], n)
-        for order, reverse in _later_orders(tuple(map(operator.eq, ids, ids[1:]))):
-            mask = sum(map(operator.lshift, order(ids), shifts))
-            yield mask if index is None else index(mask), Diagram(reverse(columns), n)
+    def at(ids):  # the index of the order whose column ids, from column n down, are ``ids``
+        mask = sum(map(operator.lshift, ids, shifts))
+        return mask if index is None else index(mask)
 
-    def runs(multisets):
-        for ids in multisets:
-            mask = sum(map(operator.lshift, ids, shifts))
-            yield mask if index is None else index(mask), ids
+    def instances(idx, ids):
+        yield idx, Diagram(tuple(map(column.__getitem__, reversed(ids))), n)
+        for order in sorted(set(itertools.permutations(ids)))[1:]:
+            yield at(order), Diagram(tuple(map(column.__getitem__, reversed(order))), n)
 
     multisets = itertools.combinations_with_replacement(range(1 << n), n)
     if family.max_boxes is not None:
         sizes = [bits.bit_count() for bits in range(1 << n)]
         multisets = (ids for ids in multisets if sum(map(sizes.__getitem__, ids)) <= family.max_boxes)
-    return runs(multisets), instances
+    return ((at(ids), ids) for ids in multisets), instances
 
 
 def _check_run(check, ctx, every_order, instances):
@@ -746,13 +718,19 @@ def _check_run(check, ctx, every_order, instances):
     It checks its first instance, and the others only when that one has a
     finding or the check reads column order, all with one ``_Verdict``.  A
     cap depends only on the multiset, so a run exceeds it at its first.
+    ``check(payload, ctx, verdict)`` returns ``(lhs, rhs, witness)`` or
+    ``(lhs, rhs, witness, severity)`` tuples, each made a ``Finding`` of the
+    instance's index; an instance with findings is rendered once.
     """
     verdict = _Verdict()
     found = []
     try:
         for idx, payload in instances:
-            found += check(idx, payload, ctx, verdict=verdict)
-            if not (found or every_order):
+            fields = check(payload, ctx, verdict)
+            if fields:
+                shown = _show_instance(payload)
+                found += [Finding(idx, shown, *f) for f in fields]
+            elif not (found or every_order):
                 break
     except CapExceeded:
         return None

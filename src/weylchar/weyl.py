@@ -84,19 +84,19 @@ def _expand(key, memo) -> dict:
     return {k + mono: v for k, v in terms.items()}
 
 
-def _independent(polys) -> list:
-    """Positions of the polynomials that stay independent when reduced shortest first.
+def coefficient_rank(polys, kept=None) -> int:
+    """Rank of the integer span of the given y-polynomials.
 
-    ``polys`` are dicts of terms whose monomial keys are totally ordered.
-    A sparse fraction-free echelon: shortest first, each polynomial is
-    reduced against a basis keyed by least monomial, each step an
-    integer combination that cancels the least monomial, divided by the
-    gcd of its coefficients.  Returns, in that order, the positions in
-    ``polys`` of the inputs that added a basis vector; those inputs are a
-    basis of the span of all of them.
+    ``polys`` are dicts of terms whose monomial keys are totally ordered,
+    such as packed y-monomials.  A sparse fraction-free echelon: shortest
+    first, each polynomial is reduced against a basis keyed by least
+    monomial, each step an integer combination that cancels the least
+    monomial, divided by the gcd of its coefficients.  The rank is the
+    number of inputs that added a basis vector.  If a list ``kept`` is
+    given, their positions in ``polys`` are appended to it, in that
+    order; those inputs are a basis of the span of all of them.
     """
     basis = {}
-    kept = []
     for i in sorted(range(len(polys)), key=[len(p) for p in polys].__getitem__):
         p = polys[i]
         if not p:
@@ -122,22 +122,9 @@ def _independent(polys) -> list:
             lead = min(p)
         else:
             basis[lead] = p
-            kept.append(i)
-    return kept
-
-
-def coefficient_rank(polys, kept=None) -> int:
-    """Rank of the integer span of the given y-polynomials.
-
-    Each is a dict of terms whose monomial keys are totally ordered, such
-    as packed y-monomials; the rank is the number of them ``_independent``
-    keeps, and their positions are appended to the list ``kept`` if one
-    is given.
-    """
-    positions = _independent(polys)
-    if kept is not None:
-        kept.extend(positions)
-    return len(positions)
+            if kept is not None:
+                kept.append(i)
+    return len(basis)
 
 
 def _grow(spaces, col, wanted=None) -> dict:

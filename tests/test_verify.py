@@ -471,19 +471,32 @@ def _verdicts_held_per_multiset():
     return bool(flagged)
 
 
-def test_clean_sweep_renders_no_instance(monkeypatch):
+def _spy_on_renders(monkeypatch):
+    """Record the payload of every ``_show_instance`` call, and still render it."""
     rendered = []
     show = verify._show_instance
+    monkeypatch.setattr(verify, "_show_instance", lambda payload: rendered.append(payload) or show(payload))
+    return rendered
 
-    def counting(payload):
-        rendered.append(payload)
-        return show(payload)
 
-    monkeypatch.setattr(verify, "_show_instance", counting)
+def test_clean_sweep_renders_no_instance(monkeypatch):
+    rendered = _spy_on_renders(monkeypatch)
     report = verify_lower_bound(all_diagrams(3), support_only=True)
     assert report.checked == 512
     assert report.ok
     assert rendered == []
+
+
+def test_an_instance_with_two_findings_renders_once(monkeypatch):
+    """A northwest diagram strict below its ideal size and missing the witness fails both criteria, rendered once."""
+    rendered = _spy_on_renders(monkeypatch)
+    d = diagram([(2,), (2,)], 3)
+    report = verify_upper_bound(explicit_list([d]), WITNESS, WITNESS)
+    assert [(f.severity, f.witness) for f in report.violations + report.candidates] == [
+        ("violation", "northwest equality criterion failed: strict without a pattern hit"),
+        ("candidate", "general equality criterion failed: strict without a pattern hit"),
+    ]
+    assert rendered == [d]
 
 
 @pytest.mark.parametrize("support_only", [True, False])
@@ -1169,12 +1182,13 @@ def test_interrupted_run_resumes_from_its_last_instance(tmp_path, monkeypatch):
     path = tmp_path / "interrupted.json"
     # instance 9 is the second order of the multiset first met at 6
     k = 9
+    crash_on = dict(fam.instances())[k]
     check = verify._CHECKS["zero_one_characterization"]
 
-    def crash_at_k(idx, d, ctx, **walk_state):
-        if idx == k:
+    def crash_at_k(d, ctx, verdict):
+        if d == crash_on:
             raise RuntimeError("interrupted")
-        return check(idx, d, ctx, **walk_state)
+        return check(d, ctx, verdict)
 
     with monkeypatch.context() as patched:
         patched.setitem(verify._CHECKS, "zero_one_characterization", crash_at_k)
@@ -1495,13 +1509,23 @@ def test_grid_index_counts_the_smaller_instances(n, max_boxes):
     assert [index(mask) for mask in masks] == list(range(fam.size()))
 
 
-@pytest.mark.parametrize("n", range(6))
-def test_later_orders_are_the_sorted_distinct_orders(n):
-    for ids in itertools.combinations_with_replacement(range(4), n):
-        getters = verify._later_orders(tuple(a == b for a, b in zip(ids, ids[1:])))
-        orders = sorted(set(itertools.permutations(ids)))[1:]
-        assert [order(ids) for order, _ in getters] == orders, ids
-        assert [reverse(ids) for _, reverse in getters] == [order[::-1] for order in orders], ids
+@pytest.mark.parametrize(
+    "fam",
+    [all_diagrams(n) for n in range(5)] + [all_diagrams(3, max_boxes=4), all_diagrams(4, max_boxes=5)],
+    ids=["0", "1", "2", "3", "4", "3-max4", "4-max5"],
+)
+def test_grid_runs_walk_every_instance_once(fam):
+    """Flattened, a grid's runs are its instances; each run starts at its smallest index, and its indices ascend."""
+    runs, instances = verify._runs(fam)
+    firsts, walked = [], []
+    for first, ids in runs:
+        run = list(instances(first, ids))
+        indices = [idx for idx, _ in run]
+        assert indices[0] == first and indices == sorted(set(indices)), ids
+        firsts.append(first)
+        walked += run
+    assert firsts == sorted(set(firsts))
+    assert sorted(walked, key=lambda pair: pair[0]) == list(fam.instances())
 
 
 @pytest.mark.parametrize("workers", [1, 2])

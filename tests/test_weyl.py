@@ -589,7 +589,9 @@ def test_equal_monomial_differences_share_one_shape(monkeypatch):
     assert weyl._kept(first, {}) == weyl._kept(second, {}) == (0, 1)
     assert len(ranked) == len(weyl._SHAPES) == 1
     # the echelon run afresh on the second class keeps the same positions
-    assert weyl._independent([weyl._expand(k, {}) for k in second]) == [0, 1]
+    positions = []
+    rank([weyl._expand(k, {}) for k in second], positions)
+    assert positions == [0, 1]
     weyl._SHAPES.clear()
 
 
@@ -645,14 +647,15 @@ def test_engine_matches_the_reference_with_repeated_columns(drawn, repeat):
 )
 @settings(max_examples=100, deadline=None)
 def test_kept_basis_is_independent_and_spans_the_inputs(polys, combos):
-    """``_independent`` keeps positions of inputs that are independent and have the rank of them all."""
+    """``coefficient_rank`` keeps positions of inputs that are independent and have the rank of them all."""
     for a, b, c in combos:  # add some dependent inputs: p_a + c * p_b
         if a < len(polys) and b < len(polys):
             q = dict(polys[a])
             for k, v in polys[b].items():
                 q[k] = q.get(k, 0) + c * v
             polys.append({k: v for k, v in q.items() if v})
-    positions = weyl._independent(polys)
+    positions = []
+    coefficient_rank(polys, positions)
     assert len(set(positions)) == len(positions) and set(positions) <= set(range(len(polys)))
     kept = [polys[i] for i in positions]
     assert reference_rank(kept) == len(kept) == reference_rank(polys) == coefficient_rank(polys)
