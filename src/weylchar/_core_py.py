@@ -84,15 +84,6 @@ def count_column_ideal(col):
     return sum(ways)
 
 
-def weight_of_columns(columns, n):
-    """Exponent vector: entry ``i-1`` counts the columns containing row ``i``."""
-    w = [0] * n
-    for col in columns:
-        for i in col:
-            w[i - 1] += 1
-    return tuple(w)
-
-
 def weight_support(columns, cap):
     """Set of packed weights of the diagrams below ``columns``.
 

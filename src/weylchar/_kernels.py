@@ -17,7 +17,6 @@ from weylchar._core_py import (
     field,
     group_by_weight,
     sumset_bound,
-    weight_of_columns,
     weight_support,
     ymul,
 )

@@ -84,10 +84,6 @@ class Diagram:
             for i in col:
                 yield (i, j)
 
-    @property
-    def box_count(self) -> int:
-        return sum(len(c) for c in self.columns)
-
     def contains_box(self, i: int, j: int) -> bool:
         if not (1 <= j <= self.n):
             return False
@@ -186,12 +182,6 @@ def diagram_from_text(text: str) -> Diagram:
 
 def diagram_to_json_obj(d: Diagram) -> dict:
     return {"n": d.n, "columns": [list(c) for c in d.columns]}
-
-
-def diagram_from_json_obj(obj) -> Diagram:
-    if not isinstance(obj, dict) or "n" not in obj or "columns" not in obj:
-        raise ValueError("diagram JSON must be an object with 'n' and 'columns'")
-    return diagram(obj["columns"], n=obj["n"])
 
 
 def parse_diagram_inline(text: str) -> Diagram:
@@ -317,7 +307,11 @@ def weight_monomial(d: Diagram) -> Monomial:
     >>> weight_monomial(diagram([(1, 3), (2, 3), ()]))
     (1, 1, 2)
     """
-    return monomial(_kernels.weight_of_columns(d.columns, d.n))
+    w = [0] * d.n
+    for col in d.columns:
+        for i in col:
+            w[i - 1] += 1
+    return monomial(w)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ anywhere.
 """
 from __future__ import annotations
 
-import re
-
 Monomial = tuple  # exponent tuple in canonical form (no trailing zeros)
 
 
@@ -110,10 +108,6 @@ class Polynomial:
         return cls({(): 1})
 
     @classmethod
-    def constant(cls, c: int) -> "Polynomial":
-        return cls({(): c}) if c else cls({})
-
-    @classmethod
     def variable(cls, i: int) -> "Polynomial":
         """The polynomial x_i (1-based)."""
         if i < 1:
@@ -139,9 +133,6 @@ class Polynomial:
             elif m in terms:
                 del terms[m]
         return cls(terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def coefficient(self, exponents) -> int:
         return self.terms.get(monomial(exponents), 0)
@@ -203,18 +194,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({render(self)!r})"
-
-
-def swap_variables(f: Polynomial, j: int) -> Polynomial:
-    """Apply the transposition of x_j and x_{j+1} to every term."""
-    if j < 1:
-        raise ValueError(f"index must be >= 1, got {j}")
-    out: dict = {}
-    for m, c in f.terms.items():
-        e = list(m) + [0] * max(0, j + 1 - len(m))
-        e[j - 1], e[j] = e[j], e[j - 1]
-        out[monomial(e)] = c
-    return Polynomial(out)
 
 
 def divided_difference(f: Polynomial, j: int) -> Polynomial:
@@ -333,27 +312,3 @@ def to_json_obj(f: Polynomial) -> list:
     return [
         {"exponents": list(m), "coeff": str(c)} for m, c in f.descending_terms()
     ]
-
-
-def _json_coefficient(value) -> int:
-    """An int, or a decimal-integer string such as ``to_json_obj`` writes.
-
-    Floats, bools and any other string are refused rather than rounded
-    or read as 0 and 1.
-    """
-    if type(value) is int:
-        return value
-    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
-        return int(value)
-    raise ValueError(f"polynomial coefficient must be an integer or a decimal-integer string, got {value!r}")
-
-
-def from_json_obj(obj) -> Polynomial:
-    if not isinstance(obj, list):
-        raise ValueError("polynomial JSON must be a list of term objects")
-    items = []
-    for entry in obj:
-        if not isinstance(entry, dict) or "exponents" not in entry or "coeff" not in entry:
-            raise ValueError(f"malformed polynomial term {entry!r}")
-        items.append((entry["exponents"], _json_coefficient(entry["coeff"])))
-    return Polynomial.from_terms(items)

@@ -768,8 +768,9 @@ def run_check(
 ) -> VerificationReport:
     """Run one named check over a family's runs (``_runs``), in order, and assemble the report.
 
-    With ``workers`` above 1, that many processes check batches of
-    ``BATCH_RUNS`` consecutive runs, at most ``2 * workers`` in flight.
+    With ``workers`` above 1, that many processes, but no more than
+    ``os.cpu_count()``, check batches of ``BATCH_RUNS`` consecutive runs,
+    at most twice as many batches as processes in flight.
     Either way one loop here takes each run's findings in order, up to
     the first run that exceeded the cap, and alone holds the cursor, so
     the report and any checkpoint are the serial run's at any worker
@@ -804,6 +805,8 @@ def run_check(
     runs, instances = _runs(family)
     runs = itertools.dropwhile(lambda run: run[0] < start, runs)
     pool = None
+    # the pool starts all its processes at its first batch, however few batches there are
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         # here, not at the top: importing the pool machinery adds about 25 ms to every start-up
         from concurrent.futures import ProcessPoolExecutor

@@ -31,7 +31,6 @@ from weylchar.polynomials import (
     divided_difference,
     invlex_less,
     principal_specialization,
-    swap_variables,
 )
 from weylchar.schubert import key, macdonald_specialization, schubert
 from weylchar.verify import (
@@ -43,6 +42,8 @@ from weylchar.verify import (
     verify_zero_one_implication,
 )
 from weylchar.weyl import dual_character
+
+from test_polynomials import swap_variables
 
 WORKED = diagram([(1, 3), (2, 3), ()])
 WITNESS_FILE = Path(__file__).resolve().parent.parent / "patterns" / "multiplicity-witness.txt"
@@ -208,7 +209,7 @@ def test_property_suite():
         f = _random_polynomial(rng)
         j = rng.randrange(1, 4)
         once = divided_difference(f, j)
-        assert divided_difference(once, j).is_zero()
+        assert not divided_difference(once, j)
         gap = Polynomial.variable(j) + Polynomial.from_terms([(tuple([0] * j + [1]), -1)])
         assert gap * once + swap_variables(f, j) == f
 

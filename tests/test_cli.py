@@ -20,7 +20,7 @@ from weylchar.diagrams import (
     rothe,
     skyline,
 )
-from weylchar.polynomials import from_json_obj
+from weylchar.polynomials import to_json_obj
 from weylchar.schubert import schubert
 from weylchar.weyl import dual_character
 
@@ -50,7 +50,7 @@ def test_chi_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["principal"] == 6
-    assert from_json_obj(payload["character"]) == dual_character(WORKED)
+    assert payload["character"] == to_json_obj(dual_character(WORKED))
 
 
 def test_chi_grid_file_input(capsys, tmp_path):

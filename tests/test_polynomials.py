@@ -10,14 +10,12 @@ from weylchar.polynomials import (
     Polynomial,
     demazure,
     divided_difference,
-    from_json_obj,
     invlex_less,
     is_zero_one,
     monomial,
     principal_specialization,
     render,
     render_monomial,
-    swap_variables,
     to_json_obj,
     zero_one_witness,
 )
@@ -25,6 +23,16 @@ from weylchar.polynomials import (
 monomials = st.lists(st.integers(0, 4), max_size=5).map(tuple)
 coeffs = st.integers(-9, 9)
 polys = st.lists(st.tuples(monomials, coeffs), max_size=8).map(Polynomial.from_terms)
+
+
+def swap_variables(f: Polynomial, j: int) -> Polynomial:
+    """s_j f: the transposition of x_j and x_{j+1} applied to every term."""
+    out = {}
+    for m, c in f.terms.items():
+        e = list(m) + [0] * max(0, j + 1 - len(m))
+        e[j - 1], e[j] = e[j], e[j - 1]
+        out[monomial(e)] = c
+    return Polynomial(out)
 
 
 def test_monomial_canonical_form():
@@ -130,8 +138,9 @@ def test_zero_one_witness_is_first_non_one_descending_term(f):
 
 @given(polys)
 def test_json_round_trip(f):
+    # to_json_obj loses nothing: its terms, read back as ints, rebuild f
     blob = json.dumps(to_json_obj(f))
-    assert from_json_obj(json.loads(blob)) == f
+    assert Polynomial.from_terms((t["exponents"], int(t["coeff"])) for t in json.loads(blob)) == f
 
 
 def test_bool_exponents_are_rejected():
@@ -139,15 +148,12 @@ def test_bool_exponents_are_rejected():
         monomial([True, 2])
     with pytest.raises(ValueError):
         Polynomial.from_exponents([True, 2])
-    with pytest.raises(ValueError):
-        from_json_obj([{"exponents": [True, 2], "coeff": "1"}])
 
 
 def test_json_round_trip_prints_integer_exponents():
     f = Polynomial.from_terms([((1, 2), 3), ((1,), 1)])
     blob = json.dumps(to_json_obj(f))
     assert blob == '[{"exponents": [1, 2], "coeff": "3"}, {"exponents": [1], "coeff": "1"}]'
-    assert from_json_obj(json.loads(blob)) == f
 
 
 def test_equal_monomials_are_one_object():
@@ -159,26 +165,6 @@ def test_equal_monomials_are_one_object():
     assert m is monomial((1, 3))
     (m,) = divided_difference(Polynomial.from_exponents((2, 1)), 2).support()
     assert m is monomial((2,))
-
-
-def test_json_rejects_malformed():
-    with pytest.raises(ValueError):
-        from_json_obj({"exponents": [1]})
-    with pytest.raises(ValueError):
-        from_json_obj([{"exponents": [1]}])
-
-
-def test_json_coefficients_are_ints_or_decimal_strings():
-    f = Polynomial.from_terms([((1,), 2), ((0, 3), -12)])
-    assert from_json_obj([{"exponents": [1], "coeff": 2}, {"exponents": [0, 3], "coeff": -12}]) == f
-    assert from_json_obj([{"exponents": [1], "coeff": "2"}, {"exponents": [0, 3], "coeff": "-12"}]) == f
-    assert from_json_obj(to_json_obj(f)) == f
-
-
-@pytest.mark.parametrize("coeff", [2.7, 2.0, True, False, None, [2], "2.7", "", " 2", "+2", "1_000", "0x10", "\u0663"])
-def test_json_rejects_non_integer_coefficients(coeff):
-    with pytest.raises(ValueError, match="coefficient"):
-        from_json_obj([{"exponents": [1], "coeff": coeff}])
 
 
 @given(polys)

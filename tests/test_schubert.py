@@ -5,7 +5,7 @@ from functools import lru_cache, reduce
 
 import pytest
 
-from weylchar.diagrams import rothe, skyline
+from weylchar.diagrams import count_132, has_unstable_pair, rothe, skyline
 from weylchar.polynomials import (
     Polynomial,
     demazure,
@@ -13,6 +13,7 @@ from weylchar.polynomials import (
     monomial,
     principal_specialization,
     render,
+    zero_one_witness,
 )
 from weylchar.schubert import (
     _schubert_canonical,
@@ -178,6 +179,51 @@ def test_schubert_and_rothe_character_share_their_monomials():
         assert chi == sigma
         canonical = {m: m for m in sigma}
         assert all(m is canonical[m] for m in chi), w
+
+
+# Fink-Meszaros-St. Dizier, "Zero-one Schubert polynomials" (Math. Z. 2021):
+# the Schubert polynomial of w is zero-one iff w avoids these twelve
+ZERO_ONE_PATTERNS = {
+    (1, 2, 5, 4, 3), (1, 3, 2, 5, 4), (1, 3, 5, 2, 4), (1, 3, 5, 4, 2), (2, 1, 5, 4, 3),
+    (1, 2, 5, 3, 6, 4), (1, 2, 5, 6, 3, 4), (2, 1, 5, 3, 6, 4), (2, 1, 5, 6, 3, 4),
+    (3, 1, 5, 2, 6, 4), (3, 1, 5, 6, 2, 4), (3, 1, 5, 6, 4, 2),
+}
+
+
+def _standardized(values):
+    """The permutation of 1..k ordered as ``values``."""
+    order = sorted(values)
+    return tuple(order.index(v) + 1 for v in values)
+
+
+def _occurrences(w, k):
+    """The patterns of the index sets of size ``k`` of ``w``, one per index set."""
+    return [_standardized(sub) for sub in itertools.combinations(w, k)]
+
+
+def test_rothe_statements_of_the_literature_through_s7():
+    """Statements on permutations read from nu_w, p_132, Rothe diagrams and Schubert polynomials, with no character.
+
+    (a) The paper: nu_w = 1 + p_132(w) iff rothe(w) has no unstable pair.
+    (b) Weigandt ("Schubert polynomials, 132-patterns, and Stanley's
+        conjecture", 2018): nu_w >= 1 + p_132(w) + p_1432(w).
+    (c) The Schubert polynomial of w is zero-one iff w avoids ZERO_ONE_PATTERNS.
+    """
+    equalities, zero_ones = [], []
+    for n in range(1, 8):
+        equal = zero_one = 0
+        for w in itertools.permutations(range(1, n + 1)):
+            nu, p132 = macdonald_specialization(w), count_132(w)
+            assert (nu == 1 + p132) == (has_unstable_pair(rothe(w)) is None), w
+            assert nu >= 1 + p132 + _occurrences(w, 4).count((1, 4, 3, 2)), w
+            avoids = ZERO_ONE_PATTERNS.isdisjoint(_occurrences(w, 5) + _occurrences(w, 6))
+            assert (zero_one_witness(schubert(w)) is None) == avoids, w
+            equal += nu == 1 + p132
+            zero_one += avoids
+        equalities.append(equal)
+        zero_ones.append(zero_one)
+    assert equalities == [1, 2, 6, 23, 92, 369, 1474]
+    assert zero_ones == [1, 2, 6, 24, 115, 605, 3343]
 
 
 def test_key_base_cases():

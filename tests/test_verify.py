@@ -97,7 +97,7 @@ def test_all_diagrams_box_limit():
     fam = all_diagrams(2, max_boxes=1)
     members = [d for _, d in fam.instances()]
     assert len(members) == 5
-    assert all(d.box_count <= 1 for d in members)
+    assert all(sum(map(len, d.columns)) <= 1 for d in members)
 
 
 def _grid_subsets_bit_by_bit(n, max_boxes=None):
@@ -917,6 +917,29 @@ def test_worker_parity_with_findings():
     assert sharded.violations
 
 
+def test_a_worker_count_past_the_cpus_asks_for_a_pool_of_the_cpus(monkeypatch):
+    """A pool starts all its processes at its first batch, so K workers are bounded by the CPU count.
+
+    The pool built is never larger than 2 processes, whatever is asked for.
+    """
+    import concurrent.futures
+
+    pool_class = concurrent.futures.ProcessPoolExecutor
+    asked = []
+
+    def bounded_pool(max_workers, **kwargs):
+        asked.append(max_workers)
+        return pool_class(min(max_workers, 2), **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", bounded_pool)
+    fam = all_diagrams(2)
+    serial = verify_zero_one_characterization(fam, [ALL_FREE_2])
+    sharded = verify_zero_one_characterization(fam, [ALL_FREE_2], workers=10 ** 6)
+    assert asked and max(asked) <= 2
+    assert stable_json(sharded) == stable_json(serial)
+
+
 def test_checkpoint_resume_matches_full_run(tmp_path):
     fam = all_diagrams(2)
     full = verify_zero_one_characterization(fam, [ALL_FREE_2])
@@ -1401,7 +1424,7 @@ def test_checkpoint_that_is_not_an_object_is_refused(tmp_path):
 
 def _flag_some_multisets(monkeypatch):
     """Raise the bound on every multiset of an odd number of boxes, so those instances are violations."""
-    monkeypatch.setattr(verify, "rank", lambda d: rank(d) + 10 ** 6 * (d.box_count % 2))
+    monkeypatch.setattr(verify, "rank", lambda d: rank(d) + 10 ** 6 * (sum(map(len, d.columns)) % 2))
 
 
 def _as_explicit(fam):
@@ -1465,9 +1488,9 @@ def _force_findings(monkeypatch):
     # by the number of boxes mod 3, rank is left alone, set so that rank + 1
     # meets the all-ones value, or raised past every count; the ideal size
     # is left alone, set one below the all-ones value, or set to it
-    monkeypatch.setattr(verify, "rank", lambda d: (rank(d), total(d) - 1, rank(d) + 10 ** 6)[d.box_count % 3])
+    monkeypatch.setattr(verify, "rank", lambda d: (rank(d), total(d) - 1, rank(d) + 10 ** 6)[sum(map(len, d.columns)) % 3])
     monkeypatch.setattr(
-        verify, "count_below", lambda d: (count_below(d), total(d) - 1, total(d))[d.box_count % 3]
+        verify, "count_below", lambda d: (count_below(d), total(d) - 1, total(d))[sum(map(len, d.columns)) % 3]
     )
 
 
@@ -1495,7 +1518,7 @@ def test_support_grid_findings_match_a_check_per_instance(monkeypatch, max_boxes
     grid = verify_lower_bound(fam, support_only=True, workers=workers)
     assert _as_reference(grid) == _reference("lower_bound", fam, DIAGRAM_CHECKS["support"][1])
     assert grid.checked == sum(1 for _ in fam.instances())
-    expected = [idx for idx, d in fam.instances() if d.box_count % 2]
+    expected = [idx for idx, d in fam.instances() if sum(map(len, d.columns)) % 2]
     assert [f.instance_index for f in grid.violations] == expected
     for f in grid.violations:
         assert f.instance == verify._show_instance(dict(fam.instances())[f.instance_index])
@@ -1570,7 +1593,7 @@ def test_caps_between_the_certificate_and_the_count_truncate_where_a_check_per_i
     diagrams = dict(fam.instances())
     if ctx.get("support_only"):
         # rank is left alone where the number of boxes is a multiple of 3
-        straddles = [idx for idx, d in diagrams.items() if idx < checked and d.box_count % 3 == 0
+        straddles = [idx for idx, d in diagrams.items() if idx < checked and sum(map(len, d.columns)) % 3 == 0
                      and count_below(d) > cap >= len(character_support(d))]
         assert straddles
     else:

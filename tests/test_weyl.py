@@ -14,14 +14,17 @@ from weylchar.cli import main
 from weylchar.diagrams import (
     DEFAULT_CAP,
     CapExceeded,
+    Diagram,
     column_multiset,
     count_below,
     diagram,
     enumerate_below,
+    has_unstable_pair,
+    rank,
     rothe,
     weight_monomial,
 )
-from weylchar.polynomials import Polynomial, principal_specialization, render
+from weylchar.polynomials import Polynomial, principal_specialization, render, zero_one_witness
 from weylchar.verify import all_diagrams, all_skyline
 from weylchar.weyl import character_support, coefficient_rank, dual_character
 
@@ -327,7 +330,7 @@ def reference_character(columns, n):
     """Every ordered member below ``columns``, grouped by weight, each class ranked densely."""
     classes = {}
     for member in itertools.product(*(_kernels.column_ideal(c) for c in columns)):
-        classes.setdefault(_kernels.weight_of_columns(member, n), []).append(member)
+        classes.setdefault(weight_monomial(Diagram(member, n)), []).append(member)
     terms = {
         weight: reference_rank([reference_product(columns, m) for m in members])
         for weight, members in classes.items()
@@ -351,6 +354,37 @@ def test_characters_match_the_dense_bareiss_reference():
     assert len(cases) > 3876 + 873
     for columns, n in sorted(cases):
         assert weyl._character.__wrapped__(columns, n, DEFAULT_CAP) == reference_character(columns, n), (columns, n)
+
+
+def test_an_initial_column_multiplies_the_character_by_its_monomial():
+    """A column {1, ..., k} is the only column below itself, and its minor is y_11...y_kk.
+
+    So emptying it divides the character, and moves its zero-one witness, by
+    x_1...x_k, and leaves the rank, the count below, B(D) and whether an
+    unstable pair exists as they were.
+    Checked on every 3- and 4-grid multiset with such a column: the same
+    engine on a different input, not an independent route.
+    """
+    checked = []
+    for n in (3, 4):
+        initial = {tuple(range(1, k + 1)) for k in range(1, n + 1)}
+        multisets = [columns for columns in grid_multisets(n) if not initial.isdisjoint(columns)]
+        for columns in multisets:
+            j = next(j for j, col in enumerate(columns) if col in initial)
+            d = diagram(columns, n)
+            rest = diagram(columns[:j] + ((),) + columns[j + 1:], n)
+            x = Polynomial.from_exponents((1,) * len(columns[j]))
+            assert dual_character(d) == x * dual_character(rest), columns
+            witness = zero_one_witness(dual_character(rest))
+            if witness:
+                (moved,) = (x * Polynomial.from_exponents(witness[0])).terms
+                witness = moved, witness[1]
+            assert zero_one_witness(dual_character(d)) == witness, columns
+            assert rank(d) == rank(rest) and count_below(d) == count_below(rest), columns
+            assert _kernels.sumset_bound(d.columns) == _kernels.sumset_bound(rest.columns), columns
+            assert (has_unstable_pair(d) is None) == (has_unstable_pair(rest) is None), columns
+        checked.append(len(multisets))
+    assert checked == [85, 2511]
 
 
 # an engine-free oracle: the coefficient of x^w in the character of D is
