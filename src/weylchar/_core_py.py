@@ -19,7 +19,6 @@ a minor is squarefree, and the weight kernels raise ``ValueError`` on
 byte; so no byte of either layout carries.  Kernels raise
 ``CapExceeded`` when an enumeration grows past its cap.
 """
-import math
 from functools import lru_cache
 
 
@@ -103,24 +102,6 @@ def weight_support(columns, cap):
                 raise CapExceeded(f"weight support exceeds cap {cap}", cap)
         acc = new
     return acc
-
-
-def sumset_bound(columns):
-    """``(B, size)``: a lower bound B on the number of distinct weights below ``columns``, and the number of diagrams below.
-
-    With ``s_j = |I(c_j)|`` the column ideal sizes, ``size`` is their
-    product and ``B = 1 + sum_j (s_j - 1)``.  The weights below are the
-    sumset of the columns' packed weights, which are distinct ints that
-    add without carry, and for finite sets of integers |A + B| >= |A| +
-    |B| - 1 (a1 + b1 < ... < a1 + bk < a2 + bk < ... < am + bk), so
-    ``len(weight_support(columns, cap))`` is at least B.  B is also at
-    least the rank of the columns plus 1: a column of rank r has a chain
-    of r + 1 columns below it, one rank apart, so s_j - 1 is at least
-    its rank.
-    """
-    _check_fields(columns)
-    sizes = list(map(count_column_ideal, columns))
-    return 1 + sum(sizes) - len(sizes), math.prod(sizes)
 
 
 def group_by_weight(columns, cap):

@@ -16,7 +16,6 @@ from weylchar._core_py import (
     count_column_ideal,
     field,
     group_by_weight,
-    sumset_bound,
     weight_support,
     ymul,
 )

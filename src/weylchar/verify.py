@@ -30,6 +30,7 @@ from weylchar.diagrams import (
     contains_pattern,
     count_132,
     count_below,
+    diagram,
     has_unstable_pair,
     is_northwest,
     rank,
@@ -304,22 +305,14 @@ class _Verdict:
 def _lower_bound_verdict(d, ctx):
     """The lhs, rhs and witness of each finding: a distinct-weight count, then an all-ones value, below rank + 1.
 
-    With ``support_only`` no character is built.  B(D), from
-    ``_kernels.sumset_bound``, is a lower bound on the count, and the
-    weights are counted, over the sorted columns, only where B(D) is
-    below rank + 1 or the diagrams below outnumber the cap.  The count
-    truncates exactly when it passes the cap, since no column shrinks
-    the set of weights, so it is skipped only where the diagrams below,
-    of which there are at least as many, fit under the cap.  Without
-    ``support_only`` the character is built, which truncates where the
+    With ``support_only`` no character is built: the weights are counted
+    over the sorted columns, which truncates exactly when the count passes
+    the cap.  Without it the character is built, which truncates where the
     diagrams below outnumber the cap, and the count is its number of
     terms.
     """
     bound = rank(d) + 1
     if ctx.get("support_only"):
-        certificate, below = _kernels.sumset_bound(d.columns)
-        if certificate >= bound and below <= ctx["cap"]:
-            return ()
         support, total = len(_kernels.weight_support(sorted(d.columns), ctx["cap"])), None
     else:
         chi = dual_character(d, ctx["cap"])
@@ -337,19 +330,15 @@ def _check_lower_bound(d, ctx, verdict):
 
 
 def _strict(d, bound, cap):
-    """Whether χ_D(1) > ``bound`` shows without the character: by B(D), or else by the distinct-weight count.
+    """Whether χ_D(1) > ``bound`` shows without the character, by the distinct-weight count.
 
     Every coefficient of χ_D is at least 1, so χ_D(1) is at least the
-    count, which is at least B(D) (``_kernels.sumset_bound``).  The count
-    stops once it passes ``bound``.  First of all, this raises
-    ``CapExceeded`` where ``dual_character(d, cap)`` would: where the
-    diagrams below outnumber the cap.
+    count, which stops once it passes ``bound``.  First of all, this
+    raises ``CapExceeded`` where ``dual_character(d, cap)`` would: where
+    the diagrams below outnumber the cap.
     """
-    certificate, below = _kernels.sumset_bound(d.columns)
-    if below > cap:
+    if math.prod(map(_kernels.count_column_ideal, d.columns)) > cap:
         raise CapExceeded(f"enumeration below the diagram exceeds cap {cap}", cap)
-    if certificate > bound:
-        return True
     try:
         _kernels.weight_support(sorted(d.columns), bound)
     except CapExceeded:  # past ``bound`` weights at some column, so at the last
@@ -669,7 +658,127 @@ def _grid_index(family):
     return lambda mask: sum(below[k][j] for j, k in enumerate(k for k in reversed(cells) if mask >> k & 1))
 
 
-def _runs(family):
+class _ColumnTables:
+    """What a rank + 1 check's verdict adds up over columns, and which runs it leaves open.
+
+    With |I(c)| the number of columns below c, B(D) = 1 + sum_j (|I(c_j)| - 1)
+    is at most the number of distinct weights below D, which is at most
+    χ_D(1).  The weights are the sumset of the columns' packed weights,
+    distinct ints that add without carry, and finite sets of integers
+    have |A + B| >= |A| + |B| - 1.  rank(D) and B(D) add over columns, so
+    with the slack s(c) = |I(c)| - 1 - rank(c) of a column, B(D) - rank(D)
+    - 1 = sum_j s(c_j).  The diagrams below number prod_j |I(c_j)|.  An
+    unstable pair lies within one column or across two, so whether D has
+    one is an OR over single columns and pairs of them, a column taken
+    twice included.  The tables read ``_kernels.count_column_ideal``, and
+    ``rank`` and ``has_unstable_pair`` on diagrams of one or two columns,
+    through the names the verdicts call, once per column, pair and sweep.
+
+    ``must_visit(slack, below, unstable)`` says whether a run must be visited:
+    whether its verdict may have a finding or truncate.  Over the cap it
+    must, so truncation stays where the verdict puts it.  Otherwise the
+    support-only verdict has no finding where the sum of slacks is at
+    least 0 (``need`` 0), and the character verdicts have none where it is
+    above 0 (``need`` 1, ``_strict``), for ``equality_iff_unstable`` only
+    where an unstable pair exists.  A test's patch may make a slack
+    negative; that makes a run visited, never skipped.
+    """
+
+    def __init__(self, check_name, ctx):
+        self.need = 0 if check_name == "lower_bound" else 1
+        self.cap = ctx["cap"]
+        self.pairs = check_name == "equality_iff_unstable"
+        self._column = {}
+        self._pair = {}
+
+    def column(self, col):
+        """``(s(c), |I(c)|, whether c alone has an unstable pair)``; the last is False where pairs are not read."""
+        if col not in self._column:
+            one = diagram((col,))
+            self._column[col] = (
+                _kernels.count_column_ideal(col) - 1 - rank(one),
+                _kernels.count_column_ideal(col),
+                self.pairs and has_unstable_pair(one) is not None,
+            )
+        return self._column[col]
+
+    def pair(self, left, right):
+        """Whether the diagram of columns ``left`` and ``right`` has an unstable pair."""
+        if (left, right) not in self._pair:
+            self._pair[left, right] = has_unstable_pair(diagram((left, right))) is not None
+        return self._pair[left, right]
+
+    def must_visit(self, slack, below, unstable):
+        """Whether a run of this sum of slacks, number of diagrams below and unstable pair must be visited.
+
+        Where pairs are not read, ``unstable`` is True.
+        """
+        return slack < self.need or below > self.cap or not unstable
+
+    def visits(self, columns):
+        """Whether the run of these sorted columns must be visited."""
+        values = [self.column(c) for c in columns]
+        unstable = not self.pairs or any(v[2] for v in values) or any(
+            itertools.starmap(self.pair, itertools.combinations(filter(None, columns), 2)))
+        return self.must_visit(sum(v[0] for v in values), math.prod(v[1] for v in values), unstable)
+
+
+def _column_tables(check_name, ctx):
+    """The column tables of a check that reads them: the rank + 1 checks but ``lower_bound`` building χ."""
+    if check_name in ("equality_iff_unstable", "zero_one_implication") or (
+            check_name == "lower_bound" and ctx.get("support_only")):
+        return _ColumnTables(check_name, ctx)
+    return None
+
+
+def _open_multisets(family, tables):
+    """The grid's column-id multisets that ``tables`` visits, as sorted tuples in ascending order.
+
+    One depth-first search over nondecreasing ids, read as in ``_runs``, so
+    the multisets come in ascending order of their first instance.  A
+    prefix is dropped when no extension of it can be visited.  The least
+    slack and fewest boxes its remaining ids can add, and the largest
+    product of ideal sizes they can reach, come from suffix tables and are
+    exact: a repeated id attains each.  An unstable pair, once present,
+    stays.
+    """
+    n, limit = family.n, family.max_boxes
+    columns = _grid_columns(n)
+    top = len(columns)
+    slack, sizes, alone = map(list, zip(*map(tables.column, columns)))
+    boxes = list(map(len, columns))
+    least_slack = list(itertools.accumulate(reversed(slack), min))[::-1]
+    most_size = list(itertools.accumulate(reversed(sizes), max))[::-1]
+    least_boxes = list(itertools.accumulate(reversed(boxes), min))[::-1]
+    # bit b of partners[a]: columns a and b hold an unstable pair between them
+    partners = [0] * top
+    if tables.pairs:
+        for a, b in itertools.combinations_with_replacement(range(top), 2):
+            if tables.pair(columns[a], columns[b]):
+                partners[a] |= 1 << b
+                partners[b] |= 1 << a
+
+    def extend(prefix, left, total, product, unstable, danger, count):
+        left -= 1
+        for c in range(prefix[-1] if prefix else 0, top):
+            with_c = count + boxes[c]
+            if limit is not None and with_c + left * least_boxes[c] > limit:
+                continue
+            t, p = total + slack[c], product * sizes[c]
+            u = unstable or alone[c] or danger >> c & 1
+            if tables.must_visit(t + left * least_slack[c], p * most_size[c] ** left, u):
+                if left:
+                    yield from extend(prefix + (c,), left, t, p, u, danger | partners[c], with_c)
+                else:
+                    yield prefix + (c,)
+
+    unstable = not tables.pairs
+    if not n:
+        return iter([()] if tables.must_visit(0, 1, unstable) else [])
+    return extend((), n, 0, 1, unstable, 0, 0)
+
+
+def _runs(family, tables=None):
     """The family's runs as picklable ``(first index, data)`` pairs, and ``instances(first, data)``.
 
     Runs start at ascending indices, and ``instances`` rebuilds a run's
@@ -682,15 +791,20 @@ def _runs(family):
     digits of a box mask, they are the multiset's first instance, the
     order with the smallest mask, and these first instances ascend.  The
     other orders follow by ascending mask; each diagram is built as it is
-    reached.
+    reached.  Given ``_ColumnTables``, only the runs they visit are
+    returned: a grid's are enumerated directly (``_open_multisets``), and
+    those of another family of diagrams are filtered.
     """
+    visits = tables.visits if tables else None
     if family.kind == "explicit":
         runs = {}
         for idx, (columns, _) in enumerate(family.members):
             runs.setdefault(tuple(sorted(columns)), []).append(idx)
-        return ((run[0], run) for run in runs.values()), lambda _, run: ((i, Diagram(*family.members[i])) for i in run)
+        kept = (run for key, run in runs.items() if not visits or visits(key))
+        return ((run[0], run) for run in kept), lambda _, run: ((i, Diagram(*family.members[i])) for i in run)
     if family.kind != "all_diagrams":
-        return family.instances(), lambda idx, payload: ((idx, payload),)
+        kept = (pair for pair in family.instances() if not visits or visits(tuple(sorted(pair[1].columns))))
+        return kept, lambda idx, payload: ((idx, payload),)
     n = family.n
     column = _grid_columns(n)
     shifts = [n * k for k in reversed(range(n))]
@@ -705,10 +819,13 @@ def _runs(family):
         for order in sorted(set(itertools.permutations(ids)))[1:]:
             yield at(order), Diagram(tuple(map(column.__getitem__, reversed(order))), n)
 
-    multisets = itertools.combinations_with_replacement(range(1 << n), n)
-    if family.max_boxes is not None:
-        sizes = [bits.bit_count() for bits in range(1 << n)]
-        multisets = (ids for ids in multisets if sum(map(sizes.__getitem__, ids)) <= family.max_boxes)
+    if tables:
+        multisets = _open_multisets(family, tables)
+    else:
+        multisets = itertools.combinations_with_replacement(range(1 << n), n)
+        if family.max_boxes is not None:
+            sizes = [bits.bit_count() for bits in range(1 << n)]
+            multisets = (ids for ids in multisets if sum(map(sizes.__getitem__, ids)) <= family.max_boxes)
     return ((at(ids), ids) for ids in multisets), instances
 
 
@@ -768,6 +885,8 @@ def run_check(
 ) -> VerificationReport:
     """Run one named check over a family's runs (``_runs``), in order, and assemble the report.
 
+    A rank + 1 check walks only the runs its column tables leave open
+    (``_column_tables``); the others have no finding and do not truncate.
     With ``workers`` above 1, that many processes, but no more than
     ``os.cpu_count()``, check batches of ``BATCH_RUNS`` consecutive runs,
     at most twice as many batches as processes in flight.
@@ -802,7 +921,7 @@ def run_check(
             _write_checkpoint(checkpoint_path, check_name, family, ctx, cursor, findings, elapsed_s)
             saved = time.perf_counter()
 
-    runs, instances = _runs(family)
+    runs, instances = _runs(family, _column_tables(check_name, ctx))
     runs = itertools.dropwhile(lambda run: run[0] < start, runs)
     pool = None
     # the pool starts all its processes at its first batch, however few batches there are
@@ -857,12 +976,13 @@ def verify_lower_bound(
 
     With ``support_only`` the check builds no character and verifies just
     the weight-count bound, which is what the chain argument needs.  It
-    decides by B(D) = 1 + sum_j (|I(c_j)| - 1), a lower bound on the count
-    that is at least rank + 1, and counts the weights only where the
-    diagrams below outnumber the cap, so a sweep truncates exactly where
-    the count does.  Without it, the character is built and both bounds
-    are read from it; it truncates where the diagrams below outnumber the
-    cap.  See ``_lower_bound_verdict``.
+    decides by B(D) = 1 + sum_j (|I(c_j)| - 1), a lower bound on the count,
+    from column tables (``_ColumnTables``), and counts the weights only
+    where B(D) falls below rank + 1 or the diagrams below outnumber the
+    cap, so a sweep truncates exactly where the count does.  Without it,
+    the character is built and both bounds are read from it; it truncates
+    where the diagrams below outnumber the cap.  See
+    ``_lower_bound_verdict``.
     """
     ctx = {"cap": cap, "support_only": support_only}
     return run_check("lower_bound", family, ctx, **run)

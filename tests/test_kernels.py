@@ -1,6 +1,7 @@
 """Kernels against independent oracles."""
 import gc
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -100,15 +101,18 @@ def test_weight_support_equals_enumerated_weights():
 def test_sumset_bound_lies_between_rank_and_the_weight_count(n, multisets, tight, support_tight):
     """On every column multiset of the n-grid: rank + 1 <= B(D) <= distinct weights = terms of χ <= diagrams below.
 
-    The rank + 1 sweeps decide most multisets by B(D) and call neither
-    the support count nor the character there, so both are checked here,
-    with how often B(D) and the count meet rank + 1.
+    B(D) = 1 + sum_j (|I(c_j)| - 1).  The rank + 1 sweeps skip the
+    multisets where their column tables show B(D) > rank + 1 (or >=, for
+    the support count), and call neither the support count nor the
+    character there, so both are checked here, with how often B(D) and
+    the count meet rank + 1.
     """
     table = [tuple(i for i in range(1, n + 1) if bits >> (i - 1) & 1) for bits in range(1 << n)]
     seen = []
     for columns in itertools.combinations_with_replacement(table, n):
         d = Diagram(columns, n)
-        certificate, below = _kernels.sumset_bound(columns)
+        sizes = [_kernels.count_column_ideal(col) for col in columns]
+        certificate, below = 1 + sum(sizes) - len(sizes), math.prod(sizes)
         support = len(_kernels.weight_support(columns, below))
         assert rank(d) + 1 <= certificate <= support == len(dual_character(d).terms) <= below == count_below(d), d
         seen.append((certificate == rank(d) + 1, support == rank(d) + 1))
@@ -224,9 +228,8 @@ def test_grouping_caps_the_diagrams_below_not_the_members_listed():
         lambda: _core_py.column_ideal.__wrapped__((2, 3, 4)),
         lambda: _core_py.column_weights.__wrapped__((2, 3, 4)),
         lambda: _core_py.weight_support(((1, 3), (2, 3), (2, 4)), 10**6),
-        lambda: _core_py.sumset_bound(((1, 3), (2, 3), (2, 4))),
     ],
-    ids=["group_by_weight", "column_det", "column_ideal", "column_weights", "weight_support", "sumset_bound"],
+    ids=["group_by_weight", "column_det", "column_ideal", "column_weights", "weight_support"],
 )
 def test_kernels_leave_no_reference_cycles(call):
     """A kernel's buffers are freed on return, not left for the cyclic collector."""

@@ -8,6 +8,7 @@ context passing, severity routing, batching) is what is under test.
 import dataclasses
 import itertools
 import json
+import math
 import os
 import pickle
 import random
@@ -22,6 +23,7 @@ from weylchar.diagrams import (
     DEFAULT_CAP,
     CapExceeded,
     Diagram,
+    _grid_columns,
     column_multiset,
     contains_pattern,
     count_below,
@@ -356,6 +358,12 @@ def test_support_count_raises_exactly_when_the_uncached_call_does(monkeypatch):
                     assert _raises(decide, e, dict(ctx, cap=cap)) == (below > cap), (decide, e, cap)
 
 
+def _sumset_bound(d):
+    """B(D) = 1 + sum_j (|I(c_j)| - 1), and the number of diagrams below D, prod_j |I(c_j)|."""
+    sizes = [verify._kernels.count_column_ideal(col) for col in d.columns]
+    return 1 + sum(sizes) - len(sizes), math.prod(sizes)
+
+
 def test_support_count_matches_enumeration_on_the_5_grid(monkeypatch):
     """Seeded 5 x 5 diagrams: the count is the number of distinct weights of the diagrams below, and B(D) bounds it."""
     _force_counting(monkeypatch)
@@ -369,42 +377,40 @@ def test_support_count_matches_enumeration_on_the_5_grid(monkeypatch):
             continue
         weights = {weight_monomial(e) for e in enumerate_below(d)}
         assert _support_count(d, DEFAULT_CAP) == len(weights), d
-        certificate, below = verify._kernels.sumset_bound(d.columns)
+        certificate, below = _sumset_bound(d)
         assert rank(d) + 1 <= certificate <= len(weights) <= below == count_below(d), d
         checked += 1
 
 
 def test_column_orders_share_one_support_computation(monkeypatch):
-    """Each multiset is decided once per walk: one B(D), and one count where B(D) does not decide."""
-    calls = {"sumset_bound": [], "weight_support": []}
-    for name, seen in calls.items():
-        kernel = getattr(verify._kernels, name)
+    """Each multiset is counted at most once per walk: not at all where the column tables decide it."""
+    counted = []
+    kernel = verify._kernels.weight_support
 
-        def counting(columns, *rest, kernel=kernel, seen=seen):
-            seen.append(columns)
-            return kernel(columns, *rest)
+    def counting(columns, cap):
+        counted.append(columns)
+        return kernel(columns, cap)
 
-        monkeypatch.setattr(verify._kernels, name, counting)
+    monkeypatch.setattr(verify._kernels, "weight_support", counting)
     d = diagram([(1, 3), (2, 3), (), (2,)])
     orders = _column_orders(d)
     report = verify_lower_bound(explicit_list(orders), support_only=True)
+    # every column has slack 0, so the tables decide the multiset, at any grid size
     assert report.checked == 24 and report.ok
-    assert len(calls["sumset_bound"]) == 1 and calls["weight_support"] == []
-    # the next walk decides the multiset again, and the grid size is part of the key
     report = verify_lower_bound(explicit_list([*orders, diagram(d.columns, n=5)]), support_only=True)
-    assert report.checked == 25
-    assert len(calls["sumset_bound"]) == 3 and calls["weight_support"] == []
-    # made to count, a walk still counts each multiset once
+    assert report.checked == 25 and report.ok
+    assert counted == []
+    # made to count, a walk visits the multiset and counts it once
     _force_counting(monkeypatch)
     report = verify_lower_bound(explicit_list(orders), support_only=True)
     assert len(report.violations) == 24
-    assert len(calls["sumset_bound"]) == 4 and len(calls["weight_support"]) == 1
+    assert len(counted) == 1
     # a verdict that raises is not held, so it is decided again
     verdict = verify._Verdict()
     for _ in range(2):
         with pytest.raises(CapExceeded):
             verdict.of(d, verify._lower_bound_verdict, {"cap": 1, "support_only": True})
-    assert len(calls["weight_support"]) == 3 and verdict.value is None
+    assert len(counted) == 3 and verdict.value is None
 
 
 def _orbit_sample_4grid():
@@ -629,7 +635,7 @@ def _show(d):
 
 # Each diagram check decided on one instance from the public math helpers,
 # with no memo: the fields (lhs, rhs, witness, severity) of its findings.
-# ``rank``, ``count_below`` and ``zero_one_witness`` are read from ``verify``,
+# ``rank``, ``count_below``, ``has_unstable_pair`` and ``zero_one_witness`` are read from ``verify``,
 # so that the values tests force there hold here too.
 
 def _lower_bound_reference(d, ctx):
@@ -648,7 +654,7 @@ def _lower_bound_reference(d, ctx):
 def _equality_reference(d, ctx):
     bound = verify.rank(d) + 1
     total = principal_specialization(dual_character(d, ctx["cap"]))
-    pair = has_unstable_pair(d)
+    pair = verify.has_unstable_pair(d)
     if total == bound and pair is not None:
         return [(str(total), str(bound), f"equality despite unstable pair {pair}", "violation")]
     if total != bound and pair is None:
@@ -1155,8 +1161,8 @@ def test_a_capped_run_with_workers_pulls_few_runs_past_its_stop(monkeypatch):
     pulled = []
     runs = verify._runs
 
-    def counted(family):
-        found, instances = runs(family)
+    def counted(family, tables=None):
+        found, instances = runs(family, tables)
         return (pulled.append(run[0]) or run for run in found), instances
 
     # batches small enough that the window holds fewer runs than lie past the stop
@@ -1423,8 +1429,12 @@ def test_checkpoint_that_is_not_an_object_is_refused(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _flag_some_multisets(monkeypatch):
-    """Raise the bound on every multiset of an odd number of boxes, so those instances are violations."""
-    monkeypatch.setattr(verify, "rank", lambda d: rank(d) + 10 ** 6 * (sum(map(len, d.columns)) % 2))
+    """Raise the bound by 10**6 per odd-sized column, so the instances with one are violations.
+
+    The raise is a sum over columns, as rank is, so the column tables
+    (``verify._ColumnTables``) see it too, and visit those multisets.
+    """
+    monkeypatch.setattr(verify, "rank", lambda d: rank(d) + 10 ** 6 * sum(len(col) % 2 for col in d.columns))
 
 
 def _as_explicit(fam):
@@ -1479,8 +1489,41 @@ DIAGRAM_CHECKS = {
 GRID_FAMILIES = [all_diagrams(n, max_boxes=m) for n in range(4) for m in [None, *range(n * n + 1)]]
 
 
-def _force_findings(monkeypatch):
+# The sweeps whose runs the column tables skip (``verify._ColumnTables``)
+TABLE_SWEEPS = ("support", "equality", "implication")
+
+
+def _forced_rank(d):
+    """rank, raised past every count by each column (1,) and lowered by one by each column (2, 3).
+
+    A sum over columns, as the tables need.  A multiset with a column (1,)
+    falls below rank + 1; one with a column (2, 3) and none (1,) passes it
+    by B(D).
+    """
+    return rank(d) + sum(10 ** 6 * (col == (1,)) - (col == (2, 3)) for col in d.columns)
+
+
+def _forced_unstable_pair(d):
+    """A column (1, 2) as a pair of its own, or else a real pair among the columns that do not hold two boxes.
+
+    An OR over single columns and pairs of them, as the tables need.  It
+    names a pair on some multisets where equality holds, through a column
+    (1, 2), and none on some that pass rank + 1 by B(D): those whose slack
+    comes from columns of two boxes, (2, 3) under ``_forced_rank`` or
+    (2, 4) and (3, 4) of the 4-grid.
+    """
+    for j, col in enumerate(d.columns, start=1):
+        if col == (1, 2):
+            return ((1, j), (2, j))
+    return has_unstable_pair(Diagram(tuple(() if len(col) == 2 else col for col in d.columns), d.n))
+
+
+def _force_findings(monkeypatch, sweep):
     _force_some_witnesses(monkeypatch)
+    if sweep in TABLE_SWEEPS:
+        monkeypatch.setattr(verify, "rank", _forced_rank)
+        monkeypatch.setattr(verify, "has_unstable_pair", _forced_unstable_pair)
+        return
 
     def total(d):
         return principal_specialization(dual_character(d))
@@ -1494,20 +1537,36 @@ def _force_findings(monkeypatch):
     )
 
 
+# What the witness of each kind of finding on a table sweep contains
+FORCED_KINDS = {
+    "support": ("distinct weights below the bound",),
+    "equality": ("equality despite unstable pair", "strict inequality without an unstable pair"),
+    "implication": ("despite equality",),
+}
+
+
+def _assert_every_kind(sweep, findings):
+    """Reference findings of a table sweep show each kind of witness its forced values give."""
+    witnesses = [f[4] for f in findings]
+    for kind in FORCED_KINDS.get(sweep, ()):
+        assert any(kind in w for w in witnesses), (sweep, kind)
+    assert witnesses
+
+
 @pytest.mark.parametrize("sweep", sorted(DIAGRAM_CHECKS))
 def test_grid_walk_matches_a_check_per_instance(monkeypatch, sweep):
     """Every grid report, truncated or not, is the report of the same diagrams checked one by one."""
-    _force_findings(monkeypatch)
+    _force_findings(monkeypatch, sweep)
     check, ctx = DIAGRAM_CHECKS[sweep]
-    found = 0
+    found = []
     for fam in GRID_FAMILIES:
         for cap in (DEFAULT_CAP, 0, 3, 6, 20, 100):
             expected = _reference(check, fam, dict(ctx, cap=cap))
-            found += len(expected[1])
+            found += expected[1]
             assert _as_reference(run_check(check, fam, dict(ctx, cap=cap))) == expected, (fam, cap)
             if fam.n == 3 and fam.max_boxes in (None, 4):
                 assert _as_reference(run_check(check, fam, dict(ctx, cap=cap), workers=2)) == expected, (fam, cap)
-    assert found
+    _assert_every_kind(sweep, found)
 
 
 @pytest.mark.parametrize("max_boxes", [None, 0, 4, 9])
@@ -1518,7 +1577,7 @@ def test_support_grid_findings_match_a_check_per_instance(monkeypatch, max_boxes
     grid = verify_lower_bound(fam, support_only=True, workers=workers)
     assert _as_reference(grid) == _reference("lower_bound", fam, DIAGRAM_CHECKS["support"][1])
     assert grid.checked == sum(1 for _ in fam.instances())
-    expected = [idx for idx, d in fam.instances() if sum(map(len, d.columns)) % 2]
+    expected = [idx for idx, d in fam.instances() if any(len(col) % 2 for col in d.columns)]
     assert [f.instance_index for f in grid.violations] == expected
     for f in grid.violations:
         assert f.instance == verify._show_instance(dict(fam.instances())[f.instance_index])
@@ -1549,6 +1608,78 @@ def test_grid_runs_walk_every_instance_once(fam):
         walked += run
     assert firsts == sorted(set(firsts))
     assert sorted(walked, key=lambda pair: pair[0]) == list(fam.instances())
+
+
+# ---------------------------------------------------------------------------
+# Column tables: the runs a rank + 1 sweep visits
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, zero", [(3, 8), (4, 14), (5, 22), (6, 32), (7, 44)])
+def test_no_column_has_negative_slack(n, zero):
+    """s(c) = |I(c)| - 1 - rank(c) >= 0 on every column, so only the all-zero-slack multisets reach B(D) = rank + 1."""
+    tables = verify._ColumnTables("zero_one_implication", {"cap": DEFAULT_CAP})
+    slack = [tables.column(col)[0] for col in _grid_columns(n)]
+    assert min(slack) == 0 and slack.count(0) == zero
+
+
+def _pair_free_multisets(n, tables):
+    """The column-id multisets of the n-grid with no unstable pair by the tables, from a search of its own."""
+    columns = _grid_columns(n)
+
+    def grow(prefix):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for c in range(prefix[-1] if prefix else 0, len(columns)):
+            col = columns[c]
+            if not tables.column(col)[2] and not any(tables.pair(columns[p], col) for p in prefix):
+                yield from grow(prefix + (c,))
+
+    return list(grow(()))
+
+
+@pytest.mark.parametrize("n, tight, stable", [(3, 120, 70), (4, 2380, 448), (5, 65780, 2604)])
+def test_zero_slack_and_pair_free_multisets(n, tight, stable):
+    """The multisets of zero-slack columns, and those with no unstable pair, which are all zero-slack.
+
+    ``zero_one_implication`` visits exactly the first, and the pair tables
+    agree with ``has_unstable_pair`` on every multiset of the 3- and 4-grid.
+    """
+    tables = verify._ColumnTables("equality_iff_unstable", {"cap": DEFAULT_CAP})
+    columns = _grid_columns(n)
+    zero = [tables.column(col)[0] == 0 for col in columns]
+    assert math.comb(sum(zero) + n - 1, n) == tight
+    implication = verify._ColumnTables("zero_one_implication", {"cap": DEFAULT_CAP})
+    assert sum(1 for _ in verify._open_multisets(all_diagrams(n), implication)) == tight
+    free = _pair_free_multisets(n, tables)
+    assert len(free) == stable
+    assert all(zero[c] for ids in free for c in ids)
+    if n <= 4:
+        unstable = {ids for ids in itertools.combinations_with_replacement(range(1 << n), n)
+                    if has_unstable_pair(Diagram(tuple(columns[c] for c in ids), n)) is not None}
+        assert len(unstable) == math.comb((1 << n) + n - 1, n) - stable
+        assert unstable.isdisjoint(free)
+
+
+# the caps at which the walk's reports were compared with a walk of every multiset
+TABLE_CAPS = (0, 1, 2, 3, 5, 7, 9, 10, 12, 30, 100, 10 ** 7)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["real", "forced"])
+@pytest.mark.parametrize("fam", [all_diagrams(3), all_diagrams(3, max_boxes=4), all_diagrams(4),
+                                 all_diagrams(4, max_boxes=7)], ids=["3", "3-max4", "4", "4-max7"])
+@pytest.mark.parametrize("sweep", TABLE_SWEEPS)
+def test_open_runs_are_every_run_the_tables_visit(monkeypatch, sweep, fam, forced):
+    """The direct enumeration of a grid's open multisets is every multiset filtered by the predicate, at each cap."""
+    if forced:
+        _force_findings(monkeypatch, sweep)
+    check, ctx = DIAGRAM_CHECKS[sweep]
+    columns = _grid_columns(fam.n)
+    every = list(verify._runs(fam)[0])
+    for cap in TABLE_CAPS:
+        tables = verify._ColumnTables(check, dict(ctx, cap=cap))
+        expected = [(first, ids) for first, ids in every if tables.visits(tuple(sorted(columns[c] for c in ids)))]
+        assert list(verify._runs(fam, tables)[0]) == expected, cap
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1584,21 +1715,22 @@ def test_caps_between_the_certificate_and_the_count_truncate_where_a_check_per_i
     Reports equal the per-instance reference serially, with 2 workers, and
     resumed from a checkpoint written before that multiset.
     """
-    _force_findings(monkeypatch)
+    _force_findings(monkeypatch, sweep)
     check, ctx = DIAGRAM_CHECKS[sweep]
     fam = all_diagrams(3)
     expected = _reference(check, fam, dict(ctx, cap=cap))
     checked, _, truncated = expected
-    assert truncated and expected[1]
+    assert truncated
+    _assert_every_kind(sweep, expected[1])
     diagrams = dict(fam.instances())
     if ctx.get("support_only"):
-        # rank is left alone where the number of boxes is a multiple of 3
-        straddles = [idx for idx, d in diagrams.items() if idx < checked and sum(map(len, d.columns)) % 3 == 0
+        # B(D) decides where rank is not raised
+        straddles = [idx for idx, d in diagrams.items() if idx < checked and verify.rank(d) <= rank(d)
                      and count_below(d) > cap >= len(character_support(d))]
         assert straddles
     else:
         stop = diagrams[checked]
-        certificate, below = verify._kernels.sumset_bound(stop.columns)
+        certificate, below = _sumset_bound(stop)
         assert below > cap > certificate and len(character_support(stop)) <= cap
         straddles = [checked]
     for workers in (1, 2):
@@ -1630,6 +1762,10 @@ def test_support_grid_resumes_from_every_checkpoint(tmp_path, monkeypatch):
     fam = all_diagrams(3)
     first = _first_instances(fam)
     full = verify_lower_bound(fam, support_only=True)
+    # the walk visits the multisets where the per-instance reference has a finding
+    _, expected, _ = _reference("lower_bound", fam, DIAGRAM_CHECKS["support"][1])
+    visited = sorted({first[f[0]] for f in expected})
+    assert 0 < len(visited) < len(set(first.values()))
     snapshots = []
     write = verify._write_checkpoint
 
@@ -1647,8 +1783,9 @@ def test_support_grid_resumes_from_every_checkpoint(tmp_path, monkeypatch):
         path = tmp_path / "every.json"
         assert stable_json(verify_lower_bound(fam, support_only=True, checkpoint_path=str(path))) == stable_json(full)
     cursors = [json.loads(s)["cursor"] for s in snapshots]
-    # one write before each multiset but the first, at its first instance
-    assert cursors == sorted(set(first.values()))[1:]
+    # one write before each visited multiset, at its first instance; the
+    # walk starts at the empty diagram's multiset, which is not visited
+    assert visited[0] > 0 and cursors == visited
     for snapshot in snapshots:
         saved = json.loads(snapshot)
         # every multiset below the cursor is saved whole, orders past it included
@@ -1690,15 +1827,16 @@ def _spy_on_decisions(monkeypatch):
 @pytest.mark.parametrize("sweep", sorted(DIAGRAM_CHECKS))
 def test_diagram_checks_match_their_per_instance_reference(monkeypatch, sweep, fam, workers):
     """Reports, truncated ones included, equal the check decided per instance with no memo."""
-    _force_findings(monkeypatch)
+    _force_findings(monkeypatch, sweep)
     check, ctx = DIAGRAM_CHECKS[sweep]
-    found = truncated = 0
+    found, truncated = [], 0
     for cap in (DEFAULT_CAP, 6, 20):
         expected = _reference(check, fam, dict(ctx, cap=cap))
-        found += len(expected[1])
+        found += expected[1]
         truncated += expected[2]
         assert _as_reference(run_check(check, fam, dict(ctx, cap=cap), workers=workers)) == expected, cap
-    assert found and truncated
+    assert truncated
+    _assert_every_kind(sweep, found)
 
 
 @pytest.mark.parametrize("fam", [REPEATS, all_diagrams(3)], ids=["repeats-mixed-n", "3-grid"])
@@ -1708,18 +1846,40 @@ def test_a_verdict_does_not_outlive_its_walk(monkeypatch, sweep, fam):
     check, ctx = DIAGRAM_CHECKS[sweep]
     before = _as_reference(run_check(check, fam, ctx))
     assert before == _reference(check, fam, ctx)
-    _force_findings(monkeypatch)
-    assert _as_reference(run_check(check, fam, ctx)) == _reference(check, fam, ctx) != before
+    _force_findings(monkeypatch, sweep)
+    forced = _reference(check, fam, ctx)
+    assert _as_reference(run_check(check, fam, ctx)) == forced != before
+    _assert_every_kind(sweep, forced[1])
+
+
+def _visited(sweep, d, cap):
+    """Whether a walk decides the multiset of ``d``, from values of ``d`` alone.
+
+    The table sweeps decide it where the slack B(D) - rank(D) - 1 is below
+    0 (support-only) or at most 0, where the diagrams below outnumber the
+    cap, and for ``equality`` where there is no unstable pair; the other
+    sweeps decide every multiset.
+    """
+    if sweep not in TABLE_SWEEPS:
+        return True
+    certificate, below = _sumset_bound(d)
+    slack = certificate - verify.rank(d) - 1
+    return slack < (sweep != "support") or below > cap or (sweep == "equality" and verify.has_unstable_pair(d) is None)
 
 
 @pytest.mark.parametrize("sweep", sorted(DIAGRAM_CHECKS))
 def test_each_multiset_is_decided_once_per_walk(monkeypatch, sweep):
-    _force_findings(monkeypatch)
+    _force_findings(monkeypatch, sweep)
     decided = _spy_on_decisions(monkeypatch)
     check, ctx = DIAGRAM_CHECKS[sweep]
     for fam in (all_diagrams(3), _as_explicit(all_diagrams(3)), REPEATS):
-        keys = {tuple(sorted(d.columns)) for _, d in fam.instances()}
-        assert len(keys) < fam.size()
+        keys = {tuple(sorted(d.columns)) for _, d in fam.instances() if _visited(sweep, d, ctx["cap"])}
+        assert 0 < len(keys) < fam.size()
+        if sweep == "support":
+            # support-only decides the multisets where the per-instance reference has a finding
+            diagrams = dict(fam.instances())
+            _, expected, _ = _reference(check, fam, ctx)
+            assert keys == {tuple(sorted(diagrams[f[0]].columns)) for f in expected}
         for _ in range(2):  # the next walk decides them all again
             decided.clear()
             assert run_check(check, fam, ctx).checked == fam.size()
@@ -1729,7 +1889,7 @@ def test_each_multiset_is_decided_once_per_walk(monkeypatch, sweep):
 @pytest.mark.parametrize("sweep", sorted(DIAGRAM_CHECKS))
 def test_shards_of_an_explicit_list_decide_each_multiset_once(monkeypatch, sweep):
     """A list that repeats multisets is handed to workers in runs that hold each multiset whole, once."""
-    _force_findings(monkeypatch)
+    _force_findings(monkeypatch, sweep)
     check, ctx = DIAGRAM_CHECKS[sweep]
     fam = explicit_list(_orbit_sample_4grid())
     keys = {tuple(sorted(d.columns)) for _, d in fam.instances()}
@@ -1743,7 +1903,7 @@ def test_shards_of_an_explicit_list_decide_each_multiset_once(monkeypatch, sweep
     multisets = [{tuple(sorted(d.columns)) for _, d in run} for run in members]
     assert all(len(m) == 1 for m in multisets) and set().union(*multisets) == keys
     expected = _reference(check, fam, ctx)
-    assert expected[1]
+    _assert_every_kind(sweep, expected[1])
     assert _as_reference(run_check(check, fam, ctx, workers=2)) == _as_reference(run_check(check, fam, ctx)) == expected
 
 
@@ -1813,7 +1973,23 @@ def _digest_serial_sharded_and_resumed(tmp_path, monkeypatch, name):
 
 
 def test_full_4_grid_support_digest_serial_sharded_and_resumed(tmp_path, monkeypatch):
-    _digest_serial_sharded_and_resumed(tmp_path, monkeypatch, "support_only")
+    """The column tables leave no 4-grid run to visit, so the walk writes no checkpoint and cannot be interrupted.
+
+    A checkpoint at 0x8888, as an interrupted walk of every multiset wrote
+    it, resumes to the same report.
+    """
+    digest, sweep = FULL_4_GRID["support_only"]
+    fam = all_diagrams(4)
+    assert _digest(sweep(fam)) == digest
+    assert _digest(sweep(fam, workers=2)) == digest
+    monkeypatch.setattr(verify, "CHECKPOINT_INTERVAL_S", 0)
+    cursors = spy_on_checkpoint_writes(monkeypatch)
+    path = tmp_path / "half.json"
+    assert _digest(sweep(fam, checkpoint_path=str(path))) == digest
+    assert cursors == [] and not path.exists()
+    verify._write_checkpoint(str(path), "lower_bound", fam, {"cap": DEFAULT_CAP, "support_only": True}, 0x8888, [])
+    assert _digest(sweep(fam, checkpoint_path=str(path))) == digest
+    assert not path.exists()
 
 
 def test_full_4_grid_zero_one_patterns_digest_serial_sharded_and_resumed(tmp_path, monkeypatch):
@@ -1823,3 +1999,18 @@ def test_full_4_grid_zero_one_patterns_digest_serial_sharded_and_resumed(tmp_pat
 @pytest.mark.parametrize("name", ["lower_bound", "equality_iff_unstable", "zero_one_implication", "upper_bound"])
 def test_full_4_grid_digest_serial_sharded_and_resumed(tmp_path, monkeypatch, name):
     _digest_serial_sharded_and_resumed(tmp_path, monkeypatch, name)
+
+
+# The report digests of the full 5-grid's rank + 1 sweeps.  The column
+# tables visit 0, 65,780 and 65,780 of its 376,992 multisets.
+FULL_5_GRID = {
+    "support_only": "4647d027f4fcf6e42d192a816be127df2370936790c0a0ddc47df570b657b1d9",
+    "equality_iff_unstable": "8d12509eb3b38b42150bdf701aea661fbff269ad6f7296bf545121763679b2b1",
+    "zero_one_implication": "93f50062cf853ad6926bf2e690572750fc3ff8da41a6fbc774a96edec0bcc4ae",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_5_GRID))
+def test_full_5_grid_digest(name):
+    _, sweep = FULL_4_GRID[name]
+    assert _digest(sweep(all_diagrams(5))) == FULL_5_GRID[name]
