@@ -124,25 +124,31 @@ def group_by_weight(columns, cap):
     if total > cap:
         raise CapExceeded(f"enumeration below the diagram exceeds cap {cap}", cap)
     last = {}
-    # a level per column: (weight, member so far), first column slowest
+    # a level per column but the last: (weight, member so far), first column slowest
     level = [(0, ())]
     for j, (col, ideal) in enumerate(zip(columns, ideals)):
         options = [((ch,), s) for ch, s in zip(ideal, column_weights(col))]
         b = last.get(col)  # the previous equal column: choose no earlier than it did
         last[col] = j
-        if b is None:
-            level = [(w + s, m + c) for w, m in level for c, s in options]
-        else:
+        if b is not None:
             index = {ch: t for t, ch in enumerate(ideal)}
-            level = [(w + s, m + c) for w, m in level for c, s in options[index[m[b]]:]]
-    out = {}
-    for key, member in level:
-        members = out.get(key)
-        if members is None:
-            out[key] = [member]
-        else:
-            members.append(member)
-    return out
+        if j + 1 < len(columns):
+            if b is None:
+                level = [(w + s, m + c) for w, m in level for c, s in options]
+            else:
+                level = [(w + s, m + c) for w, m in level for c, s in options[index[m[b]]:]]
+            continue
+        # the last column's members go straight into their classes, in the same order
+        out = {}
+        for w, m in level:
+            for c, s in options if b is None else options[index[m[b]]:]:
+                members = out.get(w + s)
+                if members is None:
+                    out[w + s] = [m + c]
+                else:
+                    members.append(m + c)
+        return out
+    return {0: [()]}  # no columns: one empty member
 
 
 def field(i, j):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 when an assertion-grade sweep found violations,
 2 on usage or input errors, 3 when an enumeration cap was exceeded
-(violations found before truncation take precedence).
+(violations found before truncation take precedence), 130 when Ctrl-C
+(SIGINT) interrupted the command.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import argparse
 import contextlib
 import json
 import os
+import signal
 import sys
 
 from weylchar.diagrams import (
@@ -227,6 +229,16 @@ def _print_polynomial(f, as_json: bool):
         print(render(f))
 
 
+def _interrupt(signum, frame):
+    """SIGINT's handler while a command runs: raise KeyboardInterrupt once, then ignore SIGINT.
+
+    A second KeyboardInterrupt could cut short the shutdown of a sweep's
+    worker pool, and leave the process waiting for its workers forever.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    raise KeyboardInterrupt
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -234,6 +246,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
+    try:
+        previous = signal.signal(signal.SIGINT, _interrupt)
+    except ValueError:  # not the main thread, which alone runs signal handlers
+        previous = None
     try:
         if args.command == "chi":
             chi = dual_character(_read_diagram(args.diagram), cap=args.cap)
@@ -265,6 +281,17 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # one line, no traceback, and the exit code a shell gives a command that SIGINT ended
+        checkpoint = getattr(args, "checkpoint", None)
+        if checkpoint and os.path.exists(checkpoint):
+            print(f"interrupted: resume with --checkpoint {checkpoint}", file=sys.stderr)
+        else:
+            print("interrupted", file=sys.stderr)
+        return 130
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGINT, previous)
     return 0
 
 

@@ -354,7 +354,7 @@ def rothe(w) -> Diagram:
     n = len(w)
     winv = inverse_permutation(w)
     cols = tuple(
-        intern(tuple(i for i in range(1, n + 1) if i < winv[j - 1] and j < w[i - 1]))
+        intern(tuple(i for i in range(1, winv[j - 1]) if j < w[i - 1]))
         for j in range(1, n + 1)
     )
     return Diagram(cols, n)

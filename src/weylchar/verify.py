@@ -854,24 +854,66 @@ def _check_run(check, ctx, every_order, instances):
     return found
 
 
+_worker_stopped = False
+
+
+def _stop_worker(signum, frame):
+    """A worker's SIGINT handler: stop the batch in hand before its next run."""
+    global _worker_stopped
+    _worker_stopped = True
+
+
 def _join_walk(check_name, family, ctx):
-    """The pool's initializer: set ``_worker_walk``, sent to each worker process once, not with every batch."""
+    """The pool's initializer: set ``_worker_walk``, sent to each worker process once, not with every batch.
+
+    Ctrl-C signals the whole process group.  A worker then only marks
+    itself stopped, so that it prints no traceback; the parent ends the
+    sweep.  The worker starts with SIGINT blocked (``_submit``), and takes
+    one that came meanwhile once this handler is in place.
+    """
     global _worker_walk
+    import signal  # here, not at the top: only sweeps with workers need it, and it slows start-up
+
+    signal.signal(signal.SIGINT, _stop_worker)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     _worker_walk = _CHECKS[check_name], ctx, _reads_column_order(check_name, ctx), _runs(family)[1]
 
 
 def _check_batch(batch):
     check, ctx, every_order, instances = _worker_walk
-    return [(first, _check_run(check, ctx, every_order, instances(first, data))) for first, data in batch]
+    found = []
+    for first, data in batch:
+        if _worker_stopped:
+            raise KeyboardInterrupt  # the pool hands it to the parent as the batch's result
+        found.append((first, _check_run(check, ctx, every_order, instances(first, data))))
+    return found
+
+
+def _submit(pool, batch):
+    """Hand ``batch`` to the pool with SIGINT blocked.
+
+    The pool starts its worker processes inside ``submit``, and each
+    inherits the signal mask.  Blocked, a SIGINT waits in a new worker
+    until ``_join_walk`` has installed its handler.  Raised while the
+    worker starts, a KeyboardInterrupt would print a traceback, and could
+    leave the pool waiting for that worker forever.
+    """
+    import signal  # as in _join_walk
+
+    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        return pool.submit(_check_batch, batch)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
 
 
 def _checked_in_order(pool, window, runs):
     """Each run's ``(first, findings or None)`` in order, from batches of consecutive runs, ``window`` in flight."""
     batches = iter(lambda: list(itertools.islice(runs, BATCH_RUNS)), [])
-    pending = deque(pool.submit(_check_batch, batch) for batch in itertools.islice(batches, window))
+    pending = deque(_submit(pool, batch) for batch in itertools.islice(batches, window))
     while pending:
         results = pending.popleft().result()
-        pending.extend(pool.submit(_check_batch, batch) for batch in itertools.islice(batches, 1))
+        pending.extend(_submit(pool, batch) for batch in itertools.islice(batches, 1))
         yield from results
 
 

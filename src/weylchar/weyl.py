@@ -13,7 +13,7 @@ from math import gcd
 
 from weylchar import _kernels
 from weylchar.diagrams import DEFAULT_CAP, Diagram, check_cap, column_multiset
-from weylchar.polynomials import Polynomial, _trim, monomial
+from weylchar.polynomials import Polynomial, intern, monomial
 
 __all__ = [
     "coefficient_rank",
@@ -182,6 +182,24 @@ def _dimensions(columns, wanted) -> dict:
     return {w: len(_basis(keys, memo)) for w, keys in _grow(spaces, columns[-1], wanted).items()}
 
 
+class _Bounded(OrderedDict):
+    """A process memo evicted oldest first once its entries' sizes, by ``weigh``, sum past ``bound()``."""
+
+    def __init__(self, weigh, bound):
+        super().__init__()
+        self.weigh, self.bound, self.size = weigh, bound, 0
+
+    def keep(self, key, value):
+        self[key] = value
+        self.size += self.weigh(value)
+        while self.size > self.bound():
+            self.size -= self.weigh(self.popitem(last=False)[1])
+
+    def clear(self):
+        super().clear()
+        self.size = 0
+
+
 # Ranked shapes, one memo for the whole process.  Let a class's keys be
 # sorted and m0 be the first one's monomial.  Take two classes whose
 # keys agree in their blocks and whose monomials differ from m0 alike,
@@ -192,31 +210,13 @@ def _dimensions(columns, wanted) -> dict:
 # one and keeps their order, and the echelon only orders and compares
 # monomials, so it keeps the same positions in both; c need not be a
 # monomial.  Entries are keyed by the shape's hash, so that a miss
-# hashes it once, and hold the shape to compare.  They are evicted
-# oldest first once they hold more than ``_SHAPE_PRODUCTS`` products: a
-# class holds from 2 to about 90 of them, so a count of entries would
-# not bound the memory.  Every shape of the Rothe diagrams of S_7 fits,
-# in 7,092 products.
+# hashes it once, and hold the shape to compare and the positions a
+# basis keeps among its sorted keys.  They are evicted oldest first once
+# they hold more than ``_SHAPE_PRODUCTS`` products: a class holds from 2
+# to about 90 of them, so a count of entries would not bound the memory.
+# Every shape of the Rothe diagrams of S_7 fits, in 7,092 products.
 _SHAPE_PRODUCTS = 1 << 13
-
-
-class _Shapes(OrderedDict):
-    """By the hash of a class's shape: the shape, and the positions a basis keeps among its sorted keys."""
-
-    products = 0
-
-    def keep(self, h, shape, kept):
-        self[h] = shape, kept
-        self.products += len(shape[0])
-        while self.products > _SHAPE_PRODUCTS:
-            self.products -= len(self.popitem(last=False)[1][0][0])
-
-    def clear(self):
-        super().clear()
-        self.products = 0
-
-
-_SHAPES = _Shapes()
+_SHAPES = _Bounded(lambda entry: len(entry[0][0]), lambda: _SHAPE_PRODUCTS)
 
 
 def _shape(keys) -> tuple:
@@ -236,7 +236,7 @@ def _kept(keys, memo) -> tuple:
     coefficient_rank([_expand(k, memo) for k in keys], positions)
     kept = tuple(positions)
     if entry is None:  # on a clash of hashes the older shape keeps its entry
-        _SHAPES.keep(h, shape, kept)
+        _SHAPES.keep(h, (shape, kept))
     return kept
 
 
@@ -255,20 +255,69 @@ def character_support(d: Diagram, cap: int = DEFAULT_CAP) -> frozenset:
     return frozenset(monomial(w.to_bytes(d.n, "little")) for w in weights)
 
 
-@lru_cache(maxsize=4096)
+# Cores, one memo for the whole process.  A column (1, ..., k) is the
+# only column below itself, and its minor is the monomial y_11...y_kk, so
+# every member of D makes that one choice there.  The members of D are
+# then the members of its core D', D without its initial columns, each
+# with those choices added: every class of D is the class of D' at the
+# weight less ``shift``, the initial columns' weights summed, of the same
+# size, and its products are those of D' times one monomial, of the same
+# dimension.  So the multi-member weights of D' and their dimensions
+# follow from the core alone, not from n or the cap, and one entry serves
+# every multiset with that core.  An entry holds only the dimensions of 2
+# or more, since a weight it lacks has coefficient 1.  Entries are evicted
+# oldest first once they hold more than ``_CORE_CLASSES`` classes, each
+# counting one more than it holds, so that an entry holding none counts
+# too.  Every core of the Rothe diagrams of S_7 fits: 1,521 entries
+# holding 14,052 classes count 15,573.
+_CORE_CLASSES = 1 << 14
+_CORES = _Bounded(lambda dims: 1 + len(dims), lambda: _CORE_CLASSES)
+
+# Packed weight -> monomial, one table for the whole process, never
+# evicted.  A packed weight's bytes are its exponents, row 1 first, and
+# its shortest byte string ends in a nonzero one, so it unpacks to the
+# same trimmed monomial at every n.  The table holds one interned tuple
+# per distinct weight, so no more entries than ``_CANONICAL`` holds.
+_MONOMIALS: dict = {}
+
+
+def _core_dimensions(classes, core, shift, n) -> dict:
+    """The core's dimensions of 2 or more, by weight less ``shift``, from ``_CORES`` or ranked now."""
+    dims = _CORES.get(core)
+    if dims is None:
+        multi = [weight for weight, members in classes.items() if len(members) > 1]
+        dims = _dimensions(core, {weight - shift for weight in multi}) if multi else {}
+        for weight in multi:
+            coeff = dims.get(weight - shift, 0)
+            if coeff < 1:
+                raise AssertionError(f"weight {tuple(weight.to_bytes(n, 'little'))} produced rank {coeff}")
+        dims = {weight: coeff for weight, coeff in dims.items() if coeff > 1}
+        _CORES.keep(core, dims)
+    return dims
+
+
+# A sweep calls again only for the other column orders of one run, which come in a row.
+@lru_cache(maxsize=256)
 def _character(columns, n: int, cap: int) -> Polynomial:
     # one member per multiset of choices; a class of one has coefficient 1
     classes = _kernels.group_by_weight(columns, cap)
-    multi = {weight for weight, members in classes.items() if len(members) > 1}
-    dims = _dimensions(columns, multi) if multi else {}
+    core = []
+    shift = 0
+    for col in columns:
+        if not col:
+            continue
+        if col[-1] == len(col):
+            shift += _kernels.column_weights(col)[0]
+        else:
+            core.append(col)
+    coefficient = _core_dimensions(classes, tuple(core), shift, n).get
+    table = _MONOMIALS
     terms = {}
-    for weight, members in classes.items():
-        exponents = tuple(weight.to_bytes(n, "little"))
-        coeff = 1 if len(members) == 1 else dims.get(weight, 0)
-        if coeff < 1:
-            raise AssertionError(f"weight {exponents} produced rank {coeff}")
-        # distinct weights unpack to distinct length-n tuples, so their trims are distinct too
-        terms[_trim(exponents)] = coeff
+    for weight in classes:
+        mono = table.get(weight)
+        if mono is None:
+            mono = table[weight] = intern(tuple(weight.to_bytes((weight.bit_length() + 7) // 8, "little")))
+        terms[mono] = coefficient(weight - shift, 1)
     return Polynomial(terms)
 
 

@@ -3,9 +3,11 @@ import importlib.util
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import sysconfig
+import time
 import venv
 from pathlib import Path
 
@@ -586,3 +588,110 @@ def test_checkpoint_of_an_older_walk_exits_2(capsys, tmp_path):
         assert (code, out) == (2, ""), err
         assert "older walk" in err and "cannot be resumed" in err
         assert json.loads(path.read_text()) == payload
+
+
+WITNESS = str(Path(__file__).resolve().parent.parent / "patterns" / "multiplicity-witness.txt")
+
+
+def test_an_interrupted_sweep_exits_130_with_one_line(capsys, monkeypatch):
+    """Ctrl-C in a sweep: exit code 130, one line on stderr, and SIGINT's handler as it was."""
+    from weylchar import verify
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "dual_character", interrupt)
+    before = signal.getsignal(signal.SIGINT)
+    code, out, err = run_cli(capsys, "sweep", "upper-bound", "--family", "all-diagrams", "--n", "2")
+    assert (code, out, err) == (130, "", "interrupted\n")
+    assert signal.getsignal(signal.SIGINT) is before
+
+
+def test_an_interrupted_sweep_names_its_checkpoint_which_resumes(capsys, monkeypatch, tmp_path):
+    """Interrupted after a checkpoint write, the sweep names the file, and resuming from it gives the full report."""
+    from weylchar import verify
+
+    argv = ["sweep", "upper-bound", "--family", "all-diagrams", "--n", "3", "--json", "--patterns", WITNESS, WITNESS]
+    code, full, _ = run_cli(capsys, *argv)
+    assert code == 1
+    path = tmp_path / "ck.json"
+    write = verify._write_checkpoint
+
+    def interrupt_at_half(path, check_name, family, ctx, cursor, *rest):
+        if cursor >= 256:
+            write(path, check_name, family, ctx, cursor, *rest)
+            raise KeyboardInterrupt
+
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "CHECKPOINT_INTERVAL_S", 0)
+        patched.setattr(verify, "_write_checkpoint", interrupt_at_half)
+        code, out, err = run_cli(capsys, *argv, "--checkpoint", str(path))
+    assert (code, out, err) == (130, "", f"interrupted: resume with --checkpoint {path}\n")
+    assert 256 <= json.loads(path.read_text())["cursor"] < 512
+    code, resumed, _ = run_cli(capsys, *argv, "--checkpoint", str(path))
+    assert code == 1 and not path.exists()
+    full, resumed = json.loads(full), json.loads(resumed)
+    full.pop("elapsed_s")
+    resumed.pop("elapsed_s")
+    assert resumed == full
+
+
+SWEEP_5 = ["sweep", "upper-bound", "--family", "all-diagrams", "--n", "5"]
+
+
+def interrupt_sweep(argv, ready):
+    """Run the CLI with ``argv`` as a process group, SIGINT the group once ``ready(pid)``: (code, stderr).
+
+    It checkpoints before every run.  Afterwards no process of the group
+    is left.
+    """
+    script = "import sys; from weylchar import cli, verify; verify.CHECKPOINT_INTERVAL_S = 0; sys.exit(cli.main())"
+    with subprocess.Popen(
+        [sys.executable, "-c", script, *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    ) as proc:
+        try:
+            deadline = time.monotonic() + 60
+            while not ready(proc.pid):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.001)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sigint_to_a_sweep_exits_130_and_leaves_no_process(tmp_path, workers):
+    """SIGINT to the process group of a 5-grid sweep, as Ctrl-C sends it, once the sweep is under way.
+
+    The first checkpoint to appear shows that the command's handler is in
+    place and, with workers, that the pool has checked a batch.  Every
+    process of the group ends: the workers stop at their next run, and
+    the parent shuts the pool down, ignoring any later SIGINT, and prints
+    one line, with no traceback.
+    """
+    path = tmp_path / "sweep.json"
+    argv = [*SWEEP_5, "--workers", str(workers), "--checkpoint", str(path)]
+    code, err = interrupt_sweep(argv, lambda pid: path.exists())
+    assert (code, err) == (130, f"interrupted: resume with --checkpoint {path}\n")
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"), reason="needs /proc children")
+def test_sigint_as_the_first_worker_starts_exits_130():
+    """SIGINT the moment the pool has started its first worker, before the worker can have set its handler.
+
+    The worker starts with SIGINT blocked and takes it once its handler
+    is in place.  Were it to raise KeyboardInterrupt while starting, the
+    pool would wait for it forever.
+    """
+
+    def has_worker(pid):
+        with open(f"/proc/{pid}/task/{pid}/children") as children:
+            return bool(children.read().split())
+
+    assert interrupt_sweep([*SWEEP_5, "--workers", "2"], has_worker) == (130, "interrupted\n")

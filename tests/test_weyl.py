@@ -114,6 +114,7 @@ def test_character_support_matches_character():
 
 def test_a_missing_rank_names_its_weight_unpacked(monkeypatch):
     monkeypatch.setattr(weyl, "_dimensions", lambda columns, wanted: {})
+    weyl._CORES.clear()
     with pytest.raises(AssertionError, match=r"^weight \(2, 1, 1, 0, 0\) produced rank 0$"):
         weyl._character.__wrapped__(column_multiset(WORKED), 5, DEFAULT_CAP)
 
@@ -148,10 +149,11 @@ def test_character_coefficients_count_weight_classes(cols):
 
 
 def test_character_is_invariant_under_column_permutations():
-    """Computed afresh in every column order, each 3-grid character agrees."""
+    """Computed afresh in every column order, empty columns kept, each 3-grid character agrees."""
     for _, d in all_diagrams(3).instances():
         chi = dual_character(d)
         for columns in set(itertools.permutations(d.columns)):
+            weyl._CORES.clear()
             assert weyl._character.__wrapped__(columns, d.n, DEFAULT_CAP) == chi, columns
 
 
@@ -187,6 +189,7 @@ def test_characters_share_minors(monkeypatch):
 
     def cold():
         weyl._character.cache_clear()
+        weyl._CORES.clear()
         weyl._minor.cache_clear()
         weyl._factors.cache_clear()
         calls.clear()
@@ -540,6 +543,7 @@ def cold_engine():
     for memo in (weyl._character, weyl._minor, weyl._factors, _kernels.column_ideal, _kernels.column_weights):
         memo.cache_clear()
     weyl._SHAPES.clear()
+    weyl._CORES.clear()
 
 
 def rothe_characters(perms):
@@ -571,14 +575,89 @@ def test_s7_rothe_characters_keep_their_digest(monkeypatch):
     assert digest(rothe_characters(reversed(perms))[::-1]) == S7_ROTHE_DIGEST
     ranked.clear()
     weyl._character.cache_clear()
+    weyl._CORES.clear()
     assert digest(rothe_characters(perms)) == S7_ROTHE_DIGEST
     assert ranked == []
-    # a bound so small that every insert evicts: every class is ranked afresh
+    # bounds so small that every insert evicts: every class is ranked afresh
     monkeypatch.setattr(weyl, "_SHAPE_PRODUCTS", 1)
+    monkeypatch.setattr(weyl, "_CORE_CLASSES", 0)
     cold_engine()
     assert digest(rothe_characters(perms)) == S7_ROTHE_DIGEST
-    assert len(weyl._SHAPES) == weyl._SHAPES.products == 0
+    assert len(weyl._SHAPES) == weyl._SHAPES.size == len(weyl._CORES) == weyl._CORES.size == 0
     assert len(ranked) > 10 * shapes
+    cold_engine()
+
+
+def initial_column_cases():
+    """Every 3- and 4-grid multiset with an initial column, and the Rothe diagrams of S_6: (columns, n)."""
+    cases = []
+    for n in (3, 4):
+        initial = {tuple(range(1, k + 1)) for k in range(1, n + 1)}
+        cases += [(columns, n) for columns in grid_multisets(n) if not initial.isdisjoint(columns)]
+    cases += [(column_multiset(rothe(w)), 6) for w in itertools.permutations(range(1, 7))]
+    return cases
+
+
+def core(columns):
+    return tuple(col for col in columns if col[-1] != len(col))
+
+
+def test_characters_from_a_cold_core_memo_are_the_memoized_ones():
+    """Each character, term order included, whether its core's entry was there or is made for it."""
+    cases = initial_column_cases()
+    assert len(cases) == 85 + 2511 + 720
+    cold_engine()
+    warm = [list(weyl._character.__wrapped__(columns, n, DEFAULT_CAP).terms.items()) for columns, n in cases]
+    # most cases find their core's entry made by an earlier one
+    assert len(weyl._CORES) < len(cases) // 2
+    for (columns, n), terms in zip(cases, warm):
+        weyl._CORES.clear()
+        assert list(weyl._character.__wrapped__(columns, n, DEFAULT_CAP).terms.items()) == terms, columns
+    cold_engine()
+
+
+def test_each_multiset_is_grouped_once_and_each_core_ranked_once(monkeypatch):
+    """Over S_6, the grouping kernel runs once per distinct multiset, and ``_dimensions`` at most once per core."""
+    grouped, ranked = [], []
+    group, dimensions = _kernels.group_by_weight, weyl._dimensions
+
+    def counting_group(columns, cap):
+        grouped.append(columns)
+        return group(columns, cap)
+
+    def counting_dimensions(columns, wanted):
+        ranked.append(columns)
+        return dimensions(columns, wanted)
+
+    monkeypatch.setattr(weyl._kernels, "group_by_weight", counting_group)
+    monkeypatch.setattr(weyl, "_dimensions", counting_dimensions)
+    cold_engine()
+    perms = list(itertools.permutations(range(1, 7)))
+    for w in perms:
+        dual_character(rothe(w))
+    multisets = {column_multiset(rothe(w)) for w in perms}
+    assert len(grouped) == len(set(grouped)) == len(multisets) == 720
+    cores = {core(columns) for columns in multisets}
+    assert len(ranked) == len(set(ranked)) and set(ranked) <= cores
+    assert 0 < len(ranked) < len(cores) < 720
+    cold_engine()
+
+
+def test_a_small_core_memo_keeps_its_bound(monkeypatch):
+    """With room for a few classes, the core memo evicts as it goes and the characters stay the same."""
+    cases = initial_column_cases()
+    cold_engine()
+    expected = [list(dual_character(diagram(columns, n)).terms.items()) for columns, n in cases]
+    monkeypatch.setattr(weyl, "_CORE_CLASSES", 40)
+    cold_engine()
+    stored = set()
+    for (columns, n), terms in zip(cases, expected):
+        assert list(dual_character(diagram(columns, n)).terms.items()) == terms, columns
+        classes = sum(map(len, weyl._CORES.values()))
+        assert classes + len(weyl._CORES) == weyl._CORES.size <= 40
+        stored |= set(weyl._CORES)
+    # far more cores passed through the memo than it holds at the end
+    assert len(stored) > len(weyl._CORES) + 100
     cold_engine()
 
 
@@ -649,12 +728,19 @@ def test_packed_minors_are_shared_across_grid_sizes():
     """The packed layout does not depend on n, so the same multiset at another n packs no minor afresh."""
     weyl._minor.cache_clear()
     weyl._factors.cache_clear()
+    weyl._CORES.clear()
     columns = ((1, 3), (2, 3))
     chi = weyl._character.__wrapped__(columns, 3, DEFAULT_CAP)
     misses = weyl._minor.cache_info().misses
+    factored = weyl._factors.cache_info()
     assert misses > 0
+    # emptied, so that the n = 5 character ranks its core again rather than reading the n = 3 entry
+    weyl._CORES.clear()
     assert weyl._character.__wrapped__(columns, 5, DEFAULT_CAP) == chi
     assert weyl._minor.cache_info().misses == misses
+    # it read the factored minors again, and factored none afresh
+    assert weyl._factors.cache_info().hits > factored.hits
+    assert weyl._factors.cache_info().misses == factored.misses
     for member, product in packed_products(columns).items():
         assert product == reference_product(columns, member), member
 
